@@ -67,7 +67,8 @@ func main() {
 	serverURL := flag.String("server", "", "dispatch the campaign to a running xentry-serve coordinator")
 	campaignID := flag.String("campaign", "", "campaign ID for -server mode (empty = server assigns one)")
 	execution := flag.String("execution", "",
-		"campaign data plane for -server mode: pool (in-process, the default) or "+
+		"campaign data plane for -server mode: pool (the default: in process on the "+
+			"coordinator, inject.ResumeCampaign writing into the store) or "+
 			"fleet (remote xentry-worker processes over the binary shard protocol)")
 	vcpus := flag.Int("vcpus", 1,
 		"virtual CPUs per campaign machine (1 = the legacy single-CPU engine, "+

@@ -1,13 +1,20 @@
 // Command xentry-serve runs the distributed campaign coordinator: an
-// HTTP/JSON service that accepts fault-injection campaign specs, splits
-// each campaign into activation-sorted shards, executes them on a bounded
-// worker pool, and records every outcome in a durable write-ahead store so
-// interrupted campaigns resume instead of restarting.
+// HTTP/JSON service that accepts fault-injection campaign specs, executes
+// each one in process (inject.ResumeCampaign on -workers goroutines) or on
+// a fleet of remote workers, and records every outcome in a durable
+// write-ahead store so interrupted campaigns resume instead of
+// restarting.
 //
 // Usage:
 //
-//	xentry-serve [-addr :8044] [-data DIR] [-workers N] [-shard-size N]
-//	             [-max-attempts N] [-shard-timeout D] [-fleet ADDR]
+//	xentry-serve [-addr :8044] [-data DIR] [-workers N] [-fleet ADDR]
+//	             [-shard-size N] [-max-attempts N] [-shard-timeout D]
+//
+// -workers sizes in-process campaigns. -shard-size, -max-attempts and
+// -shard-timeout apply only to fleet campaigns: shards of -shard-size plan
+// indices are leased to workers, a shard fails the campaign after
+// -max-attempts failed attempts, and a lease with no batch for
+// -shard-timeout is requeued (0 = a 2-minute lease).
 //
 // API:
 //
@@ -25,8 +32,8 @@
 // -fleet ADDR additionally opens the binary shard-protocol listener for
 // remote xentry-worker processes; campaigns submitted with
 // "execution": "fleet" are then executed by whatever workers are
-// connected instead of the in-process pool, with all result traffic on
-// the binary data plane and only control traffic on HTTP.
+// connected instead of in process, with all result traffic on the binary
+// data plane and only control traffic on HTTP.
 package main
 
 import (
@@ -34,7 +41,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"time"
 
 	"xentry/internal/server"
 )
@@ -44,10 +50,10 @@ func main() {
 	log.SetPrefix("xentry-serve: ")
 	addr := flag.String("addr", ":8044", "listen address")
 	data := flag.String("data", "xentry-data", "root directory for campaign result stores")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "injection worker pool size")
-	shardSize := flag.Int("shard-size", 64, "plan indices per shard")
-	maxAttempts := flag.Int("max-attempts", 3, "attempts per shard before the campaign fails")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard attempt timeout (0 = none)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "injection workers per in-process campaign")
+	shardSize := flag.Int("shard-size", 64, "plan indices per fleet shard")
+	maxAttempts := flag.Int("max-attempts", 3, "failed attempts per fleet shard before the campaign fails")
+	shardTimeout := flag.Duration("shard-timeout", 0, "fleet lease timeout (0 = 2 minutes)")
 	fleetAddr := flag.String("fleet", "",
 		"fleet listener address for remote xentry-worker processes (empty = fleet execution disabled)")
 	flag.Parse()
@@ -68,7 +74,6 @@ func main() {
 		Workers:      *workers,
 		ShardSize:    *shardSize,
 		MaxAttempts:  *maxAttempts,
-		Backoff:      100 * time.Millisecond,
 		ShardTimeout: *shardTimeout,
 		Fleet:        fleet,
 	})
@@ -77,8 +82,8 @@ func main() {
 	}
 	defer s.Close()
 
-	log.Printf("serving on %s (data %s, %d workers, shard size %d)",
-		*addr, *data, *workers, *shardSize)
+	log.Printf("serving on %s (data %s, %d workers per in-process campaign)",
+		*addr, *data, *workers)
 	if err := http.ListenAndServe(*addr, s.Handler()); err != nil {
 		log.Fatal(err)
 	}

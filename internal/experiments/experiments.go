@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -447,7 +448,7 @@ func CampaignSink(sc Scale, model *ml.Tree, checkpointEvery int, progress func(d
 		return nil, err
 	}
 	cfg.Progress = progress
-	return inject.ResumeCampaign(cfg, sink)
+	return inject.ResumeCampaign(context.Background(), cfg, sink)
 }
 
 // RenderFig8 formats the overall-coverage figure: per benchmark, the share

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"runtime"
 	"sort"
 
@@ -434,5 +435,5 @@ func (cfg CampaignConfig) Normalized() CampaignConfig {
 // through an atomic counter. It is ResumeCampaign with no sink: nothing is
 // persisted and nothing is skipped.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	return ResumeCampaign(cfg, nil)
+	return ResumeCampaign(context.Background(), cfg, nil)
 }

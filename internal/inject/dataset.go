@@ -1,12 +1,10 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"xentry/internal/core"
 	"xentry/internal/ml"
@@ -129,39 +127,16 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 		for i := range plans {
 			plans[i] = runner.RandomPlan(rng)
 		}
-		// Same checkpoint-pool execution scheme as RunCampaign: per-worker
-		// reusable machines, plans claimed in activation order.
-		order := make([]int, len(plans))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return plans[order[a]].Activation < plans[order[b]].Activation
-		})
+		// RunCampaign's claim loop: per-worker reusable machines, plans
+		// claimed in activation order.
 		outcomes := make([]Outcome, len(plans))
-		errs := make([]error, len(plans))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker := runner.NewWorker()
-				for {
-					n := next.Add(1) - 1
-					if n >= int64(len(order)) {
-						return
-					}
-					i := order[n]
-					outcomes[i], errs[i] = worker.RunOne(plans[i])
-				}
-			}()
-		}
-		wg.Wait()
-		for i := range errs {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("inject: dataset injection: %w", errs[i])
-			}
+		err = claimPlans(context.Background(), workers, runner, plans, ActivationOrder(plans),
+			func(i int, o Outcome) error {
+				outcomes[i] = o
+				return nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("inject: dataset injection: %w", err)
 		}
 		for _, o := range outcomes {
 			if o.HasFeatures && o.FeaturesDiffer {

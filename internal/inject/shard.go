@@ -16,9 +16,10 @@ import (
 // deterministic function of its (normalized) config, so any subset of plan
 // indices can be executed anywhere — another goroutine, another process,
 // another machine — and folded back at the original index without changing
-// the aggregates. RunCampaign, the resumable ResumeCampaign, and the
-// distributed coordinator in internal/server are all thin orchestration
-// layers over the primitives here.
+// the aggregates. RunCampaign, the resumable ResumeCampaign (which the
+// campaign server also runs for in-process campaigns), and the fleet
+// coordinator in internal/server are all thin orchestration layers over
+// the primitives here.
 
 // BenchmarkRun is the prepared execution context for one benchmark of a
 // campaign: the golden runner (with its shared checkpoint pool) and the
@@ -161,36 +162,15 @@ func SliceShards(order []int, size int) [][]int {
 	return append(shards, order)
 }
 
-// RunIndices executes the given plan indices on this worker in order,
-// calling emit for each classified outcome. It stops early (returning
-// ctx.Err()) when the context is cancelled — the caller requeues whatever
-// was not emitted. emit runs on the worker's goroutine.
-func (w *Worker) RunIndices(ctx context.Context, plans []Plan, indices []int, emit func(index int, o Outcome)) error {
-	for _, i := range indices {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if i < 0 || i >= len(plans) {
-			return fmt.Errorf("inject: plan index %d out of range [0,%d)", i, len(plans))
-		}
-		o, err := w.RunOne(plans[i])
-		if err != nil {
-			return fmt.Errorf("inject: plan %v: %w", plans[i], err)
-		}
-		emit(i, o)
-	}
-	return nil
-}
-
 // ResultSink is durable storage for campaign outcomes, keyed by (benchmark,
 // plan index). ResumeCampaign skips indices the sink already has, records
 // every new outcome, and assembles the result from the sink, so a campaign
 // interrupted at any point resumes from exactly where its sink left off.
 // internal/store's WAL-backed Store is the canonical implementation.
 //
-// Has and Record are called concurrently from worker goroutines; Record
-// must deduplicate by (benchmark, index) since a reassigned shard may
-// re-execute runs whose outcomes were already persisted.
+// Record is called concurrently from worker goroutines and must
+// deduplicate by (benchmark, index): a requeued fleet shard may re-execute
+// runs whose outcomes were already persisted.
 type ResultSink interface {
 	// Has reports whether an outcome for the plan index is already stored.
 	Has(bench string, index int) bool
@@ -207,18 +187,24 @@ type ResultSink interface {
 // recorded as they complete and the final result comes from the sink, so
 // the returned aggregates cover stored-and-skipped runs too and are
 // bit-identical to an uninterrupted single-process run of the same config.
-func ResumeCampaign(cfg CampaignConfig, sink ResultSink) (*CampaignResult, error) {
+// A benchmark the sink already holds in full is skipped without its golden
+// run. Workers stop claiming plans once ctx ends or a run or Record fails,
+// and that error is returned; whatever the sink recorded stays there for
+// the next resume.
+func ResumeCampaign(ctx context.Context, cfg CampaignConfig, sink ResultSink) (*CampaignResult, error) {
 	cfg = cfg.Normalized()
 	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
+	stored := make([]int, len(cfg.Benchmarks))
 	var completed atomic.Int64
 	if sink != nil {
-		// Already-stored runs count toward progress from the start.
-		for _, bench := range cfg.Benchmarks {
+		for bi, bench := range cfg.Benchmarks {
 			for i := 0; i < cfg.InjectionsPerBenchmark; i++ {
 				if sink.Has(bench, i) {
-					completed.Add(1)
+					stored[bi]++
 				}
 			}
+			// Already-stored runs count toward progress from the start.
+			completed.Add(int64(stored[bi]))
 		}
 	}
 	result := &CampaignResult{
@@ -226,6 +212,9 @@ func ResumeCampaign(cfg CampaignConfig, sink ResultSink) (*CampaignResult, error
 		Total:        NewTally(),
 	}
 	for bi, bench := range cfg.Benchmarks {
+		if sink != nil && stored[bi] == cfg.InjectionsPerBenchmark {
+			continue
+		}
 		br, err := PrepareBenchmark(cfg, bi)
 		if err != nil {
 			return nil, err
@@ -241,37 +230,20 @@ func ResumeCampaign(cfg CampaignConfig, sink ResultSink) (*CampaignResult, error
 			order = todo
 		}
 		outcomes := make([]Outcome, len(br.Plans))
-		errs := make([]error, len(br.Plans))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker := br.Runner.NewWorker()
-				for {
-					n := next.Add(1) - 1
-					if n >= int64(len(order)) {
-						return
-					}
-					i := order[n]
-					o, err := worker.RunOne(br.Plans[i])
-					if err == nil && sink != nil {
-						err = sink.Record(bench, i, o)
-					}
-					outcomes[i], errs[i] = o, err
-					done := completed.Add(1)
-					if cfg.Progress != nil {
-						cfg.Progress(int(done), total)
-					}
+		err = claimPlans(ctx, cfg.Workers, br.Runner, br.Plans, order, func(i int, o Outcome) error {
+			outcomes[i] = o
+			if sink != nil {
+				if err := sink.Record(bench, i, o); err != nil {
+					return err
 				}
-			}()
-		}
-		wg.Wait()
-		for _, i := range order {
-			if errs[i] != nil {
-				return nil, fmt.Errorf("inject: %s plan %v: %w", bench, br.Plans[i], errs[i])
 			}
+			if done := completed.Add(1); cfg.Progress != nil {
+				cfg.Progress(int(done), total)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("inject: %s: %w", bench, err)
 		}
 		if sink == nil {
 			tally := NewTally()
@@ -287,4 +259,44 @@ func ResumeCampaign(cfg CampaignConfig, sink ResultSink) (*CampaignResult, error
 	}
 	result.Normalize()
 	return result, nil
+}
+
+// claimPlans is the campaign engine's one claim loop, shared by
+// ResumeCampaign and CollectDataset. It runs the plans named by order on
+// workers goroutines, each with its own reusable Worker restored from the
+// runner's shared checkpoint pool, claiming indices in order through an
+// atomic counter, and hands every outcome to record on the worker's
+// goroutine. The first failed run or record stops every worker from
+// claiming more plans, as does the end of ctx; that error (or the
+// context's) is returned. Plans already claimed still finish, so record
+// may be called up to workers-1 times after the failing call.
+func claimPlans(ctx context.Context, workers int, runner *Runner, plans []Plan, order []int, record func(i int, o Outcome) error) error {
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker := runner.NewWorker()
+			for ctx.Err() == nil {
+				n := next.Add(1) - 1
+				if n >= int64(len(order)) {
+					return
+				}
+				i := order[n]
+				o, err := worker.RunOne(plans[i])
+				if err == nil {
+					err = record(i, o)
+				}
+				if err != nil {
+					stop(fmt.Errorf("plan %d (%v): %w", i, plans[i], err))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return context.Cause(ctx)
 }

@@ -2,7 +2,9 @@ package inject
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -78,52 +80,110 @@ func TestActivationOrderAndShards(t *testing.T) {
 	}
 }
 
-// TestRunIndicesMatchesRunOne: executing a shard through RunIndices gives
-// outcome-for-outcome the same classifications as RunOne.
-func TestRunIndicesMatchesRunOne(t *testing.T) {
-	_, br := testBenchmarkRun(t)
-	ref := br.Runner.NewWorker()
-	want := make([]Outcome, len(br.Plans))
-	for i, p := range br.Plans {
-		var err error
-		if want[i], err = ref.RunOne(p); err != nil {
-			t.Fatal(err)
+// memSink is an in-memory ResultSink. failAt > 0 makes that Record call
+// fail with errRecord; onRecord runs after every stored outcome with the
+// running count.
+type memSink struct {
+	failAt   int
+	onRecord func(n int)
+
+	mu       sync.Mutex
+	calls    int
+	outcomes map[string]map[int]Outcome
+}
+
+var errRecord = errors.New("record failed")
+
+func (s *memSink) Has(bench string, index int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.outcomes[bench][index]
+	return ok
+}
+
+func (s *memSink) Record(bench string, index int, o Outcome) error {
+	s.mu.Lock()
+	s.calls++
+	if s.calls == s.failAt {
+		s.mu.Unlock()
+		return errRecord
+	}
+	if s.outcomes == nil {
+		s.outcomes = map[string]map[int]Outcome{}
+	}
+	if s.outcomes[bench] == nil {
+		s.outcomes[bench] = map[int]Outcome{}
+	}
+	s.outcomes[bench][index] = o
+	n := s.calls
+	s.mu.Unlock()
+	if s.onRecord != nil {
+		s.onRecord(n)
+	}
+	return nil
+}
+
+func (s *memSink) Result() (*CampaignResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := &CampaignResult{PerBenchmark: map[string]*Tally{}, Total: NewTally()}
+	for bench, byIndex := range s.outcomes {
+		tally := NewTally()
+		for _, o := range byIndex {
+			tally.Add(o)
 		}
+		res.PerBenchmark[bench] = tally
+		res.Total.Merge(tally)
 	}
-	shard := ActivationOrder(br.Plans)[3:15]
-	got := map[int]Outcome{}
-	err := br.Runner.NewWorker().RunIndices(context.Background(), br.Plans, shard,
-		func(i int, o Outcome) { got[i] = o })
-	if err != nil {
-		t.Fatal(err)
+	res.Normalize()
+	return res, nil
+}
+
+// TestResumeCampaignStopsOnRecordError: a failed Record stops every worker
+// from claiming more plans, so at most the workers already mid-run record
+// after it, and ResumeCampaign returns the sink's error.
+func TestResumeCampaignStopsOnRecordError(t *testing.T) {
+	cfg, _ := testBenchmarkRun(t)
+	cfg.Workers = 3
+	sink := &memSink{failAt: 3}
+	_, err := ResumeCampaign(context.Background(), cfg, sink)
+	if !errors.Is(err, errRecord) {
+		t.Fatalf("err = %v, want the sink's record error", err)
 	}
-	if len(got) != len(shard) {
-		t.Fatalf("emitted %d outcomes, want %d", len(got), len(shard))
-	}
-	for _, i := range shard {
-		if got[i] != want[i] {
-			t.Errorf("index %d: shard outcome %+v != reference %+v", i, got[i], want[i])
-		}
+	if max := 2 + cfg.Workers; sink.calls > max {
+		t.Errorf("Record called %d times, want at most %d", sink.calls, max)
 	}
 }
 
-// TestRunIndicesStopsOnCancel: a killed worker's shard stops between runs
-// and reports ctx.Err(), leaving the un-emitted remainder for reassignment.
-func TestRunIndicesStopsOnCancel(t *testing.T) {
-	_, br := testBenchmarkRun(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	emitted := 0
-	err := br.Runner.NewWorker().RunIndices(ctx, br.Plans, ActivationOrder(br.Plans),
-		func(i int, o Outcome) {
-			emitted++
-			if emitted == 5 {
-				cancel()
-			}
-		})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// TestResumeCampaignCancelThenResume: cancelling mid-campaign returns
+// context.Canceled with a partial sink, and resuming from that sink ends
+// bit-identical to an uninterrupted RunCampaign.
+func TestResumeCampaignCancelThenResume(t *testing.T) {
+	cfg, _ := testBenchmarkRun(t)
+	cfg.Workers = 2
+	want, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if emitted != 5 {
-		t.Fatalf("emitted %d outcomes after cancel, want exactly 5", emitted)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &memSink{onRecord: func(n int) {
+		if n == 5 {
+			cancel()
+		}
+	}}
+	if _, err := ResumeCampaign(ctx, cfg, sink); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+	if n := sink.calls; n < 5 || n >= cfg.InjectionsPerBenchmark {
+		t.Fatalf("cancelled campaign recorded %d outcomes, want a partial campaign", n)
+	}
+	sink.onRecord = nil
+	got, err := ResumeCampaign(context.Background(), cfg, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed aggregates differ from RunCampaign:\ngot:  %+v\nwant: %+v", got.Total, want.Total)
 	}
 }

@@ -1,24 +1,22 @@
-// Package server is the distributed campaign service: a sharded
-// coordinator/worker engine that executes an injection campaign through a
-// durable result store (Engine), and the HTTP/JSON coordinator that
-// exposes it (Server) — submit campaigns, watch status, stream progress
-// events, fetch results rendered exactly like single-process runs.
+// Package server is the distributed campaign service: an engine that
+// executes an injection campaign into a durable result store (Engine),
+// and the HTTP/JSON coordinator that exposes it (Server) — submit
+// campaigns, watch status, stream progress events, fetch results rendered
+// exactly like single-process runs.
 //
-// The engine splits each benchmark's plan list into activation-sorted
-// shards and dispatches them to a bounded pool of workers. A shard attempt
-// that fails — worker killed, per-shard timeout, simulator error — is
-// requeued with backoff, minus whatever outcomes the store already holds,
-// and picked up by any live worker; outcomes fold at their original plan
-// index, so the final aggregates are bit-identical to single-process
-// inject.RunCampaign with the same seed no matter how the work was split,
-// retried, or reassigned.
+// A campaign runs in process or on the worker fleet. In process, the
+// engine runs inject.ResumeCampaign with the store as its sink — the same
+// executor RunCampaign and xentry-campaign -store use — and turns every
+// recorded outcome into an event. On the fleet, shards are leased to
+// remote workers (fleet.go). Either way outcomes fold at their original
+// plan index, so the final aggregates are bit-identical to single-process
+// inject.RunCampaign with the same seed, however the work was split,
+// interrupted, resumed or reassigned.
 package server
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"xentry/internal/inject"
@@ -28,7 +26,9 @@ import (
 // EventType labels an engine progress event.
 type EventType string
 
-// Engine event types.
+// Engine event types. The engine itself never emits EventCampaignDone or
+// EventCampaignFailed: they end the server's SSE stream, built from the
+// campaign's settled state.
 const (
 	EventBenchmarkStart EventType = "benchmark_start"
 	EventShardStart     EventType = "shard_start"
@@ -74,43 +74,36 @@ type Event struct {
 	Site string `json:"site,omitempty"`
 }
 
-// Engine executes one campaign through a durable store with a sharded
-// worker pool. Zero values get defaults on Run.
+// Engine executes one campaign into a durable store, in process or over
+// the fleet. Zero values get defaults on Run.
 type Engine struct {
 	// Store receives every outcome and assembles the result. Required; a
 	// partially full store resumes — stored indices are never re-planned.
 	Store *store.Store
-	// Workers is the pool size (default GOMAXPROCS).
-	Workers int
-	// ShardSize is the number of plan indices per shard (default 64).
+	// ShardSize is the number of plan indices per fleet shard (default 64).
 	ShardSize int
-	// MaxAttempts bounds tries per shard before the campaign fails
-	// (default 3). Worker deaths do not consume attempts: a shard
-	// reassigned from a killed worker keeps its attempt count.
+	// MaxAttempts bounds failed attempts per fleet shard before the
+	// campaign fails (default 3). Worker deaths and lease expiries do not
+	// consume attempts.
 	MaxAttempts int
-	// Backoff delays a shard's requeue after a failed attempt, scaled
-	// linearly by attempt number (default 100ms; tests set ~0).
-	Backoff time.Duration
-	// ShardTimeout bounds one shard attempt (0 = no timeout).
+	// ShardTimeout is the fleet lease timeout: a lease with no batch for
+	// this long is requeued (0 = 2 minutes).
 	ShardTimeout time.Duration
 	// OnEvent, when set, receives every engine event. It is called
-	// synchronously from coordinator and worker goroutines and must be
-	// safe for that.
+	// synchronously from worker and ingest goroutines and must be safe
+	// for that.
 	OnEvent func(Event)
 	// Fleet, when set, executes the campaign over the remote worker fleet
-	// instead of the in-process pool: shards are leased to connected
-	// xentry-worker processes over the binary shard protocol, and their
-	// batched results are group-committed off the HTTP/JSON path. Workers,
-	// PoolWorkers and KillWorker do not apply in fleet mode.
+	// instead of in process: shards are leased to connected xentry-worker
+	// processes over the binary shard protocol, and their batched results
+	// are group-committed off the HTTP/JSON path. The in-process run takes
+	// its parallelism from the config's Workers.
 	Fleet *Fleet
 	// Spec is the canonical campaign spec JSON served to fleet workers in
 	// the Welcome message; each worker derives its CampaignConfig (plans,
 	// detectors, trained model) from it. Required in fleet mode, and it
 	// must describe exactly the config passed to Run.
 	Spec []byte
-
-	mu   sync.Mutex
-	pool *workerPool
 }
 
 func (e *Engine) emit(ev Event) {
@@ -119,24 +112,10 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// KillWorker cancels one pool worker mid-shard, as if its process died.
-// Its current shard is requeued (minus already-stored outcomes) for the
-// surviving workers. Only valid while Run is active.
-func (e *Engine) KillWorker(id int) error {
-	e.mu.Lock()
-	p := e.pool
-	e.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("server: engine not running")
-	}
-	return p.kill(id)
-}
-
 // Run executes the campaign to completion — every plan index the store
 // does not already hold — and returns the normalized aggregates from the
-// store. The context cancels the whole run (workers stop between
-// injections); a cancelled run resumes later from whatever the store
-// persisted.
+// store. The context cancels the whole run; a cancelled or failed run
+// resumes later from whatever the store persisted.
 func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("server: engine needs a store")
@@ -145,396 +124,40 @@ func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.Ca
 	if e.Fleet != nil {
 		return e.runFleet(ctx, cfg)
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shardSize := e.ShardSize
-	if shardSize <= 0 {
-		shardSize = 64
-	}
-	maxAttempts := e.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	backoff := e.Backoff
-	if backoff == 0 {
-		backoff = 100 * time.Millisecond
-	}
 	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
-	id := e.Store.Meta().CampaignID
-
-	p := newWorkerPool(ctx, workers)
-	p.configure(maxAttempts, backoff, e.ShardTimeout)
-	e.mu.Lock()
-	e.pool = p
-	e.mu.Unlock()
-	defer func() {
-		p.shutdown()
-		e.mu.Lock()
-		e.pool = nil
-		e.mu.Unlock()
-	}()
-
-	progress := func() (int, int) { return e.Store.TotalCount(), total }
-
-	for bi, bench := range cfg.Benchmarks {
-		if e.Store.Count(bench) >= cfg.InjectionsPerBenchmark {
-			continue // fully stored: skip even the golden run
-		}
-		done, _ := progress()
-		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: done, Total: total})
-		br, err := inject.PrepareBenchmark(cfg, bi)
-		if err != nil {
-			return nil, err
-		}
-		order := inject.ActivationOrder(br.Plans)
-		todo := order[:0]
-		for _, i := range order {
-			if !e.Store.Has(bench, i) {
-				todo = append(todo, i)
-			}
-		}
-		for si, indices := range inject.SliceShards(todo, shardSize) {
-			job := &shardJob{
-				bench:   bench,
-				shard:   si,
-				attempt: 1,
-				runner:  br.Runner,
-				plans:   br.Plans,
-				indices: indices,
-			}
-			job.exec = func(w *worker, job *shardJob, attemptCtx context.Context) error {
-				done, total := progress()
-				e.emit(Event{Type: EventShardStart, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt, Done: done, Total: total})
-				runCtx, cancel := context.WithCancel(attemptCtx)
-				defer cancel()
-				var recordErr error
-				err := w.workerFor(job.runner).RunIndices(runCtx, job.plans, job.indices,
-					func(i int, o inject.Outcome) {
-						if recordErr != nil {
-							return
-						}
-						if err := e.Store.Record(job.bench, i, o); err != nil {
-							// Lost durability fails the attempt; the requeue
-							// path recomputes what is still missing.
-							recordErr = err
-							cancel()
-							return
-						}
-						done, total := progress()
-						ev := Event{Type: EventOutcome, Campaign: id, Bench: job.bench,
-							Shard: job.shard, Worker: w.id, Done: done, Total: total,
-							Site: o.Plan.Site.String()}
-						if o.Detected.Detected() {
-							ev.Technique = o.Detected.String()
-						}
-						if o.Pruned != inject.PruneNone {
-							ev.Pruned = o.Pruned.String()
-						}
-						if o.Recovery.Attempted {
-							ev.RecoveryStrategy = o.Recovery.Strategy.String()
-							ev.RecoveryOutcome = o.Recovery.Class.String()
-						}
-						e.emit(ev)
-					})
-				if recordErr != nil {
-					return recordErr
-				}
-				return err
-			}
-			job.onDone = func(w *worker, job *shardJob) {
-				done, total := progress()
-				e.emit(Event{Type: EventShardDone, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt, Done: done, Total: total})
-			}
-			job.onRequeue = func(w *worker, job *shardJob, cause error, workerDied bool) {
-				// Drop indices the store caught before the failure; only the
-				// remainder is reassigned.
-				remaining := make([]int, 0, len(job.indices))
-				for _, i := range job.indices {
-					if !e.Store.Has(job.bench, i) {
-						remaining = append(remaining, i)
-					}
-				}
-				job.indices = remaining
-				done, total := progress()
-				if workerDied {
-					e.emit(Event{Type: EventWorkerDead, Campaign: id, Bench: job.bench,
-						Shard: job.shard, Worker: w.id, Done: done, Total: total, Err: cause.Error()})
-				}
-				e.emit(Event{Type: EventShardRequeued, Campaign: id, Bench: job.bench,
-					Shard: job.shard, Worker: w.id, Attempt: job.attempt,
-					Done: done, Total: total, Err: cause.Error()})
-			}
-			p.enqueue(job)
-		}
-		if err := p.wait(); err != nil {
-			done, _ := progress()
-			e.emit(Event{Type: EventCampaignFailed, Campaign: id, Bench: bench,
-				Done: done, Total: total, Err: err.Error()})
-			return nil, err
-		}
-	}
-	res, err := e.Store.Result()
-	if err != nil {
-		return nil, err
-	}
-	done, _ := progress()
-	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: done, Total: total})
-	return res, nil
+	return inject.ResumeCampaign(ctx, cfg, eventSink{Store: e.Store, e: e, total: total})
 }
 
-// shardJob is one shard's unit of work plus the engine callbacks bound to
-// it. The pool itself knows nothing about campaigns — it schedules jobs,
-// enforces timeouts and attempt limits, and survives worker deaths.
-type shardJob struct {
-	bench   string
-	shard   int
-	attempt int
-	runner  *inject.Runner
-	plans   []inject.Plan
-	indices []int
-
-	exec      func(w *worker, job *shardJob, ctx context.Context) error
-	onDone    func(w *worker, job *shardJob)
-	onRequeue func(w *worker, job *shardJob, cause error, workerDied bool)
+// eventSink is the in-process campaign's result sink: the store, plus an
+// outcome event for every outcome it records.
+type eventSink struct {
+	*store.Store
+	e     *Engine
+	total int
 }
 
-// worker is one pool worker: a goroutine with its own cancellable context
-// (so it can be killed independently) and a reusable inject.Worker per
-// runner, kept across shards of the same benchmark for checkpoint-pool
-// locality.
-type worker struct {
-	id     int
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	lastRunner *inject.Runner
-	lastWorker *inject.Worker
-}
-
-func (w *worker) workerFor(r *inject.Runner) *inject.Worker {
-	if w.lastRunner != r {
-		w.lastRunner, w.lastWorker = r, r.NewWorker()
+func (s eventSink) Record(bench string, index int, o inject.Outcome) error {
+	if err := s.Store.Record(bench, index, o); err != nil {
+		return err
 	}
-	return w.lastWorker
-}
-
-// workerPool schedules shard jobs onto a fixed set of kill-able workers.
-type workerPool struct {
-	ctx          context.Context
-	maxAttempts  int
-	backoff      time.Duration
-	shardTimeout time.Duration
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []*shardJob
-	outstanding int // jobs enqueued, delayed for backoff, or running
-	live        int
-	err         error
-	closed      bool
-	done        chan struct{}
-	workers     []*worker
-}
-
-func newWorkerPool(ctx context.Context, n int) *workerPool {
-	p := &workerPool{ctx: ctx, live: n, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < n; i++ {
-		wctx, cancel := context.WithCancel(ctx)
-		w := &worker{id: i, ctx: wctx, cancel: cancel}
-		p.workers = append(p.workers, w)
-		go p.runWorker(w)
-	}
-	// Wake cond waiters (idle workers, the coordinator in wait) when the
-	// run context is cancelled; they re-check their exit conditions.
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.cond.Broadcast()
-		case <-p.done:
-		}
-	}()
-	return p
-}
-
-// configure is called by the engine before the first enqueue.
-func (p *workerPool) configure(maxAttempts int, backoff, shardTimeout time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.maxAttempts, p.backoff, p.shardTimeout = maxAttempts, backoff, shardTimeout
-}
-
-func (p *workerPool) enqueue(job *shardJob) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.outstanding++
-	p.queue = append(p.queue, job)
-	p.cond.Broadcast()
-}
-
-// requeueLater re-adds a failed job after its backoff without consuming a
-// worker. The job stays outstanding the whole time.
-func (p *workerPool) requeueLater(job *shardJob, delay time.Duration) {
-	readd := func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.queue = append(p.queue, job)
-		p.cond.Broadcast()
-	}
-	if delay <= 0 {
-		readd()
-		return
-	}
-	time.AfterFunc(delay, readd)
-}
-
-// next blocks until a job is available for this worker, or returns nil
-// when the worker is dead or the pool is done.
-func (p *workerPool) next(w *worker) *shardJob {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed || p.err != nil || w.ctx.Err() != nil {
-			return nil
-		}
-		if len(p.queue) > 0 {
-			job := p.queue[0]
-			p.queue = p.queue[1:]
-			return job
-		}
-		p.cond.Wait()
-	}
-}
-
-func (p *workerPool) runWorker(w *worker) {
-	defer func() {
-		p.mu.Lock()
-		p.live--
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}()
-	for {
-		job := p.next(w)
-		if job == nil {
-			return
-		}
-		p.execute(w, job)
-		if w.ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// execute runs one shard attempt and settles its outcome: done, requeued
-// with backoff, or fatal after max attempts.
-func (p *workerPool) execute(w *worker, job *shardJob) {
-	attemptCtx := w.ctx
-	var cancel context.CancelFunc
-	if p.shardTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(attemptCtx, p.shardTimeout)
-		defer cancel()
-	}
-	err := job.exec(w, job, attemptCtx)
-	if err == nil {
-		job.onDone(w, job)
-		p.settle(nil)
-		return
-	}
-	workerDied := w.ctx.Err() != nil
-	if p.ctx.Err() != nil {
-		// The whole run was cancelled: fail the campaign with the cause.
-		p.settle(p.ctx.Err())
-		return
-	}
-	if !workerDied {
-		job.attempt++
-		if job.attempt > p.maxAttempts {
-			p.settle(fmt.Errorf("server: %s shard %d failed after %d attempts: %w",
-				job.bench, job.shard, p.maxAttempts, err))
-			return
-		}
-	}
-	job.onRequeue(w, job, err, workerDied)
-	p.mu.Lock()
-	noneLive := p.live <= 1 && workerDied // this worker is about to exit
-	p.mu.Unlock()
-	if noneLive {
-		p.settle(fmt.Errorf("server: last worker died: %w", err))
-		return
-	}
-	// The job stays outstanding; it re-enters the queue after backoff
-	// (immediately for a reassignment from a dead worker — the shard did
-	// nothing wrong).
-	delay := time.Duration(0)
-	if !workerDied {
-		delay = p.backoff * time.Duration(job.attempt-1)
-	}
-	p.requeueLater(job, delay)
-}
-
-// settle marks one outstanding job finished (err == nil) or fails the
-// pool.
-func (p *workerPool) settle(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err != nil {
-		if p.err == nil {
-			p.err = err
-		}
-	} else {
-		p.outstanding--
-	}
-	p.cond.Broadcast()
-}
-
-// wait blocks until every outstanding job settled or the pool failed.
-func (p *workerPool) wait() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.err != nil {
-			return p.err
-		}
-		if p.outstanding == 0 {
-			return nil
-		}
-		// Run-context cancellation outranks the no-live-workers diagnosis:
-		// cancelling the run kills every worker, and the caller should see
-		// the cancellation, not its side effect.
-		if err := p.ctx.Err(); err != nil {
-			return err
-		}
-		if p.live == 0 {
-			return fmt.Errorf("server: no live workers with %d shards outstanding", p.outstanding)
-		}
-		p.cond.Wait()
-	}
-}
-
-func (p *workerPool) kill(id int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id < 0 || id >= len(p.workers) {
-		return fmt.Errorf("server: no worker %d", id)
-	}
-	p.workers[id].cancel()
-	p.cond.Broadcast()
+	s.e.emit(outcomeEvent(s.Meta().CampaignID, bench, &o, s.TotalCount(), s.total))
 	return nil
 }
 
-func (p *workerPool) shutdown() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.done)
+// outcomeEvent labels one freshly stored outcome for metrics and the SSE
+// stream.
+func outcomeEvent(campaign, bench string, o *inject.Outcome, done, total int) Event {
+	ev := Event{Type: EventOutcome, Campaign: campaign, Bench: bench,
+		Done: done, Total: total, Site: o.Plan.Site.String()}
+	if o.Detected.Detected() {
+		ev.Technique = o.Detected.String()
 	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	for _, w := range p.workers {
-		w.cancel()
+	if o.Pruned != inject.PruneNone {
+		ev.Pruned = o.Pruned.String()
 	}
+	if o.Recovery.Attempted {
+		ev.RecoveryStrategy = o.Recovery.Strategy.String()
+		ev.RecoveryOutcome = o.Recovery.Class.String()
+	}
+	return ev
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"xentry/internal/inject"
 	"xentry/internal/store"
@@ -37,72 +35,9 @@ func testStore(t *testing.T, cfg inject.CampaignConfig, id string) *store.Store 
 	return s
 }
 
-// TestEngineKillWorkerBitIdentical is the coordinator acceptance test: a
-// campaign sharded across multiple in-process workers, with one worker
-// killed mid-shard and its shard reassigned to the survivors, produces a
-// Tally bit-identical to single-process RunCampaign with the same seed.
-func TestEngineKillWorkerBitIdentical(t *testing.T) {
-	cfg := testCampaignConfig()
-	want, err := inject.RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := &Engine{
-		Store:     testStore(t, cfg, "c-kill"),
-		Workers:   3,
-		ShardSize: 5,
-		Backoff:   time.Millisecond,
-	}
-	var outcomes atomic.Int64
-	var killed atomic.Bool
-	var sawDead, sawRequeue atomic.Bool
-	deadWorker := int64(-1)
-	var mu sync.Mutex
-	e.OnEvent = func(ev Event) {
-		switch ev.Type {
-		case EventOutcome:
-			// Kill the worker that emitted the 8th outcome, mid-shard.
-			if outcomes.Add(1) == 8 && killed.CompareAndSwap(false, true) {
-				mu.Lock()
-				deadWorker = int64(ev.Worker)
-				mu.Unlock()
-				if err := e.KillWorker(ev.Worker); err != nil {
-					t.Errorf("kill worker %d: %v", ev.Worker, err)
-				}
-			}
-		case EventWorkerDead:
-			sawDead.Store(true)
-		case EventShardRequeued:
-			sawRequeue.Store(true)
-		case EventShardDone:
-			mu.Lock()
-			dead := deadWorker
-			mu.Unlock()
-			if dead >= 0 && int64(ev.Worker) == dead {
-				t.Errorf("dead worker %d completed a shard after being killed", dead)
-			}
-		}
-	}
-	got, err := e.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !killed.Load() {
-		t.Fatal("test never killed a worker — campaign too small for the kill point")
-	}
-	if !sawDead.Load() || !sawRequeue.Load() {
-		t.Error("expected worker_dead and shard_requeued events after the kill")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded aggregates differ from single-process run:\ngot:  %+v\nwant: %+v",
-			got.Total, want.Total)
-	}
-}
-
-// TestEngineResumeAfterInterrupt: an engine run cancelled after N outcomes
-// resumes from the WAL (fresh store, fresh engine) and finishes with
-// aggregates bit-identical to an uninterrupted run.
+// TestEngineResumeAfterInterrupt: an in-process engine run cancelled after
+// N outcome events resumes from the WAL (fresh store, fresh engine) and
+// finishes with aggregates bit-identical to an uninterrupted run.
 func TestEngineResumeAfterInterrupt(t *testing.T) {
 	cfg := testCampaignConfig()
 	want, err := inject.RunCampaign(cfg)
@@ -125,10 +60,7 @@ func TestEngineResumeAfterInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var outcomes atomic.Int64
 	e1 := &Engine{
-		Store:     s1,
-		Workers:   2,
-		ShardSize: 6,
-		Backoff:   time.Millisecond,
+		Store: s1,
 		OnEvent: func(ev Event) {
 			if ev.Type == EventOutcome && outcomes.Add(1) == 12 {
 				cancel()
@@ -149,7 +81,7 @@ func TestEngineResumeAfterInterrupt(t *testing.T) {
 	if stored < 12 || stored >= cfg.InjectionsPerBenchmark {
 		t.Fatalf("stored %d outcomes before resume, want a partial campaign", stored)
 	}
-	e2 := &Engine{Store: s2, Workers: 2, ShardSize: 6, Backoff: time.Millisecond}
+	e2 := &Engine{Store: s2}
 	got, err := e2.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,37 +95,9 @@ func TestEngineResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
-// TestEngineShardTimeoutExhaustsAttempts: an impossible per-shard timeout
-// fails every attempt; after MaxAttempts the campaign fails with the
-// shard's error rather than hanging.
-func TestEngineShardTimeoutExhaustsAttempts(t *testing.T) {
-	cfg := testCampaignConfig()
-	cfg.InjectionsPerBenchmark = 8
-	e := &Engine{
-		Store:        testStore(t, cfg, "c-timeout"),
-		Workers:      2,
-		ShardSize:    4,
-		MaxAttempts:  2,
-		Backoff:      time.Nanosecond,
-		ShardTimeout: time.Nanosecond,
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Run(context.Background(), cfg)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("campaign with impossible shard timeout succeeded")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("campaign with failing shards hung instead of exhausting attempts")
-	}
-}
-
-// TestEngineMultiBenchmarkMatchesRunCampaign: sharding across benchmarks
-// (including the per-benchmark seed schedule) folds back bit-identically.
+// TestEngineMultiBenchmarkMatchesRunCampaign: an in-process campaign over
+// several benchmarks (including the per-benchmark seed schedule) folds
+// back from the store bit-identically, whatever the worker count.
 func TestEngineMultiBenchmarkMatchesRunCampaign(t *testing.T) {
 	cfg := inject.DefaultCampaign(24, 31)
 	cfg.Benchmarks = []string{"mcf", "postmark"}
@@ -203,7 +107,8 @@ func TestEngineMultiBenchmarkMatchesRunCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: testStore(t, cfg, "c-multi"), Workers: 4, ShardSize: 7, Backoff: time.Millisecond}
+	cfg.Workers = 4
+	e := &Engine{Store: testStore(t, cfg, "c-multi")}
 	got, err := e.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +121,9 @@ func TestEngineMultiBenchmarkMatchesRunCampaign(t *testing.T) {
 
 // TestEngineResumePrunedCampaignMidShard is the pruning interruption
 // acceptance test: a campaign whose runs are dead-pruned and
-// convergence-early-exited is killed mid-shard, resumed from the WAL by a
-// fresh engine, and must end bit-identical to an uninterrupted run —
+// convergence-early-exited is cancelled mid-benchmark, resumed from the
+// WAL by a fresh engine, and must end bit-identical to an uninterrupted
+// run —
 // including the Pruned provenance counts, which therefore have to survive
 // the WAL record round-trip and the snapshot/merge path.
 func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
@@ -246,10 +152,7 @@ func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var outcomes atomic.Int64
 	e1 := &Engine{
-		Store:     s1,
-		Workers:   2,
-		ShardSize: 6,
-		Backoff:   time.Millisecond,
+		Store: s1,
 		OnEvent: func(ev Event) {
 			if ev.Type == EventOutcome && outcomes.Add(1) == 10 {
 				cancel()
@@ -269,7 +172,7 @@ func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
 	if n := s2.TotalCount(); n < 10 || n >= cfg.InjectionsPerBenchmark {
 		t.Fatalf("stored %d outcomes before resume, want a partial campaign", n)
 	}
-	e2 := &Engine{Store: s2, Workers: 2, ShardSize: 6, Backoff: time.Millisecond}
+	e2 := &Engine{Store: s2}
 	got, err := e2.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,11 @@ import (
 // records). Past half this depth, acks ask workers to slow down.
 const fleetIngestDepth = 64
 
+// fleetTombstones bounds how many completed campaign ids a Fleet
+// remembers, so that a worker dialing after its campaign finished is told
+// Done instead of being refused like a worker that dialed too early.
+const fleetTombstones = 1024
+
 // FleetStats is a snapshot of the fleet's lifetime counters.
 type FleetStats struct {
 	// Workers is the number of currently connected worker sessions.
@@ -63,11 +69,14 @@ type Fleet struct {
 	ln net.Listener
 	wg sync.WaitGroup
 
-	mu      sync.Mutex
-	runs    map[string]*fleetRun
-	conns   map[net.Conn]struct{}
-	closed  bool
-	workSeq int
+	mu    sync.Mutex
+	runs  map[string]*fleetRun
+	conns map[net.Conn]struct{}
+	// finished lists completed campaign ids, oldest first, at most
+	// fleetTombstones of them.
+	finished []string
+	closed   bool
+	workSeq  int
 
 	workers   atomic.Int64
 	batches   atomic.Int64
@@ -80,7 +89,8 @@ type Fleet struct {
 
 // NewFleet listens on addr (e.g. "127.0.0.1:0") and starts accepting
 // worker connections. Connections for campaigns that are not (yet)
-// registered are refused; workers retry.
+// registered are refused, and workers retry; a Hello for a recently
+// completed campaign is answered Done.
 func NewFleet(addr string) (*Fleet, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -143,19 +153,62 @@ func (f *Fleet) register(run *fleetRun) error {
 		return fmt.Errorf("fleet: campaign %s already registered", run.id)
 	}
 	f.runs[run.id] = run
+	// A resubmitted campaign is running again, not finished.
+	f.finished = slices.DeleteFunc(f.finished, func(id string) bool { return id == run.id })
 	return nil
 }
 
-func (f *Fleet) unregister(id string) {
-	f.mu.Lock()
-	delete(f.runs, id)
-	f.mu.Unlock()
-}
-
-func (f *Fleet) lookup(id string) *fleetRun {
+// unregister removes a run. A completed run leaves its tombstone in the
+// same critical section, so a Hello never finds the id neither running
+// nor finished.
+func (f *Fleet) unregister(id string, completed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.runs[id]
+	delete(f.runs, id)
+	if completed {
+		if len(f.finished) == fleetTombstones {
+			f.finished = f.finished[1:]
+		}
+		f.finished = append(f.finished, id)
+	}
+}
+
+// lookup returns the registered run for a campaign id, or reports whether
+// the id names a completed campaign.
+func (f *Fleet) lookup(id string) (run *fleetRun, finished bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if run := f.runs[id]; run != nil {
+		return run, false
+	}
+	return nil, slices.Contains(f.finished, id)
+}
+
+// start registers a run and launches its ingest and lease-reaper
+// goroutines.
+func (f *Fleet) start(run *fleetRun) error {
+	if err := f.register(run); err != nil {
+		return err
+	}
+	go run.ingestLoop()
+	go run.reap()
+	return nil
+}
+
+// release unregisters a run, leaving a tombstone if it finished, and
+// tears it down. Lingering sessions of a cancelled or failed run flip to
+// refusal, so their workers redial (and find the campaign when it
+// resumes) instead of polling a dead run forever; a finished run keeps
+// answering Done. release returns once the ingest goroutine has exited,
+// so the caller may close (and on resume, reopen) the store.
+func (f *Fleet) release(run *fleetRun) {
+	run.mu.Lock()
+	completed := run.finished
+	run.stopped = true
+	run.mu.Unlock()
+	f.unregister(run.id, completed)
+	close(run.done)
+	<-run.ingestDone
 }
 
 func (f *Fleet) accept() {
@@ -217,7 +270,12 @@ func (f *Fleet) serveConn(conn net.Conn, wid int) {
 		refuse(conn, "fleet: protocol version %d unsupported (want %d)", msg.Hello.Version, wire.ProtoVersion)
 		return
 	}
-	run := f.lookup(msg.Hello.Campaign)
+	run, finished := f.lookup(msg.Hello.Campaign)
+	if finished {
+		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(wire.AppendDone(nil))
+		return
+	}
 	if run == nil {
 		refuse(conn, "fleet: unknown campaign %q", msg.Hello.Campaign)
 		return
@@ -658,7 +716,8 @@ func (run *fleetRun) wait(ctx context.Context) error {
 	}
 }
 
-// finish flips lease requests to Done so connected workers drain and exit.
+// finish flips lease requests to Done so connected workers drain and
+// exit, and marks the run for a completion tombstone on release.
 func (run *fleetRun) finish() {
 	run.mu.Lock()
 	run.finished = true
@@ -786,20 +845,8 @@ func (run *fleetRun) processBatch(item ingestItem) {
 			if !e.Fresh {
 				continue
 			}
-			done, total := run.store.TotalCount(), run.total
-			ev := Event{Type: EventOutcome, Campaign: run.id, Bench: e.Bench,
-				Shard: shard, Worker: item.wid, Done: done, Total: total,
-				Site: e.Outcome.Plan.Site.String()}
-			if e.Outcome.Detected.Detected() {
-				ev.Technique = e.Outcome.Detected.String()
-			}
-			if e.Outcome.Pruned != inject.PruneNone {
-				ev.Pruned = e.Outcome.Pruned.String()
-			}
-			if e.Outcome.Recovery.Attempted {
-				ev.RecoveryStrategy = e.Outcome.Recovery.Strategy.String()
-				ev.RecoveryOutcome = e.Outcome.Recovery.Class.String()
-			}
+			ev := outcomeEvent(run.id, e.Bench, &e.Outcome, run.store.TotalCount(), run.total)
+			ev.Shard, ev.Worker = shard, item.wid
 			run.eng.emit(ev)
 		}
 	}
@@ -873,26 +920,10 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 	id := e.Store.Meta().CampaignID
 
 	run := newFleetRun(e, cfg, leaseTimeout, maxAttempts)
-	if err := e.Fleet.register(run); err != nil {
+	if err := e.Fleet.start(run); err != nil {
 		return nil, err
 	}
-	defer func() {
-		e.Fleet.unregister(run.id)
-		// Flip lingering sessions of a cancelled/failed run to refusal so
-		// their workers redial (and find the campaign when it resumes)
-		// instead of polling a dead run forever. A finished run keeps
-		// answering Done.
-		run.mu.Lock()
-		run.stopped = true
-		run.mu.Unlock()
-		close(run.done)
-		// Wait for the ingest goroutine: once runFleet returns, the caller
-		// may close (and on resume, reopen) the store, so no ingest write
-		// may still be in flight.
-		<-run.ingestDone
-	}()
-	go run.ingestLoop()
-	go run.reap()
+	defer e.Fleet.release(run)
 	// Wake the coordinator's wait when the run context dies.
 	go func() {
 		select {
@@ -907,12 +938,11 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 		}
 	}()
 
-	progress := func() int { return e.Store.TotalCount() }
 	for bi, bench := range cfg.Benchmarks {
 		if e.Store.Count(bench) >= cfg.InjectionsPerBenchmark {
 			continue // fully stored: skip even the golden run
 		}
-		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: progress(), Total: total})
+		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: e.Store.TotalCount(), Total: total})
 		plans, err := inject.PreparePlans(cfg, bi)
 		if err != nil {
 			return nil, err
@@ -926,16 +956,13 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 		}
 		run.enqueueBench(bi, bench, inject.SliceShards(todo, shardSize))
 		if err := run.wait(ctx); err != nil {
-			e.emit(Event{Type: EventCampaignFailed, Campaign: id, Bench: bench,
-				Done: progress(), Total: total, Err: err.Error()})
 			return nil, err
 		}
 	}
-	run.finish()
 	res, err := e.Store.Result()
 	if err != nil {
 		return nil, err
 	}
-	e.emit(Event{Type: EventCampaignDone, Campaign: id, Done: progress(), Total: total})
+	run.finish()
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,52 +344,217 @@ func TestFleetHostileRecordsCount(t *testing.T) {
 	defer f.Close()
 	e := &Engine{Store: testStore(t, cfg, "fleet-hostile"), Fleet: f, Spec: []byte("{}")}
 	run := newFleetRun(e, cfg, time.Minute, 3)
-	if err := f.register(run); err != nil {
+	if err := f.start(run); err != nil {
 		t.Fatal(err)
 	}
-	go run.ingestLoop()
-	defer func() {
-		f.unregister(run.id)
-		run.mu.Lock()
-		run.stopped = true
-		run.mu.Unlock()
-		close(run.done)
-		<-run.ingestDone
-	}()
+	defer f.release(run)
 
-	conn, err := net.Dial("tcp", f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := wire.NewReader(conn)
-	roundTrip := func(frame []byte) wire.Msg {
-		t.Helper()
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := wire.DecodeMsg(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if m := roundTrip(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: "fleet-hostile"})); m.Type != wire.MsgWelcome {
-		t.Fatalf("expected welcome, got type %d", m.Type)
+	c := dialRaw(t, f.Addr())
+	if got := c.replyType(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: "fleet-hostile"})); got != wire.MsgWelcome {
+		t.Fatalf("expected welcome, got type %d", got)
 	}
 	o := synthOutcome(1)
 	block, _ := wire.AppendRecordFrame(nil, nil, "canneal", 1, &o)
 	hostile := wire.AppendBatch(nil, wire.Batch{Lease: 1, Records: 1 << 40, Block: block})
-	if m := roundTrip(hostile); m.Type != wire.MsgBatchAck {
-		t.Fatalf("expected batch ack after hostile record count, got type %d", m.Type)
+	if got := c.replyType(hostile); got != wire.MsgBatchAck {
+		t.Fatalf("expected batch ack after hostile record count, got type %d", got)
 	}
 	// The session survived the hostile frame: a normal request still works.
-	if m := roundTrip(wire.AppendLeaseReq(nil)); m.Type != wire.MsgNoWork {
-		t.Fatalf("expected no-work, got type %d", m.Type)
+	if got := c.replyType(wire.AppendLeaseReq(nil)); got != wire.MsgNoWork {
+		t.Fatalf("expected no-work, got type %d", got)
+	}
+}
+
+// rawConn drives the fleet protocol by hand: one frame out, one back.
+type rawConn struct {
+	conn net.Conn
+	r    *wire.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{conn: conn, r: wire.NewReader(conn)}
+}
+
+// roundTrip sends one frame and decodes the reply. An error means the
+// coordinator closed the session.
+func (c *rawConn) roundTrip(frame []byte) (wire.Msg, error) {
+	if _, err := c.conn.Write(frame); err != nil {
+		return wire.Msg{}, err
+	}
+	payload, err := c.r.Next()
+	if err != nil {
+		return wire.Msg{}, err
+	}
+	return wire.DecodeMsg(payload)
+}
+
+// replyType is the reply's message type, or 0 once the coordinator has
+// closed the session.
+func (c *rawConn) replyType(frame []byte) wire.MsgType {
+	m, err := c.roundTrip(frame)
+	if err != nil {
+		return 0
+	}
+	return m.Type
+}
+
+// TestFleetCampaignStates pins how the fleet answers a campaign in each
+// lifecycle state: a new Hello, a LeaseReq on a session opened while the
+// campaign was active, and RunWorker limited to two dials. Only a done
+// campaign ends a worker with nil. A stopped campaign is refused like an
+// unknown one, so its workers keep redialing into the resumed run.
+func TestFleetCampaignStates(t *testing.T) {
+	const closed wire.MsgType = 0
+	cases := []struct {
+		state     string
+		hello     wire.MsgType // reply to a new Hello
+		lease     wire.MsgType // reply to a LeaseReq on the open session
+		workerErr string       // substring of RunWorker's error ("" = nil)
+	}{
+		{"unknown", wire.MsgError, closed, "unknown campaign"},
+		{"active", wire.MsgWelcome, wire.MsgNoWork, context.Canceled.Error()},
+		{"stopped", wire.MsgError, wire.MsgError, "unknown campaign"},
+		{"done", wire.MsgDone, wire.MsgDone, ""},
+	}
+	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: "states"})
+	for _, tc := range cases {
+		t.Run(tc.state, func(t *testing.T) {
+			cfg := inject.CampaignConfig{Benchmarks: []string{"canneal"}, InjectionsPerBenchmark: 8}
+			f, err := NewFleet("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			run := newFleetRun(&Engine{Store: testStore(t, cfg, "states"), Fleet: f, Spec: []byte("{}")}, cfg, time.Minute, 3)
+			if tc.state != "unknown" {
+				if err := f.start(run); err != nil {
+					t.Fatal(err)
+				}
+			}
+			session := dialRaw(t, f.Addr())
+			if got := session.replyType(hello); (got == wire.MsgWelcome) != (tc.state != "unknown") {
+				t.Fatalf("hello while active: reply type %d", got)
+			}
+			switch tc.state {
+			case "active":
+				defer f.release(run)
+			case "done":
+				run.finish()
+				fallthrough
+			case "stopped":
+				f.release(run)
+			}
+
+			if got := dialRaw(t, f.Addr()).replyType(hello); got != tc.hello {
+				t.Errorf("new hello: reply type %d, want %d", got, tc.hello)
+			}
+			if got := session.replyType(wire.AppendLeaseReq(nil)); got != tc.lease {
+				t.Errorf("lease request on open session: reply type %d, want %d", got, tc.lease)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.state == "active" {
+				// An active campaign with no work keeps the worker polling:
+				// stop it once its session joins the two raw ones.
+				go func() {
+					for f.Stats().Workers < 3 {
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				}()
+			}
+			err = RunWorker(ctx, WorkerOptions{Coordinator: f.Addr(), Campaign: "states",
+				MaxDials: 2, RetryInterval: time.Millisecond})
+			switch {
+			case tc.workerErr == "" && err != nil:
+				t.Errorf("RunWorker = %v, want nil", err)
+			case tc.workerErr != "" && (err == nil || !strings.Contains(err.Error(), tc.workerErr)):
+				t.Errorf("RunWorker = %v, want an error containing %q", err, tc.workerErr)
+			}
+		})
+	}
+}
+
+// TestFleetTombstones: resubmitting a completed campaign clears its
+// tombstone, and the set keeps only the newest fleetTombstones ids.
+func TestFleetTombstones(t *testing.T) {
+	cfg := inject.CampaignConfig{Benchmarks: []string{"canneal"}, InjectionsPerBenchmark: 8}
+	f, err := NewFleet("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e := &Engine{Store: testStore(t, cfg, "again"), Fleet: f, Spec: []byte("{}")}
+	f.unregister("again", true)
+	if err := f.register(newFleetRun(e, cfg, time.Minute, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if run, finished := f.lookup("again"); run == nil || finished {
+		t.Errorf("resubmitted campaign: lookup = (%v, %v), want the live run", run, finished)
+	}
+	f.unregister("again", false)
+	if _, finished := f.lookup("again"); finished {
+		t.Error("a stopped resubmission left a tombstone")
+	}
+	for i := 0; i <= fleetTombstones; i++ {
+		f.unregister(fmt.Sprintf("c%d", i), true)
+	}
+	if _, finished := f.lookup("c0"); finished {
+		t.Error("oldest tombstone was not evicted")
+	}
+	if _, finished := f.lookup(fmt.Sprint("c", fleetTombstones)); !finished || len(f.finished) != fleetTombstones {
+		t.Errorf("tombstones: newest finished = %v, %d kept, want true and %d", finished, len(f.finished), fleetTombstones)
+	}
+}
+
+// TestFleetShardFailExhaustsAttempts: a worker that answers every lease
+// with ShardFail makes the campaign fail after MaxAttempts with the
+// shard's error. The fleet is the only scheduler with an attempt budget.
+func TestFleetShardFailExhaustsAttempts(t *testing.T) {
+	spec, cfg, specJSON := fleetSpec(t, "fleet-fail")
+	f, err := NewFleet("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e := &Engine{Store: testStore(t, cfg, spec.ID), Fleet: f, Spec: specJSON, MaxAttempts: 2}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	failer := func(c *rawConn) {
+		defer wg.Done()
+		m, err := c.roundTrip(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: spec.ID}))
+		for err == nil && m.Type != wire.MsgError && m.Type != wire.MsgDone {
+			switch m.Type {
+			case wire.MsgLease:
+				m, err = c.roundTrip(wire.AppendShardFail(nil, wire.ShardFail{Lease: m.Lease.ID, Err: "injected failure"}))
+			case wire.MsgNoWork:
+				time.Sleep(time.Millisecond)
+				fallthrough
+			default:
+				m, err = c.roundTrip(wire.AppendLeaseReq(nil))
+			}
+		}
+	}
+	// The run is registered before its first benchmark starts.
+	e.OnEvent = func(ev Event) {
+		if ev.Type == EventBenchmarkStart {
+			wg.Add(1)
+			go failer(dialRaw(t, f.Addr()))
+		}
+	}
+	_, err = e.Run(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "failed after 2 attempts") || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("campaign error = %v, want the shard's error after 2 attempts", err)
+	}
+	if n := f.Stats().Leases; n != 2 {
+		t.Errorf("granted %d leases, want 2 (one per attempt)", n)
 	}
 }
 
@@ -570,11 +736,9 @@ func BenchmarkFleetIngest(b *testing.B) {
 		}
 		e := &Engine{Store: st, Fleet: f, Spec: []byte("{}")}
 		run := newFleetRun(e, cfg, time.Minute, 3)
-		if err := f.register(run); err != nil {
+		if err := f.start(run); err != nil {
 			b.Fatal(err)
 		}
-		go run.ingestLoop()
-		go run.reap()
 		run.enqueueBench(0, bench, shards)
 
 		b.StartTimer()
@@ -603,12 +767,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 		if got := st.TotalCount(); got != total {
 			b.Fatalf("store folded %d records, want %d", got, total)
 		}
-		f.unregister(run.id)
-		run.mu.Lock()
-		run.stopped = true
-		run.mu.Unlock()
-		close(run.done)
-		<-run.ingestDone
+		f.release(run)
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -45,8 +45,8 @@ type CampaignSpec struct {
 	// TrainInjections > 0 trains the VM-transition model first (same
 	// deterministic training a local run performs); 0 runs without one.
 	TrainInjections int `json:"train_injections,omitempty"`
-	// ShardSize and PoolWorkers override the server's defaults for this
-	// campaign.
+	// ShardSize overrides the server's fleet shard size for this campaign;
+	// PoolWorkers overrides its worker count for an in-process campaign.
 	ShardSize   int `json:"shard_size,omitempty"`
 	PoolWorkers int `json:"pool_workers,omitempty"`
 	// Detectors names plugin detector factories (detect.RegisterFactory)
@@ -62,11 +62,12 @@ type CampaignSpec struct {
 	// ("off"/"none"/"" = no engine, "microreboot", "restore", "policy").
 	// An unknown name is a 400. Mutually exclusive with Recover.
 	Recovery string `json:"recovery,omitempty"`
-	// Execution picks the data plane: "" or "pool" runs the in-process
-	// worker pool, "fleet" leases shards to remote xentry-worker processes
-	// over the binary shard protocol (requires a server started with a
-	// fleet listener). Anything else is a 400. The JSON API stays the
-	// control plane either way.
+	// Execution picks the data plane: "" or "pool" runs the campaign in
+	// process, inject.ResumeCampaign writing into the store; "fleet"
+	// leases shards to remote xentry-worker processes over the binary
+	// shard protocol (requires a server started with a fleet listener).
+	// Anything else is a 400. The JSON API stays the control plane either
+	// way.
 	Execution string `json:"execution,omitempty"`
 	// VCPUs is the number of logical CPUs per simulated machine (0 or 1 =
 	// the seed's single-CPU machine; out-of-range values are a 400).
@@ -106,6 +107,7 @@ func (sp CampaignSpec) campaignConfig() (inject.CampaignConfig, error) {
 		InjectionsPerBenchmark: sp.InjectionsPerBenchmark,
 		Activations:            sp.Activations,
 		Seed:                   sp.Seed,
+		Workers:                sp.PoolWorkers,
 		Detection:              core.FullDetection(),
 		Recover:                sp.Recover,
 		CheckpointEvery:        sp.CheckpointEvery,
@@ -138,11 +140,14 @@ type Config struct {
 	// DataDir is the root under which each campaign gets its store
 	// directory. Required.
 	DataDir string
-	// Defaults for specs that do not override them.
-	Workers      int
+	// Workers sizes in-process campaigns (0 = GOMAXPROCS) unless the spec
+	// sets PoolWorkers.
+	Workers int
+	// ShardSize, MaxAttempts and ShardTimeout apply to fleet campaigns
+	// only; see the Engine fields of the same names. ShardSize is the
+	// default for specs that do not set their own.
 	ShardSize    int
 	MaxAttempts  int
-	Backoff      time.Duration
 	ShardTimeout time.Duration
 	// Fleet, when set, lets campaigns with Execution "fleet" run over the
 	// remote worker data plane. The server does not own the fleet; the
@@ -151,8 +156,7 @@ type Config struct {
 }
 
 // Server is the HTTP coordinator: it owns the campaign registry, one
-// durable store and one sharded engine per campaign, and the event
-// streams.
+// durable store and one engine per campaign, and the event streams.
 type Server struct {
 	cfg    Config
 	ctx    context.Context
@@ -386,20 +390,14 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 		state:  "running",
 	}
 	c.started = time.Now()
-	workers := spec.PoolWorkers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	shardSize := spec.ShardSize
 	if shardSize <= 0 {
 		shardSize = s.cfg.ShardSize
 	}
 	c.engine = &Engine{
 		Store:        st,
-		Workers:      workers,
 		ShardSize:    shardSize,
 		MaxAttempts:  s.cfg.MaxAttempts,
-		Backoff:      s.cfg.Backoff,
 		ShardTimeout: s.cfg.ShardTimeout,
 		OnEvent: func(ev Event) {
 			switch ev.Type {
@@ -446,12 +444,19 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 }
 
 // runCampaign trains (optionally), drives the engine to completion, and
-// settles the campaign's terminal state.
+// settles the campaign's terminal state: it closes the store (a failed
+// final sync fails the campaign), sets the state and report, and only then
+// closes the broadcaster, whose close ends every SSE stream with the
+// terminal event built from that settled state — so a client that saw
+// campaign_done can fetch the report.
 func (s *Server) runCampaign(c *campaign) {
 	res, err := func() (*inject.CampaignResult, error) {
 		cfg, err := c.spec.campaignConfig()
 		if err != nil {
 			return nil, err
+		}
+		if cfg.Workers <= 0 {
+			cfg.Workers = s.cfg.Workers
 		}
 		// In fleet mode the coordinator never executes an injection and the
 		// plan lists are model-independent, so training happens only on the
@@ -470,6 +475,9 @@ func (s *Server) runCampaign(c *campaign) {
 		}
 		return c.engine.Run(s.ctx, cfg)
 	}()
+	if cerr := c.store.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("server: closing store: %w", cerr)
+	}
 	c.mu.Lock()
 	c.finished = time.Now()
 	if err != nil {
@@ -481,7 +489,6 @@ func (s *Server) runCampaign(c *campaign) {
 		s.campaignsDone.Add(1)
 	}
 	c.mu.Unlock()
-	c.store.Close()
 	c.events.close()
 }
 
@@ -567,7 +574,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams campaign progress as server-sent events: one
 // `data: <Event JSON>` line per engine event, starting with a synthetic
-// status event, ending with campaign_done/campaign_failed.
+// status event, ending with campaign_done/campaign_failed built from the
+// settled campaign state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(r.PathValue("id"))
 	if c == nil {
@@ -618,8 +626,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-ch:
 			if !ok {
-				// Broadcaster closed: campaign settled while we streamed.
-				// Emit the terminal event if the subscription missed it.
+				// Broadcaster closed: the campaign settled while we
+				// streamed, and its state is final.
 				state, errMsg := c.snapshotState()
 				st := c.status()
 				if state == "failed" {
@@ -630,9 +638,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if !send(ev) {
-				return
-			}
-			if ev.Type == EventCampaignDone || ev.Type == EventCampaignFailed {
 				return
 			}
 		case <-r.Context().Done():
@@ -781,8 +786,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // broadcaster fans engine events out to any number of SSE subscribers.
 // Slow subscribers drop events rather than stalling workers; the terminal
-// event is re-synthesized by the handler from campaign state, so a drop
-// never wedges a client.
+// event is synthesized by the handler from campaign state, so a drop never
+// wedges a client.
 type broadcaster struct {
 	mu     sync.Mutex
 	subs   map[chan Event]struct{}

@@ -2,24 +2,20 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"xentry/internal/inject"
 )
 
 func testServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	s, err := NewServer(Config{
-		DataDir:   t.TempDir(),
-		Workers:   2,
-		ShardSize: 6,
-		Backoff:   time.Millisecond,
-	})
+	s, err := NewServer(Config{DataDir: t.TempDir(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +97,37 @@ func TestServerRoundTrip(t *testing.T) {
 	if _, err := client.Submit(spec); err == nil || !strings.Contains(err.Error(), "already") {
 		t.Errorf("resubmit err = %v, want conflict", err)
 	}
+}
+
+// TestServerReportReadyAtCampaignDone: the SSE stream's terminal event is
+// sent only after the campaign's state settled, so the Report that
+// RunToCompletion fetches right after campaign_done succeeds on its first
+// try for every campaign.
+func TestServerReportReadyAtCampaignDone(t *testing.T) {
+	_, client := testServer(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			spec := CampaignSpec{
+				ID:                     fmt.Sprintf("small-%d", i),
+				Benchmarks:             []string{"postmark"},
+				InjectionsPerBenchmark: 6,
+				Activations:            24,
+				Seed:                   int64(40 + i),
+			}
+			rep, err := client.RunToCompletion(context.Background(), spec, nil)
+			if err != nil {
+				t.Errorf("campaign %s: %v", spec.ID, err)
+				return
+			}
+			if rep.Injections != spec.InjectionsPerBenchmark {
+				t.Errorf("campaign %s: report holds %d injections, want %d", spec.ID, rep.Injections, spec.InjectionsPerBenchmark)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestServerValidationAndNotFound covers the API's error paths.

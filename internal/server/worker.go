@@ -174,8 +174,8 @@ func (st *workerState) benchRun(at int, bench string) (*inject.BenchmarkRun, *in
 }
 
 // runSession runs one connection's lifetime. It returns nil exactly when
-// the coordinator said Done (campaign complete); every other exit is an
-// error worth a redial.
+// the coordinator said Done (campaign complete), in reply to the Hello or
+// to a lease request; every other exit is an error worth a redial.
 func (st *workerState) runSession(ctx context.Context) error {
 	d := net.Dialer{Timeout: 10 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", st.opts.Coordinator)
@@ -215,6 +215,11 @@ func (st *workerState) runSession(ctx context.Context) error {
 	}))
 	if err != nil {
 		return err
+	}
+	if m.Type == wire.MsgDone {
+		// The campaign finished before this session: nothing left to do.
+		st.opts.Logf("worker: campaign %s already complete", st.opts.Campaign)
+		return nil
 	}
 	if m.Type != wire.MsgWelcome {
 		return fmt.Errorf("worker: expected welcome, got message type %d", m.Type)

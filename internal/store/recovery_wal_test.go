@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -123,7 +124,7 @@ func TestResumeRecoveryCampaignFromWALBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = inject.ResumeCampaign(cfg, &interruptSink{Store: s, limit: 15})
+	_, err = inject.ResumeCampaign(context.Background(), cfg, &interruptSink{Store: s, limit: 15})
 	if !errors.Is(err, errInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want errInterrupted", err)
 	}
@@ -133,7 +134,7 @@ func TestResumeRecoveryCampaignFromWALBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := inject.ResumeCampaign(cfg, s2)
+	got, err := inject.ResumeCampaign(context.Background(), cfg, s2)
 	if err != nil {
 		t.Fatal(err)
 	}

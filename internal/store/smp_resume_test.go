@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestResumeSMPMultiSiteCampaignBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = inject.ResumeCampaign(cfg, &interruptSink{Store: s, limit: 12})
+	_, err = inject.ResumeCampaign(context.Background(), cfg, &interruptSink{Store: s, limit: 12})
 	if !errors.Is(err, errInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want errInterrupted", err)
 	}
@@ -60,7 +61,7 @@ func TestResumeSMPMultiSiteCampaignBitIdentical(t *testing.T) {
 	if n := s2.TotalCount(); n < 12 || n >= cfg.InjectionsPerBenchmark {
 		t.Fatalf("stored %d outcomes before resume, want partial coverage", n)
 	}
-	got, err := inject.ResumeCampaign(cfg, s2)
+	got, err := inject.ResumeCampaign(context.Background(), cfg, s2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -397,7 +398,7 @@ func TestResumeCampaignFromWALBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = inject.ResumeCampaign(cfg, &interruptSink{Store: s, limit: 10})
+	_, err = inject.ResumeCampaign(context.Background(), cfg, &interruptSink{Store: s, limit: 10})
 	if !errors.Is(err, errInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want errInterrupted", err)
 	}
@@ -411,7 +412,7 @@ func TestResumeCampaignFromWALBitIdentical(t *testing.T) {
 	if stored < 10 || stored >= cfg.InjectionsPerBenchmark {
 		t.Fatalf("stored %d outcomes before resume, want partial coverage", stored)
 	}
-	got, err := inject.ResumeCampaign(cfg, s2)
+	got, err := inject.ResumeCampaign(context.Background(), cfg, s2)
 	if err != nil {
 		t.Fatal(err)
 	}

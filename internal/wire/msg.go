@@ -14,9 +14,10 @@ import (
 // request/response driven by the worker (stop-and-wait), which is also
 // the backpressure mechanism — a coordinator that cannot keep up simply
 // acks slowly, and sets AckSlowdown to ask the worker to pause before its
-// next batch.
+// next batch. Done answers a Hello for a campaign the coordinator has
+// recently completed; older workers treat it as a refusal and redial.
 //
-//	worker → Hello            coordinator → Welcome | Error
+//	worker → Hello            coordinator → Welcome | Done | Error
 //	worker → LeaseReq         coordinator → Lease | NoWork | Done
 //	worker → Batch            coordinator → BatchAck
 //	worker → ShardDone        coordinator → BatchAck

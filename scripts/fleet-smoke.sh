@@ -2,9 +2,10 @@
 # Fleet smoke: boot a coordinator with a fleet listener, run one campaign
 # across three real xentry-worker processes, kill one of them mid-flight
 # (its lease requeues to the survivors), and require the fleet campaign's
-# final report to be byte-identical to the same campaign executed on the
-# coordinator's in-process pool. This is the end-to-end proof that the
-# binary data plane changes where injections run, never what they produce.
+# final report to be byte-identical to the same campaign executed in
+# process on the coordinator (inject.ResumeCampaign writing into the
+# store). This is the end-to-end proof that the binary data plane changes
+# where injections run, never what they produce.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -81,14 +82,14 @@ echo "fleet-smoke: killed worker w1 at done=$(done_of smoke)"
 await smoke
 curl -fsS "http://$api/campaigns/smoke/result" >"$bin/fleet-report.json"
 
-# Reference: the identical campaign on the in-process pool.
+# Reference: the identical campaign run in process.
 poolspec='{"id":"smoke-pool","benchmarks":["canneal"],"injections_per_benchmark":3000,"activations":48,"seed":29,"recovery":"microreboot"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$poolspec" "http://$api/campaigns" >/dev/null
 await smoke-pool
 curl -fsS "http://$api/campaigns/smoke-pool/result" >"$bin/pool-report.json"
 
 if ! cmp -s "$bin/fleet-report.json" "$bin/pool-report.json"; then
-    echo "fleet-smoke: fleet report diverges from pool reference" >&2
+    echo "fleet-smoke: fleet report diverges from the in-process reference" >&2
     diff "$bin/fleet-report.json" "$bin/pool-report.json" >&2 || true
     exit 1
 fi

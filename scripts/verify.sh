@@ -3,10 +3,11 @@
 # single-iteration pass over every benchmark (so the perf harness itself
 # cannot rot), and race-detector passes over the packages with real
 # concurrency (the campaign engine's workers share the read-only
-# checkpoint pool and the linked text segment; the coordinator's worker
-# pool and the result store take concurrent records; the CPU core is what
-# every worker runs; the memory package's lazy checkpoint page-hash
-# tables are published under sync.Once to concurrent folders).
+# checkpoint pool and the linked text segment; the result store takes
+# concurrent records from campaign workers and the fleet's ingest; the
+# CPU core is what every worker runs; the memory package's lazy
+# checkpoint page-hash tables are published under sync.Once to
+# concurrent folders).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -38,6 +39,10 @@ go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
 go test -run FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
+# Campaign lifecycle burst: the server's fleet sessions, tombstones and
+# settle-then-terminal-event ordering are timing-sensitive, so one race
+# pass would catch a regression only now and then; ten catch it reliably.
+go test -race -count=10 ./internal/server/
 # Recovery differential pass: recover=off campaigns must stay
 # bit-identical to the engine-less baseline, microreboot campaigns must
 # be deterministic (including under the race detector's schedule
