@@ -398,7 +398,9 @@ func BenchmarkInjectionRun(b *testing.B) {
 // and with checkpointing disabled (every run replays its fault-free prefix
 // from machine reset, the pre-checkpoint engine). The K=1+recover variant
 // arms the microreboot recovery engine, so the cost of salvaging and
-// re-entering detected runs shows up next to the detection-only numbers.
+// re-entering detected runs shows up next to the detection-only numbers;
+// microreboot never reads the VM-exit snapshot, so only K=1+restore, with
+// the restore engine armed, takes it at every step.
 // The pool is built outside the timer, as RunCampaign builds it eagerly
 // before dispatching workers; plans replay the same seed in activation
 // order, matching the campaign claim loop.
@@ -412,6 +414,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		{"K=16", 16, ""},
 		{"K=off", -1, ""},
 		{"K=1+recover", 1, "microreboot"},
+		{"K=1+restore", 1, "restore"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			runner, err := inject.NewRunner(sim.DefaultConfig("postmark", 3), 160, nil)

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"xentry/internal/experiments"
@@ -31,92 +32,8 @@ func main() {
 	sc.Seed = *seed
 
 	start := time.Now()
-	fmt.Println("Xentry reproduction report")
-	fmt.Println("==========================")
-	fmt.Println()
-
-	log.Print("Fig. 3: activation frequency study...")
-	fig3, err := experiments.Fig3(sc)
-	if err != nil {
+	if err := experiments.WriteReport(os.Stdout, sc, func(stage string) { log.Print(stage) }); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(fig3.Render())
-
-	log.Print("Section III-B: classifier training...")
-	train, err := experiments.Train(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(train.Render())
-	fmt.Println("Fig. 6 — learned tree (random tree rules, truncated to 40 lines):")
-	printHead(train.RandomTree.String(), 40)
-	fmt.Println()
-
-	log.Print("Fig. 7: fault-free overhead...")
-	fig7, err := experiments.Fig7(sc, train.Best())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(fig7.Render())
-
-	log.Print("Figs. 8-10, Table II: injection campaign...")
-	camp, err := experiments.Campaign(sc, train.Best())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(experiments.RenderFig8(camp))
-	fmt.Println(experiments.RenderFig9(camp))
-	fmt.Println(experiments.RenderFig10(camp))
-	fmt.Println(experiments.RenderSiteCoverage(camp))
-	fmt.Println(experiments.RenderTableII(camp))
-
-	log.Print("Section VI (implemented): live recovery study...")
-	study, err := experiments.Recovery(sc, train.Best())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(study.Render())
-
-	log.Print("recovery engine: microreboot outcome classification...")
-	rec, err := experiments.RecoveryClassification(sc, train.Best())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(experiments.RenderRecovery(rec))
-
-	log.Print("model sweeps (features / depth / training size / naive Bayes)...")
-	sw, err := experiments.Sweeps(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(sw.Render())
-
-	log.Print("Fig. 11: recovery overhead...")
-	fpr := train.RandomEval.FalsePositiveRate()
-	if fpr <= 0 {
-		fpr = 0.007 // the paper's measured rate
-	}
-	fig11, err := experiments.Fig11(sc, fpr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(fig11.Render())
-
 	fmt.Printf("report complete in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// printHead prints at most n lines of s.
-func printHead(s string, n int) {
-	count := 0
-	start := 0
-	for i := 0; i < len(s) && count < n; i++ {
-		if s[i] == '\n' {
-			fmt.Println(s[start:i])
-			start = i + 1
-			count++
-		}
-	}
-	if count == n {
-		fmt.Println("  ...")
-	}
 }

@@ -79,7 +79,9 @@ type Hypervisor struct {
 	extents      []progExtent
 	textDigest   uint64
 
-	tscSnaps []uint64
+	// snap is the hypervisor's one live-recovery snapshot; Snapshot
+	// refills it in place so an armed VM exit allocates nothing.
+	snap Snap
 
 	// argScratch is the reusable word buffer PrepareGuestInput stages
 	// hypercall arguments in; staging runs once per simulated VM exit, so
@@ -187,7 +189,7 @@ func NewSMP(numDomains, vcpus int) (*Hypervisor, error) {
 		retToGuestHC: symtab["ret_to_guest_hypercall"],
 		extents:      extents,
 		textDigest:   digest,
-		tscSnaps:     make([]uint64, vcpus),
+		snap:         Snap{tscs: make([]uint64, vcpus)},
 	}
 
 	cpuidTable := map[uint64][4]uint64{
@@ -489,42 +491,43 @@ func (h *Hypervisor) Dispatch(ev *ExitEvent, budget uint64) (Result, error) {
 	return res, nil
 }
 
-// Snap is a live-recovery snapshot: machine memory plus the TSC to rewind
-// to. Unlike Checkpoint it deliberately leaves the register file reset and
-// the accumulated cycle count alone — re-execution after a recovery is real
-// work whose cost must stay charged. Memory is captured through the same
-// copy-on-write page machinery as Checkpoint (one pointer per page instead
-// of the legacy word-copy maps), which is what makes per-step snapshotting
-// in recovery mode affordable.
+// Snap is the live-recovery snapshot: every CPU's TSC to rewind to, taken
+// together with an undo epoch over machine memory (mem.Memory.Mark).
+// Unlike Checkpoint it deliberately leaves the register file reset and the
+// accumulated cycle count alone — re-execution after a recovery is real
+// work whose cost must stay charged.
+//
+// A hypervisor has one live snapshot. Snapshot refills the same Snap and
+// opens a fresh epoch, so an earlier snapshot is gone; Checkpoint and
+// RestoreFrom end the epoch, and a Restore after either fails.
 type Snap struct {
-	mem  *mem.Checkpoint
 	tscs []uint64
 }
 
-// Snapshot captures machine memory and every CPU's TSC so repeated
-// injection runs can restart from an identical state.
+// Snapshot takes the hypervisor's live snapshot, replacing the previous
+// one: it records every CPU's TSC and opens an undo epoch over machine
+// memory. It costs the pages written since the last snapshot or
+// checkpoint, allocates nothing once warm, and, like Checkpoint, drops
+// every D-TLB entry.
 func (h *Hypervisor) Snapshot() *Snap {
-	tscs := make([]uint64, len(h.CPUs))
 	for i, c := range h.CPUs {
-		tscs[i] = c.TSC
+		h.snap.tscs[i] = c.TSC
 	}
-	copy(h.tscSnaps, tscs)
-	return &Snap{mem: h.Mem.Checkpoint(), tscs: tscs}
+	h.Mem.Mark()
+	return &h.snap
 }
 
 // Checkpoint is a complete hypervisor-level machine image: the CPU's
-// architectural state, the PMU, the TSC shadow used by live recovery, and a
-// copy-on-write image of machine memory. Unlike the partial Snapshot/
-// Restore pair (memory + TSC only, used for live-recovery re-execution
-// whose cycle cost must stay charged), restoring a Checkpoint reproduces
-// the hypervisor bit-for-bit — the property the campaign engine's shared
-// checkpoint pool depends on. Checkpoints are immutable and safe to restore
+// architectural state, the PMU, and a copy-on-write image of machine
+// memory. Unlike the partial Snapshot/Restore pair (memory + TSC only,
+// used for live-recovery re-execution whose cycle cost must stay
+// charged), restoring a Checkpoint reproduces the hypervisor bit-for-bit —
+// the property the campaign engine's shared checkpoint pool depends on. Checkpoints are immutable and safe to restore
 // into many hypervisors concurrently.
 type Checkpoint struct {
-	cpus     []cpu.State
-	pmus     []perf.State
-	mem      *mem.Checkpoint
-	tscSnaps []uint64
+	cpus []cpu.State
+	pmus []perf.State
+	mem  *mem.Checkpoint
 }
 
 // MemImage exposes the checkpoint's copy-on-write memory image, the
@@ -538,10 +541,9 @@ func (cp *Checkpoint) MemImage() *mem.Checkpoint {
 // memory is captured copy-on-write (one pointer per page).
 func (h *Hypervisor) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
-		cpus:     make([]cpu.State, len(h.CPUs)),
-		pmus:     make([]perf.State, len(h.CPUs)),
-		mem:      h.Mem.Checkpoint(),
-		tscSnaps: append([]uint64(nil), h.tscSnaps...),
+		cpus: make([]cpu.State, len(h.CPUs)),
+		pmus: make([]perf.State, len(h.CPUs)),
+		mem:  h.Mem.Checkpoint(),
 	}
 	for i, c := range h.CPUs {
 		cp.cpus[i] = c.State()
@@ -563,23 +565,22 @@ func (h *Hypervisor) RestoreFrom(cp *Checkpoint) error {
 		c.RestoreState(cp.cpus[i])
 		c.PMU.RestoreState(cp.pmus[i])
 	}
-	copy(h.tscSnaps, cp.tscSnaps)
 	return nil
 }
 
-// Restore reinstates a Snapshot and resets every CPU's architectural
-// state. Accumulated cycles are preserved: restoration is used both for
-// repeatable injection runs and for live recovery re-execution, whose cost
-// is real.
+// Restore reinstates the live snapshot and resets every CPU's
+// architectural state: memory rolls back through the undo epoch, which
+// stays open, so the same snapshot can be restored again. Accumulated
+// cycles are preserved: re-execution after a live recovery is real work.
+// snap must be the Snap the latest Snapshot returned; Restore fails when
+// the epoch has ended since.
 func (h *Hypervisor) Restore(snap *Snap) error {
-	if err := h.Mem.RestoreCheckpoint(snap.mem); err != nil {
-		return err
+	if err := h.Mem.Rollback(); err != nil {
+		return fmt.Errorf("hv: restore snapshot: %w", err)
 	}
 	for i, c := range h.CPUs {
 		c.Reset()
-		if i < len(snap.tscs) {
-			c.TSC = snap.tscs[i]
-		}
+		c.TSC = snap.tscs[i]
 	}
 	return nil
 }

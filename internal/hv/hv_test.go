@@ -400,6 +400,42 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCycleAllocFree: once warm, the live snapshot allocates
+// nothing, neither when a detection restores it nor when the next VM exit
+// replaces it, so a recovery-armed machine makes no per-step garbage.
+func TestSnapshotCycleAllocFree(t *testing.T) {
+	h := newHV(t, 3)
+	ev := &ExitEvent{Reason: HCEventChannelOp, Dom: 1, Args: [4]uint64{4, 3}}
+	writes := func() {
+		if _, err := h.Dispatch(ev, DefaultBudget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Checkpoint() // share every page, as a checkpoint-pool restore leaves them
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"snapshot-writes-restore", func() {
+			snap := h.Snapshot()
+			writes()
+			if err := h.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"snapshot-writes-snapshot", func() {
+			h.Snapshot()
+			writes()
+		}},
+	} {
+		c.cycle()
+		c.cycle()
+		if n := testing.AllocsPerRun(50, c.cycle); n != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", c.name, n)
+		}
+	}
+}
+
 func TestDispatchValidation(t *testing.T) {
 	h := newHV(t, 1)
 	if _, err := h.Dispatch(&ExitEvent{Reason: HCIret, Dom: 5}, DefaultBudget); err == nil {

@@ -78,20 +78,13 @@ func (h *Hypervisor) validateSalvage(saved []guestVisible) error {
 // themselves the reboot aborts with an error wrapping ErrSalvage and the
 // machine is left exactly as the detection found it.
 //
-// With snap == nil the private state is reconstructed from scratch, exactly
-// as New initialises it: hv_data and hv_stack are zeroed, the preserved
+// The private state is reconstructed from scratch, exactly as New
+// initialises it: hv_data and hv_stack are zeroed, the preserved
 // guest-visible words are written back, and the domain table, idle VCPU and
 // constant pool are re-initialised over them. Scheduler state, the timer
 // heap, shadow page tables, grant/domctl accounting and scratch are lost —
 // that is the point of a microreboot.
-//
-// With snap != nil the private state is instead rebuilt from the preserved
-// VM-exit snapshot: all machine memory rewinds to the snapshot (including
-// the MMIO window) and the current guest-visible state — VCPU words,
-// event-channel words, shared-info pages, guest buffers — is written back
-// on top, so work the guests completed since the snapshot survives the
-// reboot.
-func (h *Hypervisor) Reinit(snap *Snap) error {
+func (h *Hypervisor) Reinit() error {
 	if cap(h.salvageScratch) < len(h.Domains) {
 		h.salvageScratch = make([]guestVisible, len(h.Domains))
 	}
@@ -106,41 +99,12 @@ func (h *Hypervisor) Reinit(snap *Snap) error {
 		return err
 	}
 
-	if snap == nil {
-		for _, name := range []string{"hv_data", "hv_stack"} {
-			r := h.Mem.Region(name)
-			if r == nil {
-				return fmt.Errorf("hv: reinit: region %q not mapped", name)
-			}
-			r.Zero()
+	for _, name := range []string{"hv_data", "hv_stack"} {
+		r := h.Mem.Region(name)
+		if r == nil {
+			return fmt.Errorf("hv: reinit: region %q not mapped", name)
 		}
-	} else {
-		// Save the guest-owned regions the checkpoint rewind would clobber.
-		shared := make([]uint64, len(h.Domains)*SharedInfoSize/8)
-		bufs := make([]uint64, len(h.Domains)*GuestBufSize/8)
-		for i, d := range h.Domains {
-			sh := shared[i*SharedInfoSize/8 : (i+1)*SharedInfoSize/8]
-			if err := h.Mem.PeekRange(SharedInfoAddr(d.ID), sh); err != nil {
-				return fmt.Errorf("hv: reinit: saving shared info %d: %w", d.ID, err)
-			}
-			gb := bufs[i*GuestBufSize/8 : (i+1)*GuestBufSize/8]
-			if err := h.Mem.PeekRange(GuestBufAddr(d.ID), gb); err != nil {
-				return fmt.Errorf("hv: reinit: saving guest buf %d: %w", d.ID, err)
-			}
-		}
-		if err := h.Mem.RestoreCheckpoint(snap.mem); err != nil {
-			return fmt.Errorf("hv: reinit: restoring snapshot: %w", err)
-		}
-		for i, d := range h.Domains {
-			sh := shared[i*SharedInfoSize/8 : (i+1)*SharedInfoSize/8]
-			if err := h.Mem.PokeRange(SharedInfoAddr(d.ID), sh); err != nil {
-				return fmt.Errorf("hv: reinit: restoring shared info %d: %w", d.ID, err)
-			}
-			gb := bufs[i*GuestBufSize/8 : (i+1)*GuestBufSize/8]
-			if err := h.Mem.PokeRange(GuestBufAddr(d.ID), gb); err != nil {
-				return fmt.Errorf("hv: reinit: restoring guest buf %d: %w", d.ID, err)
-			}
-		}
+		r.Zero()
 	}
 
 	for i, d := range h.Domains {

@@ -38,7 +38,7 @@ func TestReinitPreservesGuestVisibleState(t *testing.T) {
 	mustPoke(t, h, DomAddr(1)+DomSharedInfo, 0x1234)
 
 	h.CPU.TSC = 5000
-	if err := h.Reinit(nil); err != nil {
+	if err := h.Reinit(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,47 +72,6 @@ func TestReinitPreservesGuestVisibleState(t *testing.T) {
 	}
 }
 
-// TestReinitFromSnapshot checks the snapshot-rebuild mode: private state
-// rewinds to the snapshot while guest-visible progress made after it
-// survives.
-func TestReinitFromSnapshot(t *testing.T) {
-	h, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPoke(t, h, ScratchAddr(), 0x11) // private state at snapshot time
-	snap := h.Snapshot()
-
-	// Post-snapshot: guest progress, then private-state corruption.
-	mustPoke(t, h, SharedInfoAddr(1)+SIWallclockS, 31337)
-	if err := h.SetSavedReg(0, 5, 0x55); err != nil {
-		t.Fatal(err)
-	}
-	mustPoke(t, h, ScratchAddr(), 0xbad)
-	mustPoke(t, h, DomAddr(0)+DomMaxPages, 3)
-
-	h.CPU.TSC = 900
-	if err := h.Reinit(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, _ := h.Mem.Peek(ScratchAddr()); got != 0x11 {
-		t.Errorf("scratch: got %#x want snapshot value 0x11", got)
-	}
-	if got, _ := h.Mem.Peek(DomAddr(0) + DomMaxPages); got != 65536 {
-		t.Errorf("max pages: got %d want 65536 (re-derived)", got)
-	}
-	if got, _ := h.Mem.Peek(SharedInfoAddr(1) + SIWallclockS); got != 31337 {
-		t.Errorf("post-snapshot shared-info write lost: got %d", got)
-	}
-	if got := h.SavedReg(0, 5); got != 0x55 {
-		t.Errorf("post-snapshot saved reg lost: got %#x", got)
-	}
-	if h.CPU.TSC != 900 {
-		t.Errorf("TSC rewound to snapshot: got %d want 900", h.CPU.TSC)
-	}
-}
-
 // TestReinitThenDispatch checks a microrebooted hypervisor still executes
 // handlers: the rebuilt const pool and domain table must be coherent enough
 // for a full dispatch to reach VM entry.
@@ -122,7 +81,7 @@ func TestReinitThenDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPoke(t, h, ScratchAddr()+8, 0x77) // stale private state
-	if err := h.Reinit(nil); err != nil {
+	if err := h.Reinit(); err != nil {
 		t.Fatal(err)
 	}
 	ev := &ExitEvent{Reason: HCXenVersion, Dom: 1}
@@ -167,7 +126,7 @@ func TestReinitSalvageValidation(t *testing.T) {
 			}
 			mustPoke(t, h, ScratchAddr(), 0xdeadbeef)
 			tc.corrupt(t, h)
-			err = h.Reinit(nil)
+			err = h.Reinit()
 			if !errors.Is(err, ErrSalvage) {
 				t.Fatalf("want ErrSalvage, got %v", err)
 			}
@@ -184,7 +143,7 @@ func TestReinitSalvageValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPoke(t, h, VCPUAddr(1)+VCPUTrapNr, MaxTraps)
-	if err := h.Reinit(nil); err != nil {
+	if err := h.Reinit(); err != nil {
 		t.Fatalf("trap vector at bound rejected: %v", err)
 	}
 }

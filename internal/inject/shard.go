@@ -266,14 +266,21 @@ func ResumeCampaign(ctx context.Context, cfg CampaignConfig, sink ResultSink) (*
 // workers goroutines, each with its own reusable Worker restored from the
 // runner's shared checkpoint pool, claiming indices in order through an
 // atomic counter, and hands every outcome to record on the worker's
-// goroutine. The first failed run or record stops every worker from
-// claiming more plans, as does the end of ctx; that error (or the
-// context's) is returned. Plans already claimed still finish, so record
-// may be called up to workers-1 times after the failing call.
+// goroutine.
+//
+// Calls to record never overlap, and none starts after ctx has ended or
+// after a run or a record has failed: the worker that sees a failure stops
+// the loop before any other record call can begin. So after a failed
+// record, record is not called again. Workers then claim no more plans;
+// runs already in flight finish and their outcomes are dropped. The first
+// failure, or else the context's cause, is returned.
 func claimPlans(ctx context.Context, workers int, runner *Runner, plans []Plan, order []int, record func(i int, o Outcome) error) error {
 	ctx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 	var next atomic.Int64
+	// recordMu orders every record call against every stop: a worker checks
+	// ctx, records and, on failure, stops the loop all under the lock.
+	var recordMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -287,11 +294,15 @@ func claimPlans(ctx context.Context, workers int, runner *Runner, plans []Plan, 
 				}
 				i := order[n]
 				o, err := worker.RunOne(plans[i])
-				if err == nil {
+				recordMu.Lock()
+				if err == nil && ctx.Err() == nil {
 					err = record(i, o)
 				}
 				if err != nil {
 					stop(fmt.Errorf("plan %d (%v): %w", i, plans[i], err))
+				}
+				recordMu.Unlock()
+				if err != nil {
 					return
 				}
 			}

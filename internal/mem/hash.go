@@ -5,12 +5,15 @@ package mem
 // A checkpoint's hash table maps each region to one 64-bit hash per page;
 // the XOR fold of every page hash summarizes the whole image. Folds are
 // cheap to maintain incrementally because checkpoints share pages
-// copy-on-write: a page object that is marked shared is never mutated in
-// place (stores replace the pointer via cowPage) and never recycled onto
-// the free list (RestoreCheckpoint recycles only unshared pages, and both
-// Checkpoint and RestoreCheckpoint mark every live page shared), so
-// pointer equality between two images implies content equality and the
-// hash can be reused without touching the page.
+// copy-on-write: a page object a checkpoint holds is only ever installed
+// in a slot marked shared, so it is never mutated in place (stores replace
+// the pointer via cowPage) and never recycled onto the free list
+// (RestoreCheckpoint and Rollback recycle only slots that are not shared,
+// and an undo epoch's commit recycles only the guarded pre-images, which
+// no checkpoint ever held; Checkpoint and RestoreCheckpoint mark every
+// live page shared, and Rollback reinstates a shared pre-image as shared).
+// So pointer equality between two images implies content equality and
+// the hash can be reused without touching the page.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -113,14 +116,14 @@ func (cp *Checkpoint) FoldFrom(prev *Checkpoint) uint64 {
 // tag no longer resolves to the very page object the entry caches. In a
 // fault-free machine that set is always empty: installPage only arms a
 // slot over the private current page of the tag's own window, cowPage
-// never repoints a private page, and every repointing or sharing boundary
-// (Map, Checkpoint, RestoreCheckpoint, Restore) invalidates the whole
-// cache — so the only way an entry turns incoherent is FlipTLBTag, the
-// injected soft error. Hashing the poison alone (slot and tag) makes the
-// value independent of cache warmth and of the checkpoint interval: a
-// warm-but-coherent TLB is observationally identical to a cold one and
-// both hash to zero, which is what lets the convergence fingerprint fold
-// this in without tying outcomes to K.
+// never repoints a private page, and every repointing, sharing or
+// guarding boundary (Map, Checkpoint, RestoreCheckpoint, Restore, Mark,
+// Rollback) invalidates the whole cache — so the only way an entry turns
+// incoherent is FlipTLBTag, the injected soft error. Hashing the poison
+// alone (slot and tag) makes the value independent of cache warmth and of
+// the checkpoint interval: a warm-but-coherent TLB is observationally
+// identical to a cold one and both hash to zero, which is what lets the
+// convergence fingerprint fold this in without tying outcomes to K.
 func (m *Memory) TLBHash() uint64 {
 	h := uint64(fnvOffset64)
 	poisoned := false
@@ -160,7 +163,7 @@ func (m *Memory) tlbCoherent(e *tlbEntry) bool {
 	}
 	p := (addr - r.Start) >> tlbByteShift
 	pg := r.pages[p]
-	return !r.shared[p] && len(pg) == pageWords && (*[pageWords]uint64)(pg) == e.page
+	return r.state[p] == pagePrivate && len(pg) == pageWords && (*[pageWords]uint64)(pg) == e.page
 }
 
 // FoldFrom hashes the Memory's live pages without taking a checkpoint,

@@ -9,10 +9,13 @@
 // Region contents are stored as fixed-size pages with copy-on-write
 // sharing, so a full-memory Checkpoint costs one pointer copy per page and
 // many machines can be restored from the same checkpoint concurrently —
-// the substrate the campaign engine's checkpoint pool stands on.
+// the substrate the campaign engine's checkpoint pool stands on. The same
+// write barrier carries a one-level undo epoch (Mark/Rollback), the
+// allocation-free VM-exit snapshot live recovery takes at every step.
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -100,6 +103,21 @@ const (
 	pageMask  = pageWords - 1
 )
 
+// pageState is a page slot's write protection.
+type pageState uint8
+
+const (
+	// pagePrivate: the page object belongs to this slot alone and is
+	// written in place.
+	pagePrivate pageState = iota
+	// pageShared: the page object also belongs to at least one Checkpoint.
+	// It is copied before it is written and never recycled.
+	pageShared
+	// pageGuarded: private, but it is the open undo epoch's pre-image (see
+	// Mark), so it is copied before it is written and kept for Rollback.
+	pageGuarded
+)
+
 // Region is a contiguous mapped range.
 type Region struct {
 	Name  string
@@ -107,26 +125,43 @@ type Region struct {
 	Size  uint64
 	Perm  Perm
 
-	// pages holds the contents; a page flagged in shared also belongs to at
-	// least one Checkpoint and must be copied before it is written.
-	pages  [][]uint64
-	shared []bool
-	// freePages recycles full-size pages discarded by RestoreCheckpoint
-	// (pages private to this region, displaced by the restored image) for
-	// later copy-on-write copies. A private page is referenced by nothing
-	// but this region — Checkpoint marks every captured page shared — so
-	// recycling is invisible; it exists because a campaign worker restoring
-	// before every injection would otherwise reallocate each touched page
-	// per run. Bounded by the region's page count.
+	// pages holds the contents; state[p] says whether pages[p] may be
+	// written in place (pagePrivate) or must first be copied by cowPage.
+	pages [][]uint64
+	state []pageState
+	// freePages recycles full-size private pages nothing references any
+	// more — displaced by RestoreCheckpoint or Rollback, or the pre-images
+	// an ended undo epoch no longer needs — for later copy-on-write copies.
+	// A page that is or was ever shared is never recycled: only slots in
+	// state pageShared hold Checkpoint pages, and cowPage replaces, rather
+	// than writes, such a slot's page. Recycling therefore is invisible; it
+	// exists because a campaign worker restoring before every injection
+	// would otherwise reallocate each touched page per run. Bounded by the
+	// pages this region ever had live at once.
 	freePages [][]uint64
-	// dirty journals the pages privatized since the last checkpoint/restore
-	// boundary. cowPage is the single funnel every first-write-after-boundary
-	// passes through (setWord, writablePage, storeSlow and Zero all route
-	// shared pages here; the fast paths only ever write already-private
-	// pages), so the journal is exact and duplicate-free: a page turns
-	// private once per boundary epoch. RestoreCheckpoint uses it to restore
-	// only the touched pages when rolling back to the same checkpoint.
+	// dirty journals the pages privatized from shared since the last
+	// checkpoint/restore boundary. cowPage is the single funnel every
+	// write to a protected page passes through (setWord, writablePage,
+	// storeSlow and Zero all route non-private pages here; the fast paths
+	// only ever write private pages), so the journal is exact and
+	// duplicate-free: between boundaries a page turns from shared to
+	// private once, unless Rollback re-shares it, which drops its entry.
+	// RestoreCheckpoint uses it to restore only the touched pages when
+	// rolling back to the same checkpoint.
 	dirty []uint32
+	// marked reports an open undo epoch; while it is set, cowPage journals
+	// each slot's replaced page and state in undo, the log Rollback replays
+	// and the next epoch boundary commits. A slot is journaled at most once
+	// per epoch: its first copy leaves it private.
+	marked bool
+	undo   []undoEntry
+}
+
+// undoEntry is one slot's content from before the open epoch's first write.
+type undoEntry struct {
+	p     uint32
+	state pageState
+	page  []uint64
 }
 
 // End returns the first address past the region.
@@ -155,27 +190,30 @@ func (r *Region) word(i uint64) uint64 {
 }
 
 // setWord writes word index i, copying the page first if it is shared with
-// a checkpoint (copy-on-write). Copies reuse recycled pages when possible.
+// a checkpoint or guarded by the undo epoch (copy-on-write). Copies reuse
+// recycled pages when possible.
 func (r *Region) setWord(i, v uint64) {
 	p := i >> pageShift
-	if r.shared[p] {
+	if r.state[p] != pagePrivate {
 		r.cowPage(p)
 	}
 	r.pages[p][i&pageMask] = v
 }
 
 // writablePage returns page p ready for mutation, privatizing it first if
-// it is still shared with a checkpoint.
+// it is shared or guarded.
 func (r *Region) writablePage(p uint64) []uint64 {
-	if r.shared[p] {
+	if r.state[p] != pagePrivate {
 		r.cowPage(p)
 	}
 	return r.pages[p]
 }
 
-// cowPage privatizes a checkpoint-shared page before its first write,
-// popping a recycled page when one is available and allocating otherwise.
-// Outlined from setWord so the no-copy store path inlines into Store.
+// cowPage privatizes a shared or guarded page before its first write,
+// popping a recycled page when one is available and allocating otherwise,
+// and journals the replaced page: in dirty when it was shared, in undo
+// when an epoch is open. Outlined from setWord so the no-copy store path
+// inlines into Store.
 func (r *Region) cowPage(p uint64) {
 	old := r.pages[p]
 	var np []uint64
@@ -187,8 +225,22 @@ func (r *Region) cowPage(p uint64) {
 	}
 	copy(np, old)
 	r.pages[p] = np
-	r.shared[p] = false
-	r.dirty = append(r.dirty, uint32(p))
+	if r.marked {
+		r.undo = append(r.undo, undoEntry{p: uint32(p), state: r.state[p], page: old})
+	}
+	if r.state[p] == pageShared {
+		r.dirty = append(r.dirty, uint32(p))
+	}
+	r.state[p] = pagePrivate
+}
+
+// recycle puts a page nothing references any more on the free list.
+// Short tail pages are left to the garbage collector: cowPage only reuses
+// full-size ones.
+func (r *Region) recycle(pg []uint64) {
+	if len(pg) == pageWords {
+		r.freePages = append(r.freePages, pg)
+	}
 }
 
 // D-TLB geometry: the cache is direct-mapped and indexed by the access
@@ -218,16 +270,16 @@ const TLBSlots = tlbSize
 //     entry is installed only when every check it skips is statically
 //     satisfied: the region is PermRW, its Start is 512-byte aligned (so
 //     the window maps to exactly one full page), the page is full-size,
-//     and the page is private (not shared with any Checkpoint — writing a
-//     shared page in place would corrupt the checkpoint image). tag is
-//     the address's page number; page != nil && tag match is the hit
-//     condition, so a zeroed entry is invalid.
+//     and the page is private — neither shared with a Checkpoint nor
+//     guarded by the undo epoch, either of which writing in place would
+//     corrupt. tag is the address's page number; page != nil && tag match
+//     is the hit condition, so a zeroed entry is invalid.
 //
-// The page pointer can only go stale when pages are repointed or become
-// shared: Checkpoint, RestoreCheckpoint, Restore, and Map all invalidate
-// the whole TLB; cowPage only ever repoints *shared* pages, which are
-// never cached; Region.Zero clears contents in place through the COW
-// path instead of repointing.
+// The page pointer can only go stale when pages are repointed or stop
+// being private: Checkpoint, RestoreCheckpoint, Mark, Rollback, Restore,
+// and Map all invalidate the whole TLB; cowPage only ever repoints shared
+// or guarded pages, which are never cached; Region.Zero clears contents
+// in place through the COW path instead of repointing.
 type tlbEntry struct {
 	region *Region
 	page   *[pageWords]uint64
@@ -245,8 +297,8 @@ type Memory struct {
 	// checks. It is pure cache: hits are verified or pre-verified at
 	// install time, so a stale entry is a miss, never a wrong answer. It
 	// is nevertheless invalidated at every structural change point (Map,
-	// Restore, Checkpoint, RestoreCheckpoint) to keep the invariant
-	// auditable.
+	// Restore, Checkpoint, RestoreCheckpoint, Mark, Rollback) to keep the
+	// invariant auditable.
 	tlb [tlbSize]tlbEntry
 
 	// DisableTLB forces every access through the binary search — the
@@ -258,11 +310,15 @@ type Memory struct {
 
 	// lastCP is the checkpoint this memory's pages currently derive from:
 	// set by Checkpoint and RestoreCheckpoint, cleared by any structural
-	// change (Map, the deprecated Restore). When RestoreCheckpoint is asked
-	// to roll back to exactly this checkpoint, only the journaled dirty
-	// pages can differ from the image, so the restore walks the journal
-	// instead of every page.
+	// change (Map, the deprecated Restore), and untouched by undo epochs.
+	// When RestoreCheckpoint is asked to roll back to exactly this
+	// checkpoint, only the journaled dirty pages can differ from the image,
+	// so the restore walks the journal instead of every page. While it is
+	// set, every page that is not shared is journaled dirty.
 	lastCP *Checkpoint
+
+	// marked reports an open undo epoch (Mark); see Region.marked.
+	marked bool
 }
 
 // New returns an empty memory map.
@@ -313,7 +369,7 @@ func (m *Memory) installPage(e *tlbEntry, r *Region, addr uint64) {
 		return
 	}
 	p := (addr - r.Start) / 8 >> pageShift
-	if r.shared[p] || len(r.pages[p]) != pageWords {
+	if r.state[p] != pagePrivate || len(r.pages[p]) != pageWords {
 		return
 	}
 	e.page = (*[pageWords]uint64)(r.pages[p])
@@ -349,13 +405,14 @@ func (m *Memory) Map(name string, start, size uint64, perm Perm) (*Region, error
 	size = (size + 7) &^ 7
 	pages := newPages(size / 8)
 	r := &Region{Name: name, Start: start, Size: size, Perm: perm,
-		pages: pages, shared: make([]bool, len(pages))}
+		pages: pages, state: make([]pageState, len(pages))}
 	for _, other := range m.regions {
 		if start < other.End() && other.Start < r.End() {
 			return nil, fmt.Errorf("mem: region %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				name, start, r.End(), other.Name, other.Start, other.End())
 		}
 	}
+	m.endEpoch()
 	m.regions = append(m.regions, r)
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Start < m.regions[j].Start })
 	m.InvalidateTLB()
@@ -509,7 +566,7 @@ func (m *Memory) storeSlow(e *tlbEntry, addr, val uint64) FaultKind {
 	}
 	i := (addr - r.Start) / 8
 	p := i >> pageShift
-	if r.shared[p] {
+	if r.state[p] != pagePrivate {
 		r.cowPage(p)
 	}
 	r.pages[p][i&pageMask] = val
@@ -604,10 +661,10 @@ func (m *Memory) PokeRange(addr uint64, vals []uint64) error {
 // Snapshot copies the full contents of every region, keyed by region name.
 //
 // Deprecated: Snapshot/Restore predate the copy-on-write Checkpoint API
-// and cost a full word copy of every region. All production paths
-// (campaign checkpoint pool, live recovery) now use Checkpoint/
-// RestoreCheckpoint; the flat pair remains only as an independently
-// implemented oracle for the checkpoint equivalence tests.
+// and cost a full word copy of every region. Production paths use
+// Checkpoint/RestoreCheckpoint (the campaign checkpoint pool) and
+// Mark/Rollback (live recovery); the flat pair remains only as an
+// independently implemented oracle for their equivalence tests.
 func (m *Memory) Snapshot() map[string][]uint64 {
 	snap := make(map[string][]uint64, len(m.regions))
 	for _, r := range m.regions {
@@ -626,6 +683,7 @@ func (m *Memory) Snapshot() map[string][]uint64 {
 //
 // Deprecated: see Snapshot.
 func (m *Memory) Restore(snap map[string][]uint64) error {
+	m.endEpoch()
 	m.InvalidateTLB()
 	m.lastCP = nil // pages are rebuilt fresh below; no checkpoint derivation
 	for _, r := range m.regions {
@@ -642,7 +700,7 @@ func (m *Memory) Restore(snap map[string][]uint64) error {
 			copy(p, words[i*pageWords:])
 		}
 		r.pages = pages
-		r.shared = make([]bool, len(pages))
+		r.state = make([]pageState, len(pages))
 	}
 	return nil
 }
@@ -667,14 +725,15 @@ type Checkpoint struct {
 // Checkpoint captures the current contents. All live pages become shared:
 // subsequent writes through this Memory copy the touched page first.
 func (m *Memory) Checkpoint() *Checkpoint {
+	m.endEpoch()
 	// Every page becomes shared, so any armed page fast paths (which are
 	// only ever installed over private pages) must be dropped: a write
 	// through a stale page pointer would mutate the checkpoint image.
 	m.InvalidateTLB()
 	cp := &Checkpoint{pages: make(map[string][][]uint64, len(m.regions))}
 	for _, r := range m.regions {
-		for i := range r.shared {
-			r.shared[i] = true
+		for i := range r.state {
+			r.state[i] = pageShared
 		}
 		pages := make([][]uint64, len(r.pages))
 		copy(pages, r.pages)
@@ -694,21 +753,22 @@ func (m *Memory) Checkpoint() *Checkpoint {
 // one funnel that repoints a page between boundaries), so the restore is
 // proportional to the touched page set instead of the whole machine.
 func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
+	m.endEpoch()
 	m.InvalidateTLB()
 	if m.lastCP == cp {
 		for _, r := range m.regions {
 			pages := cp.pages[r.Name]
 			for _, p := range r.dirty {
-				// Journaled pages are exactly the privatized ones: recycle
+				// Journaled pages are exactly the unshared ones: recycle
 				// the displaced private copy, reinstate the image pointer,
 				// re-share. Untouched pages already hold the image pointers
 				// and stayed shared, so the result is bit-identical to the
 				// full walk below.
-				if old := r.pages[p]; !r.shared[p] && len(old) == pageWords {
-					r.freePages = append(r.freePages, old)
+				if r.state[p] != pageShared {
+					r.recycle(r.pages[p])
 				}
 				r.pages[p] = pages[p]
-				r.shared[p] = true
+				r.state[p] = pageShared
 			}
 			r.dirty = r.dirty[:0]
 		}
@@ -726,13 +786,13 @@ func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 		// and referenced by nothing else — recycle them for future COW
 		// copies instead of letting every restore regenerate garbage.
 		for i, old := range r.pages {
-			if !r.shared[i] && len(old) == pageWords {
-				r.freePages = append(r.freePages, old)
+			if r.state[i] != pageShared {
+				r.recycle(old)
 			}
 		}
 		copy(r.pages, pages)
-		for i := range r.shared {
-			r.shared[i] = true
+		for i := range r.state {
+			r.state[i] = pageShared
 		}
 		r.dirty = r.dirty[:0]
 	}
@@ -740,9 +800,109 @@ func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 	return nil
 }
 
+// ErrNoEpoch is returned by Rollback when no undo epoch is open.
+var ErrNoEpoch = errors.New("mem: rollback without an open undo epoch")
+
+// Mark opens a one-level undo epoch: until the epoch ends, Rollback
+// returns memory to exactly its contents at this call, as often as asked.
+// The next Mark, Checkpoint, RestoreCheckpoint, Map or Restore ends the
+// epoch and keeps the contents; Mark then opens a fresh one.
+//
+// Mark write-protects every private page (pageGuarded), so cowPage copies
+// it before its first write and journals the pre-image for Rollback;
+// shared pages are write-protected already. Private pages are few: after a
+// checkpoint boundary they are the dirty journal's pages, and when an
+// epoch is open they are exactly the pages its undo log copied. Mark thus
+// costs the pages written since, not the size of memory, and allocates
+// nothing once the undo logs and free lists have grown to the working set.
+// Only right after Map or Restore, when any page may be private, does it
+// walk every page.
+//
+// Like Checkpoint, Mark drops every D-TLB entry.
+func (m *Memory) Mark() {
+	m.InvalidateTLB()
+	for _, r := range m.regions {
+		switch {
+		case r.marked:
+			for _, u := range r.undo {
+				r.state[u.p] = pageGuarded
+			}
+			r.commit()
+		case m.lastCP != nil:
+			for _, p := range r.dirty {
+				if r.state[p] == pagePrivate {
+					r.state[p] = pageGuarded
+				}
+			}
+		default:
+			for p, st := range r.state {
+				if st == pagePrivate {
+					r.state[p] = pageGuarded
+				}
+			}
+		}
+		r.marked = true
+	}
+	m.marked = true
+}
+
+// Rollback returns memory to its contents at the open epoch's Mark and
+// keeps the epoch open. It reinstates the journaled pre-image of every
+// page written since, recycles the copies those writes made, and drops
+// every D-TLB entry. It fails with ErrNoEpoch when no epoch is open.
+func (m *Memory) Rollback() error {
+	if !m.marked {
+		return ErrNoEpoch
+	}
+	m.InvalidateTLB()
+	for _, r := range m.regions {
+		reshared := 0
+		for _, u := range r.undo {
+			r.recycle(r.pages[u.p])
+			r.pages[u.p] = u.page
+			r.state[u.p] = u.state
+			if u.state == pageShared {
+				reshared++
+			}
+		}
+		// cowPage journaled the epoch's copies of shared pages at the tail
+		// of dirty, in undo order; those pages are shared again.
+		r.dirty = r.dirty[:len(r.dirty)-reshared]
+		r.undo = r.undo[:0]
+	}
+	return nil
+}
+
+// endEpoch ends an open undo epoch, keeping the current contents. Guarded
+// pages the epoch never wrote keep their state: Checkpoint,
+// RestoreCheckpoint and Restore share or replace every unshared page right
+// after, and after Map such a page merely costs one unneeded copy.
+func (m *Memory) endEpoch() {
+	if !m.marked {
+		return
+	}
+	for _, r := range m.regions {
+		r.commit()
+	}
+	m.marked = false
+}
+
+// commit ends the region's epoch: the guarded pre-images its writes
+// displaced are referenced by nothing now and join the free list.
+func (r *Region) commit() {
+	for _, u := range r.undo {
+		if u.state == pageGuarded {
+			r.recycle(u.page)
+		}
+	}
+	r.undo = r.undo[:0]
+	r.marked = false
+}
+
 // Zero clears a region's contents. Pages are cleared in place through the
-// copy-on-write path (shared pages are privatized first), never repointed,
-// so cached page translations in any owning Memory's D-TLB stay valid.
+// copy-on-write path (shared and guarded pages are privatized first),
+// never repointed, so cached page translations in any owning Memory's
+// D-TLB stay valid.
 func (r *Region) Zero() {
 	for p := range r.pages {
 		pg := r.writablePage(uint64(p))

@@ -351,7 +351,7 @@ func TestCheckpointLayoutMismatch(t *testing.T) {
 }
 
 func TestSnapshotRestoreDoesNotCorruptCheckpoint(t *testing.T) {
-	// The live-recovery path (flat Snapshot/Restore) and the campaign path
+	// The flat Snapshot/Restore oracle and the campaign path
 	// (Checkpoint/RestoreCheckpoint) coexist on the same pages: a Restore
 	// must rebuild pages rather than write shared ones in place.
 	m := New()

@@ -335,8 +335,10 @@ func (e *Engine) Decide(tech detect.Technique, cause Cause) Strategy {
 // MayRestore reports whether any decision this engine can reach is
 // StrategyRestore. Restore is the only strategy that consumes the per-step
 // VM-exit snapshot, so a machine armed with an engine that can never pick
-// it (e.g. uniform microreboot) skips taking the snapshot entirely — the
-// dominant cost of recovery-armed stepping.
+// it (e.g. uniform microreboot) skips taking the snapshot entirely. That
+// saves the snapshot's cost and, because a snapshot drops every D-TLB
+// entry, keeps such runs' D-TLB injections striking the entries an
+// unarmed machine would hold.
 func (e *Engine) MayRestore() bool {
 	if e.Policy.Default == StrategyRestore {
 		return true

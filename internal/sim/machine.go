@@ -379,8 +379,8 @@ func (m *Machine) Step() (Activation, error) {
 		// Preserve the critical data and the VM exit reason at every VM
 		// exit (paper Section VI). An engine that can never decide
 		// StrategyRestore never reads the snapshot (microreboot rebuilds
-		// from scratch), so arming one skips this — the snapshot is the
-		// dominant per-step cost of recovery-armed execution.
+		// from scratch), so arming one skips it: the snapshot drops every
+		// D-TLB entry, which would change what D-TLB injections strike.
 		snap = m.HV.Snapshot()
 	}
 	out, err := m.Sentry.Execute(ev, hv.DefaultBudget)
@@ -415,7 +415,7 @@ func (m *Machine) Step() (Activation, error) {
 			}
 			switch strat {
 			case recovery.StrategyMicroreboot:
-				err = m.HV.Reinit(nil)
+				err = m.HV.Reinit()
 			case recovery.StrategyRestore:
 				err = m.HV.Restore(snap)
 			}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"xentry/internal/core"
+	"xentry/internal/recovery"
 	"xentry/internal/workload"
 )
 
@@ -151,56 +153,92 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 }
 
 func TestRecoveryReexecutesCleanly(t *testing.T) {
-	// With recovery enabled, a detected fault is re-executed from the
-	// snapshot: the activation's final state must match the golden run.
+	// With recovery armed, a detected fault is re-executed from the VM-exit
+	// snapshot: the activation's final state must match the golden run's,
+	// memory word for word. Both arms roll back through the undo epoch
+	// hv.Snapshot opens at every step: the paper's Section VI switch and
+	// the recovery engine's restore strategy. Each machine is rewound to a
+	// checkpoint first, as a campaign worker is, so the rollback runs over
+	// pages shared with that checkpoint.
 	cfg := DefaultConfig("mcf", 33)
-	golden, err := GoldenRun(cfg, 20)
+	ref, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden, err := ref.Run(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenMem := ref.HV.Mem.Snapshot()
+	rest, err := ref.Run(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden = append(golden, rest...)
 
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RecoverOnDetection = true
-	for i := 0; i < 12; i++ {
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash activation 12 deliberately: corrupt a live base register.
-	flipped := false
-	m.HV.CPU.PreStep = func(step, pc uint64) {
-		if step == 4 && !flipped {
-			flipped = true
-			m.HV.CPU.Regs[6] ^= 1 << 45 // rbp: the VCPU pointer, always live
-		}
-	}
-	act, err := m.Step()
-	m.HV.CPU.PreStep = nil
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !act.Recovered {
-		t.Fatalf("no recovery triggered (stop=%v, first=%v)",
-			act.Outcome.Result.Stop, act.FirstDetection)
-	}
-	if m.Recoveries != 1 {
-		t.Errorf("recoveries = %d", m.Recoveries)
-	}
-	if act.Record != golden[12].Record {
-		t.Errorf("recovered record differs from golden:\n%+v\n%+v",
-			act.Record, golden[12].Record)
-	}
-	// The stream continues cleanly after recovery.
-	for i := 13; i < 20; i++ {
-		act, err := m.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if act.Record != golden[i].Record {
-			t.Fatalf("post-recovery activation %d diverged", i)
-		}
+	for _, arm := range []struct {
+		name string
+		arm  func(m *Machine)
+	}{
+		{"section-vi", func(m *Machine) { m.RecoverOnDetection = true }},
+		{"engine-restore", func(m *Machine) { m.Recovery = recovery.NewEngine(recovery.StrategyRestore) }},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arm.arm(m)
+			if _, err := m.Run(12); err != nil {
+				t.Fatal(err)
+			}
+			cp := m.Checkpoint()
+			if _, err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestoreFrom(cp); err != nil {
+				t.Fatal(err)
+			}
+			// Crash activation 12 deliberately: corrupt a live base register.
+			flipped := false
+			m.HV.CPU.PreStep = func(step, pc uint64) {
+				if step == 4 && !flipped {
+					flipped = true
+					m.HV.CPU.Regs[6] ^= 1 << 45 // rbp: the VCPU pointer, always live
+				}
+			}
+			act, err := m.Step()
+			m.HV.CPU.PreStep = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !act.Recovered {
+				t.Fatalf("no recovery triggered (stop=%v, first=%v)",
+					act.Outcome.Result.Stop, act.FirstDetection)
+			}
+			if m.Recovery != nil && act.Recovery.Strategy != recovery.StrategyRestore {
+				t.Errorf("engine strategy = %v, want restore", act.Recovery.Strategy)
+			}
+			if m.Recoveries != 1 {
+				t.Errorf("recoveries = %d", m.Recoveries)
+			}
+			if act.Record != golden[12].Record {
+				t.Errorf("recovered record differs from golden:\n%+v\n%+v",
+					act.Record, golden[12].Record)
+			}
+			if !reflect.DeepEqual(m.HV.Mem.Snapshot(), goldenMem) {
+				t.Error("memory after the recovered activation differs from golden")
+			}
+			// The stream continues cleanly after recovery.
+			for i := 13; i < 20; i++ {
+				act, err := m.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if act.Record != golden[i].Record {
+					t.Fatalf("post-recovery activation %d diverged", i)
+				}
+			}
+		})
 	}
 }

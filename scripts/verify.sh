@@ -21,6 +21,11 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+# Golden digests (also in the full run above, where a cached pass may be
+# replayed): the quick report and two recovery-armed campaigns must stay
+# byte-identical to testdata/golden.txt. Uncached, so this run recomputes
+# them.
+go test -count=1 -run TestGoldenDigests .
 go test -run '^$' -bench . -benchtime 1x ./...
 # Dual-dispatch differential fuzzing: a short deterministic-corpus run
 # plus a brief live-fuzz burst over the threaded-vs-switch harness, so
@@ -38,6 +43,12 @@ go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
 # out-of-range or truncated blocks without panicking.
 go test -run FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
+# Undo-epoch fuzzing: random interleavings of writes, TLB tag flips,
+# checkpoints, restores, Mark and Rollback must match the flat
+# Snapshot/Restore oracle and leave every checkpoint untouched, because
+# live recovery snapshots every VM exit through this path.
+go test -run 'FuzzUndoEpoch|TestUndoEpochDifferential' ./internal/mem/
+go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s ./internal/mem/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Campaign lifecycle burst: the server's fleet sessions, tombstones and
 # settle-then-terminal-event ordering are timing-sensitive, so one race
@@ -48,7 +59,7 @@ go test -race -count=10 ./internal/server/
 # be deterministic (including under the race detector's schedule
 # perturbation), and the outcome-class mix must stay honest (nonzero
 # full AND failed). Focused runs so a recovery regression names itself.
-go test -run 'Recovery|Microreboot|Reinit' ./internal/inject/ ./internal/hv/ ./internal/store/
+go test -run 'Recovery|Microreboot|Reinit|Snapshot|Rollback' ./internal/inject/ ./internal/hv/ ./internal/sim/ ./internal/store/
 go test ./internal/recovery/
 go test -race -run 'Microreboot' ./internal/inject/
 # SMP bit-identity burst: the legacy single-CPU register campaign must
