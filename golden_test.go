@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"xentry/internal/experiments"
 	"xentry/internal/inject"
+	"xentry/internal/workload"
 )
 
 // TestGoldenDigests recomputes the result digests committed in
@@ -26,7 +28,12 @@ import (
 //   - campaign-policy-smp4: the `xentry-campaign -json` report of a 4-vCPU
 //     campaign over every fault-site class with the recovery policy armed;
 //   - campaign-restore-dtlb-k7: the same for a 2-vCPU dtlb+gpr campaign
-//     with the restore engine armed and checkpoint interval 7.
+//     with the restore engine armed and checkpoint interval 7;
+//   - campaign-gpr: the same for a single-vCPU gpr campaign at the default
+//     checkpoint interval with pruning on, so the prune provenance counts
+//     are pinned too;
+//   - dataset-quick: the QuickScale training dataset CollectDataset
+//     gathers, one line per sample (features, then the label), in order.
 //
 // A change that moves a digest on purpose replaces the line in
 // testdata/golden.txt with the value this test prints, and says why.
@@ -67,6 +74,26 @@ func TestGoldenDigests(t *testing.T) {
 		}},
 		{"campaign-policy-smp4", campaign(4, inject.TargetNames(), "policy", 0)},
 		{"campaign-restore-dtlb-k7", campaign(2, []string{"dtlb", "gpr"}, "restore", 7)},
+		{"campaign-gpr", campaign(1, nil, "", 0)},
+		{"dataset-quick", func() ([]byte, error) {
+			ds, err := inject.CollectDataset(inject.DatasetConfig{
+				FaultFreeRuns:          sc.TrainFaultFreeRuns,
+				Activations:            sc.Activations,
+				InjectionsPerBenchmark: sc.TrainInjections / len(workload.Names()),
+				Seed:                   sc.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			var b bytes.Buffer
+			for _, s := range ds {
+				for _, f := range s.Features {
+					fmt.Fprintf(&b, "%d ", f)
+				}
+				fmt.Fprintln(&b, s.Correct)
+			}
+			return b.Bytes(), nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := tc.run()
