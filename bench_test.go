@@ -8,7 +8,9 @@ package xentry
 // use cmd/xentry-report for the full-scale numbers.
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -455,6 +457,48 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
 		})
 	}
+}
+
+// BenchmarkCheckpointPool measures building one 160-activation runner's
+// checkpoint pool, with the pruning tables the same reference replay
+// records, at K=1 and K=16. Besides time and allocations it reports
+// pool-B, the live heap the built pool holds: the heap delta across the
+// build, each side measured after two GCs. The golden run stays outside
+// the timer.
+func BenchmarkCheckpointPool(b *testing.B) {
+	for _, every := range []int{1, 16} {
+		b.Run(fmt.Sprintf("K=%d", every), func(b *testing.B) {
+			b.ReportAllocs()
+			var held int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runner, err := inject.NewRunner(sim.DefaultConfig("postmark", 3), 160, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runner.CheckpointEvery = every
+				before := liveHeap()
+				b.StartTimer()
+				if err := runner.EnsureCheckpoints(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				held += liveHeap() - before
+				runtime.KeepAlive(runner)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(held)/float64(b.N), "pool-B")
+		})
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after two GCs.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkSiteThroughput measures K=1 campaign engine throughput for each

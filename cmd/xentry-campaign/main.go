@@ -58,7 +58,9 @@ func main() {
 			"recovery engine; study runs the paired Section VI restore-and-reexecute "+
 			"study after the campaign (local-only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
-		"golden-checkpoint interval K (0 = default, negative disables checkpointing)")
+		"golden-checkpoint interval K: every Kth activation is checkpointed and each run "+
+			"replays up to K-1 fault-free activations (0 = default K=1, no replay; a larger K "+
+			"shrinks the pool on long -activations runs; negative replays from reset)")
 	prune := flag.String("prune", "on",
 		"convergence pruning: on (default) or off (every run executes its full "+
 			"activation budget — the differential baseline; outcomes are bit-identical either way)")

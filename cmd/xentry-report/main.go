@@ -1,7 +1,11 @@
 // Command xentry-report regenerates every table and figure of the paper's
 // evaluation in one run: Fig. 3, the Section III-B classifier study with
-// the Fig. 6 tree, Fig. 7, Figs. 8–10, Table II, the microreboot recovery
-// classification table, and Fig. 11.
+// the Fig. 6 tree, Fig. 7, Figs. 8–10 with the per-site coverage rows,
+// Table II, the Section VI live recovery study (restore and re-execute on
+// detection, paired against a recovery-off baseline), the microreboot
+// recovery classification table, the model sweeps (features, tree depth,
+// training size, naive Bayes), and Fig. 11. It ends with the time the
+// whole report took.
 //
 // Usage:
 //

@@ -538,7 +538,8 @@ func (cp *Checkpoint) MemImage() *mem.Checkpoint {
 }
 
 // Checkpoint captures the hypervisor's complete mutable state. It is cheap:
-// memory is captured copy-on-write (one pointer per page).
+// memory is captured copy-on-write, sharing every page-table chunk the
+// pages written since the previous checkpoint did not touch.
 func (h *Hypervisor) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		cpus: make([]cpu.State, len(h.CPUs)),

@@ -166,10 +166,14 @@ type Outcome struct {
 }
 
 // DefaultCheckpointEvery is the default golden-checkpoint interval K: a
-// checkpoint is recorded every K activations. Smaller K means less residual
-// prefix replay per injection but more checkpoint memory; at 512-byte COW
-// pages the memory cost stays negligible well below K=1.
-const DefaultCheckpointEvery = 16
+// checkpoint is recorded every K activations, and an injection run
+// restores the nearest one at or before its activation, then replays the
+// fault-free activations in between. At K=1 every run starts at its own
+// activation and replays nothing. Consecutive checkpoints share every
+// page and page-table chunk the activation between them did not write, so
+// the pool's memory grows with the pages each activation dirties times
+// the number of checkpoints: a 160-activation K=1 pool holds under 2 MB.
+const DefaultCheckpointEvery = 1
 
 // Runner replays a fixed workload configuration and injects faults into it.
 type Runner struct {
@@ -196,12 +200,14 @@ type Runner struct {
 	// into a shared read-only pool, and each injection run restores the
 	// nearest preceding checkpoint instead of re-simulating the fault-free
 	// prefix from machine reset (the paper ran inside Simics, whose
-	// checkpointing provides exactly this). 0 means DefaultCheckpointEvery;
-	// a negative value records only the reset-state checkpoint (every run
-	// replays from activation zero, the pre-checkpoint cost model, while
-	// still reusing worker machines). Set it, along with Model, Recover,
-	// and DisablePrune, before the first run: the pool is built once,
-	// lazily.
+	// checkpointing provides exactly this). 0 means DefaultCheckpointEvery
+	// (K=1: no run replays anything); a larger K trades residual replay
+	// (K-1)/2 activations per run on average for a pool about K times
+	// smaller, which bounds its memory on long runs. A negative value
+	// records only the reset-state checkpoint (every run replays from
+	// activation zero, the pre-checkpoint cost model, while still reusing
+	// worker machines). Set it, along with Model, Recover, and
+	// DisablePrune, before the first run: the pool is built once, lazily.
 	CheckpointEvery int
 	// DisablePrune turns off dead-value pre-pruning and convergence early
 	// exit (see prune.go), forcing every injection to execute its full
@@ -332,7 +338,6 @@ func (r *Runner) buildCheckpoints() error {
 			}
 		}
 	}
-	var prev *mem.Checkpoint
 	for i := 0; i < r.Activations; i++ {
 		var cp *sim.Checkpoint
 		if i%poolK == 0 {
@@ -340,11 +345,10 @@ func (r *Runner) buildCheckpoints() error {
 			pool = append(pool, cp)
 		}
 		if prune && i > 0 {
-			// Fingerprint the state entering activation i, chaining the
-			// memory fold off the previous boundary's image so only pages
-			// dirtied by one activation are rehashed. Pool checkpoints
-			// reuse their own image as the chain link, which doubles as
-			// pre-warming the page-hash cache workers fold against.
+			// Fingerprint the state entering activation i. A checkpoint
+			// carries its memory fold, kept incrementally from the previous
+			// boundary's so only pages dirtied since are rehashed; between
+			// pool checkpoints a memory-only checkpoint keeps that chain.
 			var mcp *mem.Checkpoint
 			if cp != nil {
 				mcp = cp.MemImage()
@@ -354,11 +358,8 @@ func (r *Runner) buildCheckpoints() error {
 			fps[i] = sim.Fingerprint{
 				Arch:   m.HV.ArchHash(),
 				Uncore: m.HV.UncoreHash(),
-				Mem:    mcp.FoldFrom(prev),
+				Mem:    mcp.Fold(),
 			}
-			prev = mcp
-		} else if cp != nil {
-			prev = cp.MemImage()
 		}
 		if prune {
 			// Attach the trace hook to every CPU: exactly one CPU executes
@@ -428,7 +429,8 @@ type Worker struct {
 	recBuf []guest.Record
 	// base is the memory image of the checkpoint the machine was last
 	// restored from: the incremental-hash base for convergence checks
-	// (pages still shared with it reuse its cached page hashes).
+	// (the fold starts from its fold and rehashes only the pages written
+	// since the restore).
 	base *mem.Checkpoint
 }
 

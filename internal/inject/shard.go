@@ -229,13 +229,16 @@ func ResumeCampaign(ctx context.Context, cfg CampaignConfig, sink ResultSink) (*
 			}
 			order = todo
 		}
-		outcomes := make([]Outcome, len(br.Plans))
+		// Without a sink each outcome is folded as it is recorded: record
+		// calls never overlap, and Normalize makes the fold order-free.
+		tally := NewTally()
 		err = claimPlans(ctx, cfg.Workers, br.Runner, br.Plans, order, func(i int, o Outcome) error {
-			outcomes[i] = o
 			if sink != nil {
 				if err := sink.Record(bench, i, o); err != nil {
 					return err
 				}
+			} else {
+				tally.Add(o)
 			}
 			if done := completed.Add(1); cfg.Progress != nil {
 				cfg.Progress(int(done), total)
@@ -246,10 +249,6 @@ func ResumeCampaign(ctx context.Context, cfg CampaignConfig, sink ResultSink) (*
 			return nil, fmt.Errorf("inject: %s: %w", bench, err)
 		}
 		if sink == nil {
-			tally := NewTally()
-			for _, o := range outcomes {
-				tally.Add(o)
-			}
 			result.PerBenchmark[bench] = tally
 			result.Total.Merge(tally)
 		}

@@ -27,12 +27,17 @@ func epochLayout() *Memory {
 //   - model is the flat image every write should produce; after every op
 //     the memory must equal it, and loads must read from it;
 //   - Rollback must reproduce the flat snapshot taken at Mark, and
-//     RestoreCheckpoint the one taken at Checkpoint;
+//     RestoreCheckpoint the one taken at Checkpoint, also for a checkpoint
+//     another memory of the same layout took (a cross-lineage restore,
+//     which shares chunks with m's own checkpoints when that memory
+//     restored one of them first);
 //   - no checkpoint may change after it was taken: restored into a second
 //     memory, each must still equal its flat snapshot and fold to its
 //     first Fold;
 //   - the incremental FoldFrom against every checkpoint must equal the
-//     from-scratch fold.
+//     from-scratch fold. Against the checkpoint m derives from, FoldFrom
+//     rehashes only the dirty journal, so this also catches a journal
+//     entry recorded twice.
 //
 // A FlipTLBTag that hits an armed entry may send later accesses to the
 // wrong page, as the modelled soft error does, so the model is not
@@ -42,6 +47,7 @@ type epochHarness struct {
 	t     testing.TB
 	m     *Memory
 	check *Memory // same layout; checkpoints are verified by restoring here
+	twin  *Memory // same layout; takes the cross-lineage checkpoints
 
 	model    map[string][]uint64
 	poisoned bool
@@ -57,7 +63,8 @@ type epochHarness struct {
 
 func newEpochHarness(t testing.TB, in []byte) *epochHarness {
 	m := epochLayout()
-	return &epochHarness{t: t, m: m, check: epochLayout(), model: m.Snapshot(), in: in}
+	return &epochHarness{t: t, m: m, check: epochLayout(), twin: epochLayout(),
+		model: m.Snapshot(), in: in}
 }
 
 // next consumes one input byte (zero once the input is exhausted).
@@ -148,14 +155,8 @@ func (h *epochHarness) step(op byte) {
 		}
 	case 10:
 		flat := m.Snapshot()
-		cp := m.Checkpoint()
+		h.hold(m.Checkpoint(), flat)
 		h.mark = nil
-		h.cps = append(h.cps, cp)
-		h.cpFlat = append(h.cpFlat, flat)
-		h.cpFolds = append(h.cpFolds, cp.Fold())
-		if len(h.cps) > 4 {
-			h.cps, h.cpFlat, h.cpFolds = h.cps[1:], h.cpFlat[1:], h.cpFolds[1:]
-		}
 		h.resync(flat)
 	case 11:
 		if len(h.cps) == 0 {
@@ -174,6 +175,28 @@ func (h *epochHarness) step(op byte) {
 		h.mark = m.Snapshot()
 		m.Mark()
 		h.resync(h.mark)
+	case 15:
+		// Cross-lineage restore: the twin, continuing its own lineage or
+		// first restoring one of the held checkpoints, pokes a word and
+		// checkpoints; m restores that checkpoint.
+		tw := h.twin
+		if b := h.next(); b%2 == 0 && len(h.cps) > 0 {
+			if err := tw.RestoreCheckpoint(h.cps[int(h.next())%len(h.cps)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tw.Poke(h.addr(), h.val())
+		flat := tw.Snapshot()
+		cp := tw.Checkpoint()
+		h.hold(cp, flat)
+		if err := m.RestoreCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		h.mark = nil
+		if !reflect.DeepEqual(m.Snapshot(), flat) {
+			t.Fatal("cross-lineage RestoreCheckpoint differs from the flat snapshot taken at Checkpoint")
+		}
+		h.resync(flat)
 	default:
 		err := m.Rollback()
 		if h.mark == nil {
@@ -189,6 +212,17 @@ func (h *epochHarness) step(op byte) {
 			t.Fatal("Rollback differs from the flat snapshot taken at Mark")
 		}
 		h.resync(h.mark)
+	}
+}
+
+// hold keeps cp, with its flat snapshot and first fold, among the (at most
+// four) checkpoints verify re-checks after every op.
+func (h *epochHarness) hold(cp *Checkpoint, flat map[string][]uint64) {
+	h.cps = append(h.cps, cp)
+	h.cpFlat = append(h.cpFlat, flat)
+	h.cpFolds = append(h.cpFolds, cp.Fold())
+	if len(h.cps) > 4 {
+		h.cps, h.cpFlat, h.cpFolds = h.cps[1:], h.cpFlat[1:], h.cpFolds[1:]
 	}
 }
 
@@ -241,11 +275,15 @@ func TestUndoEpochDifferential(t *testing.T) {
 
 // FuzzUndoEpoch is TestUndoEpochDifferential over fuzzer-chosen op streams.
 // The seeds store through a page fast path across a Mark before rolling
-// back, roll back twice, and restore a checkpoint from inside an epoch.
+// back, roll back twice, restore a checkpoint from inside an epoch, and
+// restore cross-lineage checkpoints into a memory that derives from a
+// checkpoint, one sharing chunks with its own and one not.
 func FuzzUndoEpoch(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 1, 1, 12, 0, 0, 0, 0, 2, 5, 5, 14})
 	f.Add([]byte{10, 12, 0, 0, 0, 9, 2, 3, 3, 14, 0, 0, 0, 9, 2, 4, 4, 14})
 	f.Add([]byte{5, 0, 0, 0, 2, 10, 12, 7, 0, 0, 0, 2, 40, 1, 1, 11, 0, 14, 13, 0, 0, 0, 2, 6, 6, 14})
+	f.Add([]byte{10, 0, 0, 0, 0, 2, 1, 1, 15, 0, 0, 0, 0, 1, 2, 9, 9, 0, 0, 0, 3, 2, 4, 4,
+		15, 1, 2, 0, 40, 2, 7, 7, 11, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		newEpochHarness(t, in).run()
 	})

@@ -2,18 +2,22 @@ package mem
 
 // Per-page content hashing for convergence fingerprints (DESIGN.md §10).
 //
-// A checkpoint's hash table maps each region to one 64-bit hash per page;
-// the XOR fold of every page hash summarizes the whole image. Folds are
-// cheap to maintain incrementally because checkpoints share pages
-// copy-on-write: a page object a checkpoint holds is only ever installed
-// in a slot marked shared, so it is never mutated in place (stores replace
-// the pointer via cowPage) and never recycled onto the free list
-// (RestoreCheckpoint and Rollback recycle only slots that are not shared,
-// and an undo epoch's commit recycles only the guarded pre-images, which
-// no checkpoint ever held; Checkpoint and RestoreCheckpoint mark every
-// live page shared, and Rollback reinstates a shared pre-image as shared).
-// So pointer equality between two images implies content equality and
-// the hash can be reused without touching the page.
+// Every checkpoint stores one 64-bit hash per page next to the page
+// pointer, in the chunks its page table is split into, plus the XOR fold
+// of every page hash, which summarizes the whole image. Both are computed
+// when the checkpoint is taken and never change. They are cheap to keep
+// incrementally because checkpoints share pages copy-on-write: a page
+// object a checkpoint holds is only ever installed in a slot marked
+// shared, so it is never mutated in place (stores replace the pointer via
+// cowPage) and never recycled onto the free list (RestoreCheckpoint and
+// Rollback recycle only slots that are not shared, and an undo epoch's
+// commit recycles only the guarded pre-images, which no checkpoint ever
+// held; Checkpoint and RestoreCheckpoint mark every live page shared, and
+// Rollback reinstates a shared pre-image as shared). So pointer equality
+// between two images implies content equality, and the hash can be reused
+// without touching the page: a new checkpoint rehashes only the pages
+// journaled dirty since the previous one, and a fold of live memory
+// against the checkpoint it derives from rehashes only those pages too.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -62,55 +66,8 @@ func pageHash(seed uint64, words []uint64) uint64 {
 	return hashMix(h)
 }
 
-// ensureHashes computes the checkpoint's page-hash table and fold exactly
-// once. When prev is an already-hashed earlier image of the same Memory,
-// pages whose pointers are unchanged reuse prev's hash (see the COW
-// argument at the top of this file); only pages dirtied between the two
-// images are rehashed.
-func (cp *Checkpoint) ensureHashes(prev *Checkpoint) {
-	cp.hashOnce.Do(func() {
-		hashes := make(map[string][]uint64, len(cp.pages))
-		var fold uint64
-		for name, pages := range cp.pages {
-			rs := regionHashSeed(name)
-			hs := make([]uint64, len(pages))
-			var prevPages [][]uint64
-			var prevHashes []uint64
-			if prev != nil {
-				prevPages = prev.pages[name]
-				prevHashes = prev.hashes[name]
-			}
-			for i, p := range pages {
-				if i < len(prevPages) && &prevPages[i][0] == &p[0] {
-					hs[i] = prevHashes[i]
-				} else {
-					hs[i] = pageHash(pageHashSeed(rs, i), p)
-				}
-				fold ^= hs[i]
-			}
-			hashes[name] = hs
-		}
-		cp.hashes = hashes
-		cp.fold = fold
-	})
-}
-
-// Fold returns the XOR fold of every page hash in the image, hashing all
-// pages on first use.
-func (cp *Checkpoint) Fold() uint64 {
-	cp.ensureHashes(nil)
-	return cp.fold
-}
-
-// FoldFrom is Fold computed incrementally against an earlier image of the
-// same Memory: pages shared with prev reuse prev's cached hashes.
-func (cp *Checkpoint) FoldFrom(prev *Checkpoint) uint64 {
-	if prev != nil {
-		prev.ensureHashes(nil)
-	}
-	cp.ensureHashes(prev)
-	return cp.fold
-}
+// Fold returns the XOR fold of every page hash in the image.
+func (cp *Checkpoint) Fold() uint64 { return cp.fold }
 
 // TLBHash summarizes the D-TLB's *incoherent* entries — armed slots whose
 // tag no longer resolves to the very page object the entry caches. In a
@@ -166,30 +123,35 @@ func (m *Memory) tlbCoherent(e *tlbEntry) bool {
 	return r.state[p] == pagePrivate && len(pg) == pageWords && (*[pageWords]uint64)(pg) == e.page
 }
 
-// FoldFrom hashes the Memory's live pages without taking a checkpoint,
-// reusing base's cached hashes for pages still shared with it. A nil base
-// hashes every page. The caller must own the Memory (workers hash their
-// private machine against the pool checkpoint they restored from; the
-// shared base itself is only ever read).
+// FoldFrom hashes the Memory's live pages without taking a checkpoint.
+// The caller must own the Memory (workers hash their private machine
+// against the pool checkpoint they restored from; the shared base itself
+// is only ever read).
+//
+// When the memory derives from base (base is the checkpoint it last took
+// or restored), only the pages journaled dirty since can differ from it,
+// so the fold is base's with those pages rehashed: the cost is the
+// touched page set. That relies on the journal holding each page once —
+// a duplicate would XOR its change out again. A nil or any other base
+// hashes every page.
 func (m *Memory) FoldFrom(base *Checkpoint) uint64 {
-	var basePages map[string][][]uint64
-	var baseHashes map[string][]uint64
-	if base != nil {
-		base.ensureHashes(nil)
-		basePages = base.pages
-		baseHashes = base.hashes
-	}
 	var fold uint64
-	for _, r := range m.regions {
-		rs := regionHashSeed(r.Name)
-		bp := basePages[r.Name]
-		bh := baseHashes[r.Name]
-		for i, p := range r.pages {
-			if i < len(bp) && &bp[i][0] == &p[0] {
-				fold ^= bh[i]
-			} else {
-				fold ^= pageHash(pageHashSeed(rs, i), p)
+	if base == nil || base != m.lastCP {
+		for _, r := range m.regions {
+			rs := regionHashSeed(r.Name)
+			for p, pg := range r.pages {
+				fold ^= pageHash(pageHashSeed(rs, p), pg)
 			}
+		}
+		return fold
+	}
+	fold = base.fold
+	for i, r := range m.regions {
+		rs := regionHashSeed(r.Name)
+		chunks := base.regions[i].chunks
+		for _, p := range r.dirty {
+			fold ^= chunks[p>>chunkShift].hashes[p&chunkMask] ^
+				pageHash(pageHashSeed(rs, int(p)), r.pages[p])
 		}
 	}
 	return fold

@@ -40,9 +40,6 @@ func TestFoldFromMatchesFullFold(t *testing.T) {
 		t.Fatalf("diverged incremental fold %x != full fold %x", got, want)
 	}
 	cp := m.Checkpoint()
-	if got, want := cp.FoldFrom(base), cp.Fold(); got != want {
-		t.Fatalf("checkpoint chained fold %x != direct fold %x", got, want)
-	}
 	if got, want := cp.Fold(), m.FoldFrom(nil); got != want {
 		t.Fatalf("checkpoint fold %x != live memory fold %x", got, want)
 	}
@@ -87,8 +84,9 @@ func TestFoldSensitivity(t *testing.T) {
 }
 
 // TestFoldConcurrentLazyHash: many goroutines folding against the same
-// shared checkpoint must agree (the page-hash table is computed once under
-// sync.Once); run under -race this also proves the publication is safe.
+// shared checkpoint must agree; run under -race this also proves that
+// folding only reads the checkpoint, whose hashes are computed when it is
+// taken.
 func TestFoldConcurrentLazyHash(t *testing.T) {
 	m := hashTestMemory(t)
 	cp := m.Checkpoint()

@@ -7,18 +7,19 @@
 // consumes.
 //
 // Region contents are stored as fixed-size pages with copy-on-write
-// sharing, so a full-memory Checkpoint costs one pointer copy per page and
-// many machines can be restored from the same checkpoint concurrently —
-// the substrate the campaign engine's checkpoint pool stands on. The same
-// write barrier carries a one-level undo epoch (Mark/Rollback), the
-// allocation-free VM-exit snapshot live recovery takes at every step.
+// sharing, and consecutive checkpoints share the chunks of their page
+// tables that did not change, so a Checkpoint costs the pages written
+// since the previous one and many machines can be restored from the same
+// checkpoint concurrently — the substrate the campaign engine's
+// checkpoint pool stands on. The same write barrier carries a one-level
+// undo epoch (Mark/Rollback), the allocation-free VM-exit snapshot live
+// recovery takes at every step.
 package mem
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Perm is a permission bit mask for a region.
@@ -146,8 +147,11 @@ type Region struct {
 	// only ever write private pages), so the journal is exact and
 	// duplicate-free: between boundaries a page turns from shared to
 	// private once, unless Rollback re-shares it, which drops its entry.
-	// RestoreCheckpoint uses it to restore only the touched pages when
-	// rolling back to the same checkpoint.
+	// While the Memory derives from a checkpoint (lastCP), the journal is
+	// the whole difference from it: Checkpoint clones and rehashes only
+	// its pages' chunks, RestoreCheckpoint reverts only its pages, and
+	// FoldFrom rehashes only its pages. The fold XORs each journaled
+	// page's change in once, so a duplicate entry would cancel it.
 	dirty []uint32
 	// marked reports an open undo epoch; while it is set, cowPage journals
 	// each slot's replaced page and state in undo, the log Rollback replays
@@ -311,10 +315,10 @@ type Memory struct {
 	// lastCP is the checkpoint this memory's pages currently derive from:
 	// set by Checkpoint and RestoreCheckpoint, cleared by any structural
 	// change (Map, the deprecated Restore), and untouched by undo epochs.
-	// When RestoreCheckpoint is asked to roll back to exactly this
-	// checkpoint, only the journaled dirty pages can differ from the image,
-	// so the restore walks the journal instead of every page. While it is
-	// set, every page that is not shared is journaled dirty.
+	// While it is set, every shared page slot holds lastCP's page and
+	// every page that is not shared is journaled dirty, so Checkpoint,
+	// RestoreCheckpoint and FoldFrom walk the journal and lastCP's chunks
+	// instead of every page.
 	lastCP *Checkpoint
 
 	// marked reports an open undo epoch (Mark); see Region.marked.
@@ -706,38 +710,100 @@ func (m *Memory) Restore(snap map[string][]uint64) error {
 }
 
 // Checkpoint is an immutable copy-on-write image of a Memory's full
-// contents. Taking one costs a pointer copy per page; pages are only
-// duplicated when either side writes them afterwards. A Checkpoint may be
-// restored into any number of machines with the same layout, concurrently —
-// the shared pages are never written in place.
+// contents, with every page's content hash and their XOR fold. Each
+// region's page table is split into chunks of chunkPages page pointers
+// and their hashes, and consecutive checkpoints share every chunk their
+// pages did not change in: taking one copies the previous checkpoint's
+// list of chunk pointers, clones only the chunks that hold pages written
+// since, and hashes only those pages. Pages are only duplicated when
+// either side writes them afterwards. A Checkpoint may be restored into
+// any number of machines with the same layout, concurrently — neither
+// its chunks nor the pages they hold are ever written in place.
 type Checkpoint struct {
-	pages map[string][][]uint64
+	regions []cpRegion // in the Memory's address order
+	fold    uint64     // XOR of every page hash
+}
 
-	// hashOnce guards the lazily computed per-page hash table below (see
-	// hash.go). Checkpoints are shared read-only across campaign workers,
-	// so the computation must be safe to race into; everything after the
-	// Once is immutable.
-	hashOnce sync.Once
-	hashes   map[string][]uint64
-	fold     uint64
+// cpRegion is one region's page table in a Checkpoint.
+type cpRegion struct {
+	name   string
+	size   uint64 // bytes, as Region.Size
+	chunks []*cpChunk
+}
+
+// Checkpoint chunk geometry: 16 pages (8 KiB of memory) per chunk keeps a
+// chunk clone at 512 bytes and a chunk-pointer list at 1/16 the length of
+// the page table it stands for.
+const (
+	chunkShift = 4
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+// cpChunk is a run of chunkPages page slots of one region (the region's
+// last chunk may use fewer) with each page's hash. Immutable once its
+// checkpoint is returned.
+type cpChunk struct {
+	pages  [chunkPages][]uint64
+	hashes [chunkPages]uint64
 }
 
 // Checkpoint captures the current contents. All live pages become shared:
 // subsequent writes through this Memory copy the touched page first.
+//
+// When the memory derives from a checkpoint (lastCP), only the pages
+// journaled dirty since can differ from it, so the new image is lastCP's
+// with those pages' chunks cloned and updated, and its fold is lastCP's
+// with those pages rehashed. Otherwise every page is hashed into fresh
+// chunks.
 func (m *Memory) Checkpoint() *Checkpoint {
 	m.endEpoch()
 	// Every page becomes shared, so any armed page fast paths (which are
 	// only ever installed over private pages) must be dropped: a write
 	// through a stale page pointer would mutate the checkpoint image.
 	m.InvalidateTLB()
-	cp := &Checkpoint{pages: make(map[string][][]uint64, len(m.regions))}
-	for _, r := range m.regions {
-		for i := range r.state {
-			r.state[i] = pageShared
+	prev := m.lastCP
+	cp := &Checkpoint{regions: make([]cpRegion, len(m.regions))}
+	if prev != nil {
+		cp.fold = prev.fold
+	}
+	for i, r := range m.regions {
+		rs := regionHashSeed(r.Name)
+		cr := &cp.regions[i]
+		*cr = cpRegion{name: r.Name, size: r.Size}
+		if prev == nil {
+			cr.chunks = make([]*cpChunk, (len(r.pages)+chunkMask)>>chunkShift)
+			for c := range cr.chunks {
+				cr.chunks[c] = new(cpChunk)
+			}
+			for p, pg := range r.pages {
+				h := pageHash(pageHashSeed(rs, p), pg)
+				c := cr.chunks[p>>chunkShift]
+				c.pages[p&chunkMask], c.hashes[p&chunkMask] = pg, h
+				cp.fold ^= h
+				r.state[p] = pageShared
+			}
+		} else {
+			// The journal holds exactly the pages that are not shared, each
+			// once; every other slot already holds prev's page.
+			pr := &prev.regions[i]
+			cr.chunks = pr.chunks
+			if len(r.dirty) > 0 {
+				cr.chunks = append([]*cpChunk(nil), pr.chunks...)
+			}
+			for _, p := range r.dirty {
+				c := cr.chunks[p>>chunkShift]
+				if c == pr.chunks[p>>chunkShift] {
+					clone := *c
+					c = &clone
+					cr.chunks[p>>chunkShift] = c
+				}
+				h := pageHash(pageHashSeed(rs, int(p)), r.pages[p])
+				cp.fold ^= c.hashes[p&chunkMask] ^ h
+				c.pages[p&chunkMask], c.hashes[p&chunkMask] = r.pages[p], h
+				r.state[p] = pageShared
+			}
 		}
-		pages := make([][]uint64, len(r.pages))
-		copy(pages, r.pages)
-		cp.pages[r.Name] = pages
 		r.dirty = r.dirty[:0]
 	}
 	m.lastCP = cp // every live page now matches cp and is shared
@@ -745,58 +811,74 @@ func (m *Memory) Checkpoint() *Checkpoint {
 }
 
 // RestoreCheckpoint reinstates a Checkpoint taken from the same layout.
-// The restored pages are shared: the first write to each copies it.
+// The restored pages are shared: the first write to each copies it. On a
+// layout mismatch it returns an error and changes nothing.
 //
-// When the memory already derives from cp — the previous Checkpoint or
-// RestoreCheckpoint boundary used this very checkpoint — only the pages
-// journaled dirty since then can differ from the image (cowPage is the
-// one funnel that repoints a page between boundaries), so the restore is
-// proportional to the touched page set instead of the whole machine.
+// When the memory derives from a checkpoint (lastCP), the restore first
+// reverts the pages journaled dirty since — cowPage is the one funnel
+// that repoints a page between boundaries — to lastCP's image, then
+// reinstalls the pages of only the chunks cp does not share with lastCP.
+// Its cost is the touched page set plus the chunks the two images differ
+// in, instead of the whole machine; restoring lastCP itself is the case
+// with no differing chunk. Only a memory that derives from no checkpoint
+// walks every page.
 func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
+	if err := m.checkLayout(cp); err != nil {
+		return err
+	}
 	m.endEpoch()
 	m.InvalidateTLB()
-	if m.lastCP == cp {
-		for _, r := range m.regions {
-			pages := cp.pages[r.Name]
+	prev := m.lastCP
+	for i, r := range m.regions {
+		if prev == nil {
+			// Pages private to this region are displaced by the restored
+			// image and referenced by nothing else — recycle them for
+			// future COW copies instead of letting every restore
+			// regenerate garbage.
+			for p, old := range r.pages {
+				if r.state[p] != pageShared {
+					r.recycle(old)
+				}
+				r.state[p] = pageShared
+			}
+		} else {
+			pr := &prev.regions[i]
 			for _, p := range r.dirty {
-				// Journaled pages are exactly the unshared ones: recycle
-				// the displaced private copy, reinstate the image pointer,
-				// re-share. Untouched pages already hold the image pointers
-				// and stayed shared, so the result is bit-identical to the
-				// full walk below.
+				// Journaled pages are exactly the unshared ones: recycle the
+				// displaced private copy, reinstate lastCP's page, re-share.
 				if r.state[p] != pageShared {
 					r.recycle(r.pages[p])
 				}
-				r.pages[p] = pages[p]
+				r.pages[p] = pr.chunks[p>>chunkShift].pages[p&chunkMask]
 				r.state[p] = pageShared
 			}
-			r.dirty = r.dirty[:0]
-		}
-		return nil
-	}
-	for _, r := range m.regions {
-		pages, ok := cp.pages[r.Name]
-		if !ok {
-			return fmt.Errorf("mem: checkpoint missing region %q", r.Name)
-		}
-		if len(pages) != len(r.pages) {
-			return fmt.Errorf("mem: checkpoint size mismatch for region %q", r.Name)
-		}
-		// Pages private to this region are displaced by the restored image
-		// and referenced by nothing else — recycle them for future COW
-		// copies instead of letting every restore regenerate garbage.
-		for i, old := range r.pages {
-			if r.state[i] != pageShared {
-				r.recycle(old)
-			}
-		}
-		copy(r.pages, pages)
-		for i := range r.state {
-			r.state[i] = pageShared
 		}
 		r.dirty = r.dirty[:0]
+		for c, ch := range cp.regions[i].chunks {
+			if prev == nil || ch != prev.regions[i].chunks[c] {
+				copy(r.pages[c<<chunkShift:], ch.pages[:])
+			}
+		}
 	}
 	m.lastCP = cp
+	return nil
+}
+
+// checkLayout reports whether cp was taken from a memory with this one's
+// regions: the same names, in the same order, with the same sizes (hence
+// the same page counts).
+func (m *Memory) checkLayout(cp *Checkpoint) error {
+	if len(cp.regions) != len(m.regions) {
+		return fmt.Errorf("mem: checkpoint has %d regions, memory has %d", len(cp.regions), len(m.regions))
+	}
+	for i, r := range m.regions {
+		if cp.regions[i].name != r.Name {
+			return fmt.Errorf("mem: checkpoint missing region %q", r.Name)
+		}
+		if cp.regions[i].size != r.Size {
+			return fmt.Errorf("mem: checkpoint size mismatch for region %q", r.Name)
+		}
+	}
 	return nil
 }
 

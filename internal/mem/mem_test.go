@@ -401,3 +401,95 @@ func TestZeroAfterCheckpointPreservesCheckpoint(t *testing.T) {
 		t.Errorf("restored word = %d, want 3", v)
 	}
 }
+
+// TestFailedRestoreChangesNothing: a restore that fails on a later
+// region's layout must not have replaced an earlier region's pages, and
+// the memory must still derive from its checkpoint, so a restore to that
+// checkpoint brings back its contents.
+func TestFailedRestoreChangesNothing(t *testing.T) {
+	m := New()
+	m.MustMap("a", 0x1000, 1024, PermRW)
+	m.MustMap("b", 0x2000, 1024, PermRW)
+	cp0 := m.Checkpoint()
+	other := New()
+	other.MustMap("a", 0x1000, 1024, PermRW)
+	other.MustMap("b", 0x2000, 2048, PermRW)
+	if err := other.Write64(0x1000, 7); err != nil {
+		t.Fatal(err)
+	}
+	cpX := other.Checkpoint()
+	if err := m.RestoreCheckpoint(cpX); err == nil {
+		t.Fatal("restoring a checkpoint with a larger region b succeeded")
+	}
+	if v, _ := m.Read64(0x1000); v != 0 {
+		t.Errorf("a[0] = %d after the failed restore, want 0", v)
+	}
+	if err := m.RestoreCheckpoint(cp0); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Read64(0x1000); v != 0 {
+		t.Errorf("a[0] = %d after restoring cp0, want 0", v)
+	}
+}
+
+// TestCheckpointSharesUnchangedChunks: after one word is written, the next
+// checkpoint shares every page-table chunk but the written page's with its
+// predecessor, and a restore between the two repoints only that chunk's
+// pages. The restore is probed white-box: every slot outside the chunk
+// gets a stand-in page the restore would replace if it touched the slot.
+func TestCheckpointSharesUnchangedChunks(t *testing.T) {
+	m := New()
+	ra := m.MustMap("a", 0x10000, 64*pageWords*8, PermRW)
+	rb := m.MustMap("b", 0x20000, 40*pageWords*8, PermRW) // short last chunk
+	cp0 := m.Checkpoint()
+	const page = 37 // chunk 2 of region a
+	if err := m.Write64(ra.Start+page*pageWords*8+8, 1); err != nil {
+		t.Fatal(err)
+	}
+	cp1 := m.Checkpoint()
+	if got, want := cp1.Fold(), m.FoldFrom(nil); got != want {
+		t.Fatalf("incremental checkpoint fold %x, from-scratch fold %x", got, want)
+	}
+	for i := range cp0.regions {
+		for c, ch := range cp0.regions[i].chunks {
+			shared := ch == cp1.regions[i].chunks[c]
+			if written := i == 0 && c == page>>chunkShift; shared == written {
+				t.Errorf("region %s chunk %d: shared = %v", cp0.regions[i].name, c, shared)
+			}
+		}
+	}
+
+	standIns := map[*Region]map[int][]uint64{ra: {}, rb: {}}
+	for r, ins := range standIns {
+		for p, pg := range r.pages {
+			if r != ra || p>>chunkShift != page>>chunkShift {
+				ins[p] = append([]uint64(nil), pg...)
+				r.pages[p] = ins[p]
+			}
+		}
+	}
+	for _, tc := range []struct {
+		to   *Checkpoint
+		want uint64
+	}{{cp0, 0}, {cp1, 1}} {
+		if err := m.RestoreCheckpoint(tc.to); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := m.Read64(ra.Start + page*pageWords*8 + 8); v != tc.want {
+			t.Fatalf("restored word = %d, want %d", v, tc.want)
+		}
+		for r, ins := range standIns {
+			for p, pg := range r.pages {
+				if in, ok := ins[p]; ok && &in[0] != &pg[0] {
+					t.Fatalf("restore repointed %s page %d outside the differing chunk", r.Name, p)
+				}
+			}
+		}
+		chunk := tc.to.regions[0].chunks[page>>chunkShift]
+		for j, pg := range chunk.pages {
+			if &ra.pages[page&^chunkMask+j][0] != &pg[0] {
+				t.Fatalf("page %d of the differing chunk not reinstalled", page&^chunkMask+j)
+			}
+		}
+	}
+}

@@ -216,9 +216,9 @@ type Checkpoint struct {
 
 // MemImage exposes the checkpoint's copy-on-write memory image. The
 // injection runner uses pool images two ways: as the incremental-hash
-// base for fingerprints of machines restored from the checkpoint, and as
-// the previous link when chaining golden fingerprints across activations
-// (mem.Checkpoint.FoldFrom).
+// base for fingerprints of machines restored from the checkpoint
+// (mem.Memory.FoldFrom), and for the memory fold of the golden
+// fingerprint at the checkpoint's activation (mem.Checkpoint.Fold).
 func (cp *Checkpoint) MemImage() *mem.Checkpoint {
 	return cp.hv.MemImage()
 }
@@ -238,9 +238,10 @@ type Fingerprint struct {
 	Mem    uint64
 }
 
-// FingerprintFrom fingerprints the machine's current state, reusing
-// base's cached page hashes for memory still shared with it (nil base
-// hashes everything).
+// FingerprintFrom fingerprints the machine's current state. When base is
+// the memory image the machine last checkpointed or restored, the memory
+// fold rehashes only the pages written since; otherwise (or with a nil
+// base) it hashes everything (mem.Memory.FoldFrom).
 func (m *Machine) FingerprintFrom(base *mem.Checkpoint) Fingerprint {
 	return Fingerprint{
 		Arch:   m.HV.ArchHash(),

@@ -5,9 +5,9 @@
 # concurrency (the campaign engine's workers share the read-only
 # checkpoint pool and the linked text segment; the result store takes
 # concurrent records from campaign workers and the fleet's ingest; the
-# CPU core is what every worker runs; the memory package's lazy
-# checkpoint page-hash tables are published under sync.Once to
-# concurrent folders).
+# CPU core is what every worker runs; the memory package's checkpoints
+# share page-table chunks and pages that concurrent restores and folds
+# only read).
 set -eux
 
 cd "$(dirname "$0")/.."
