@@ -42,7 +42,9 @@ const (
 
 // Event is one engine progress event. Done/Total are cumulative campaign
 // progress (stored outcomes over planned injections) and are set on every
-// event type.
+// event type. Engine.OnEvent sees every event, so /metrics counts every
+// outcome; the SSE stream coalesces outcome events, so a client sees the
+// newest outcome at each wake-up of its stream handler.
 type Event struct {
 	Type     EventType `json:"type"`
 	Campaign string    `json:"campaign,omitempty"`
@@ -60,17 +62,20 @@ type Event struct {
 	Technique string `json:"technique,omitempty"`
 	// Pruned is the run-provenance label on outcome events whose run was
 	// pruned ("dead" or "converged", empty for full runs); it feeds the
-	// server's xentry_pruned_total metric and the SSE stream.
+	// server's xentry_pruned_total metric, which counts every outcome.
+	// On the coalesced SSE stream it labels only the outcomes delivered.
 	Pruned string `json:"pruned,omitempty"`
 	// RecoveryStrategy/RecoveryOutcome label outcome events on which the
 	// recovery engine fired: the strategy applied and the final outcome
 	// class ("full", "degraded", "guest-corrupted", "failed"). They feed
-	// the xentry_recoveries_total metric and the SSE stream.
+	// the xentry_recoveries_total metric; SSE carries them only on the
+	// outcomes it delivers.
 	RecoveryStrategy string `json:"recovery_strategy,omitempty"`
 	RecoveryOutcome  string `json:"recovery_outcome,omitempty"`
 	// Site is the fault-site class of the injected plan on outcome events
 	// ("gpr", "ctl", "dtlb", "apic", "pmu", "pgtable"); it feeds the
-	// xentry_injections_total{site="..."} metric and the SSE stream.
+	// xentry_injections_total{site="..."} metric, and SSE carries it only
+	// on the outcomes it delivers.
 	Site string `json:"site,omitempty"`
 }
 
@@ -145,7 +150,7 @@ func (s eventSink) Record(bench string, index int, o inject.Outcome) error {
 }
 
 // outcomeEvent labels one freshly stored outcome for metrics and the SSE
-// stream.
+// stream (which coalesces outcomes).
 func outcomeEvent(campaign, bench string, o *inject.Outcome, done, total int) Event {
 	ev := Event{Type: EventOutcome, Campaign: campaign, Bench: bench,
 		Done: done, Total: total, Site: o.Plan.Site.String()}

@@ -687,14 +687,18 @@ func (run *fleetRun) requeue(sh *fleetShard, wid int, cause error, bumpAttempt b
 	run.mu.Unlock()
 }
 
-// enqueueBench adds one benchmark's shards to the queue.
+// enqueueBench adds one benchmark's shards to the queue and announces the
+// benchmark. It emits under run.mu, as grantLease does, so no shard of
+// the benchmark is announced before the benchmark itself.
 func (run *fleetRun) enqueueBench(benchAt int, bench string, shards [][]int) {
 	run.mu.Lock()
+	defer run.mu.Unlock()
 	for si, indices := range shards {
 		run.queue = append(run.queue, &fleetShard{bench: bench, benchAt: benchAt, shard: si, attempt: 1, indices: indices})
 	}
 	run.outstanding += len(shards)
-	run.mu.Unlock()
+	run.eng.emit(Event{Type: EventBenchmarkStart, Campaign: run.id, Bench: bench,
+		Done: run.store.TotalCount(), Total: run.total})
 }
 
 // wait blocks until every enqueued shard settled, the run failed, or the
@@ -900,6 +904,9 @@ func (run *fleetRun) processDone(item ingestItem) {
 // ingested off the HTTP/JSON path. The coordinator never executes an
 // injection itself — it derives each benchmark's plan list (PreparePlans,
 // no checkpoint pool) only to compute the activation-sorted shard split.
+// Every unfinished benchmark's shards join one queue, in benchmark order,
+// before the single wait: workers lease across benchmark boundaries, and
+// NoWork means every remaining shard is leased.
 func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
 	if len(e.Spec) == 0 {
 		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
@@ -916,8 +923,6 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 	if leaseTimeout <= 0 {
 		leaseTimeout = 2 * time.Minute
 	}
-	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
-	id := e.Store.Meta().CampaignID
 
 	run := newFleetRun(e, cfg, leaseTimeout, maxAttempts)
 	if err := e.Fleet.start(run); err != nil {
@@ -942,7 +947,6 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 		if e.Store.Count(bench) >= cfg.InjectionsPerBenchmark {
 			continue // fully stored: skip even the golden run
 		}
-		e.emit(Event{Type: EventBenchmarkStart, Campaign: id, Bench: bench, Done: e.Store.TotalCount(), Total: total})
 		plans, err := inject.PreparePlans(cfg, bi)
 		if err != nil {
 			return nil, err
@@ -955,9 +959,9 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 			}
 		}
 		run.enqueueBench(bi, bench, inject.SliceShards(todo, shardSize))
-		if err := run.wait(ctx); err != nil {
-			return nil, err
-		}
+	}
+	if err := run.wait(ctx); err != nil {
+		return nil, err
 	}
 	res, err := e.Store.Result()
 	if err != nil {

@@ -74,12 +74,16 @@ func spawnWorker(t *testing.T, addr, campaign, name string) *exec.Cmd {
 
 // fleetSpec builds the campaign three ways at once: the JSON spec workers
 // derive their config from, and the identical CampaignConfig the
-// coordinator (and the in-process reference run) uses.
-func fleetSpec(t *testing.T, id string) (CampaignSpec, inject.CampaignConfig, []byte) {
+// coordinator (and the in-process reference run) uses. The campaign runs
+// canneal unless benchmarks are named.
+func fleetSpec(t *testing.T, id string, benchmarks ...string) (CampaignSpec, inject.CampaignConfig, []byte) {
 	t.Helper()
+	if len(benchmarks) == 0 {
+		benchmarks = []string{"canneal"}
+	}
 	spec := CampaignSpec{
 		ID:                     id,
-		Benchmarks:             []string{"canneal"},
+		Benchmarks:             benchmarks,
 		InjectionsPerBenchmark: 40,
 		Activations:            48,
 		Seed:                   29,
@@ -327,6 +331,123 @@ func TestFleetGoroutineWorkers(t *testing.T) {
 	want.Normalize()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("goroutine fleet result diverges:\n got %+v\nwant %+v", got.Total, want.Total)
+	}
+}
+
+// TestFleetLeasesAcrossBenchmarks: while one session holds benchmark 0's
+// only shard, another session's lease request gets benchmark 1's shard,
+// because the coordinator queues every benchmark up front instead of
+// waiting at each boundary. Both raw sessions then drop, their leases
+// requeue, and RunWorker goroutines finish a campaign that still equals
+// the in-process run.
+func TestFleetLeasesAcrossBenchmarks(t *testing.T) {
+	spec, cfg, specJSON := fleetSpec(t, "fleet-cross", "canneal", "bzip2")
+	want, err := inject.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	started := make(chan string, len(cfg.Benchmarks)) // one send per benchmark
+	e := &Engine{
+		Store:        testStore(t, cfg, spec.ID),
+		Fleet:        f,
+		Spec:         specJSON,
+		ShardSize:    cfg.InjectionsPerBenchmark, // one shard per benchmark
+		ShardTimeout: 30 * time.Second,
+		OnEvent: func(ev Event) {
+			if ev.Type == EventBenchmarkStart {
+				started <- ev.Bench
+			}
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var got *inject.CampaignResult
+	var runErr error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		got, runErr = e.Run(ctx, cfg)
+	}()
+	defer func() { cancel(); <-ran }()
+	awaitStart := func(bench string) {
+		t.Helper()
+		select {
+		case b := <-started:
+			if b != bench {
+				t.Fatalf("benchmark_start for %s, want %s", b, bench)
+			}
+		case <-ran:
+			t.Fatalf("campaign ended before %s started: %v", bench, runErr)
+		case <-ctx.Done():
+			t.Fatalf("%s never started", bench)
+		}
+	}
+	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: spec.ID})
+	lease := func(c *rawConn, benchAt int) {
+		t.Helper()
+		if got := c.replyType(hello); got != wire.MsgWelcome {
+			t.Fatalf("hello: reply type %d, want welcome", got)
+		}
+		m, err := c.roundTrip(wire.AppendLeaseReq(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != wire.MsgLease {
+			t.Fatalf("lease request: reply type %d, want a lease on benchmark %d", m.Type, benchAt)
+		}
+		if m.Lease.BenchAt != benchAt || m.Lease.Bench != cfg.Benchmarks[benchAt] || len(m.Lease.Indices) != cfg.InjectionsPerBenchmark {
+			t.Fatalf("leased %s (benchmark %d, %d indices), want all of benchmark %d",
+				m.Lease.Bench, m.Lease.BenchAt, len(m.Lease.Indices), benchAt)
+		}
+	}
+
+	awaitStart("canneal")
+	a := dialRaw(t, f.Addr())
+	lease(a, 0)
+	awaitStart("bzip2")
+	b := dialRaw(t, f.Addr())
+	lease(b, 1)
+	a.conn.Close()
+	b.conn.Close()
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunWorker(ctx, WorkerOptions{
+				Coordinator:   f.Addr(),
+				Campaign:      spec.ID,
+				Name:          fmt.Sprintf("x%d", i),
+				FlushInterval: 5 * time.Millisecond,
+				RetryInterval: 20 * time.Millisecond,
+				MaxDials:      600,
+			})
+		}(i)
+	}
+	<-ran
+	wg.Wait()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	for i, werr := range errs {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	if n := f.Stats().Requeues; n != 2 {
+		t.Errorf("%d requeues, want 2 (one per dropped session)", n)
+	}
+	got.Normalize()
+	want.Normalize()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cross-benchmark fleet result diverges:\n got %+v\nwant %+v", got.Total, want.Total)
 	}
 }
 

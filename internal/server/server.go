@@ -573,9 +573,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams campaign progress as server-sent events: one
-// `data: <Event JSON>` line per engine event, starting with a synthetic
-// status event, ending with campaign_done/campaign_failed built from the
-// settled campaign state.
+// `data: <Event JSON>` line per event, starting with a synthetic status
+// event, ending with campaign_done/campaign_failed built from the settled
+// campaign state. Outcomes are coalesced (see broadcaster): each wake-up
+// writes the queued lifecycle events in order, then the newest outcome,
+// then flushes once; a closed broadcaster's last drain precedes the
+// terminal event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(r.PathValue("id"))
 	if c == nil {
@@ -591,20 +594,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
+	// send writes one event into the response's buffer; the caller
+	// flushes once per batch.
 	send := func(ev Event) bool {
 		data, err := json.Marshal(ev)
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err = fmt.Fprintf(w, "data: %s\n\n", data)
+		return err == nil
 	}
 
-	ch, cancel := c.events.subscribe()
-	defer cancel()
+	sub := c.events.subscribe()
+	defer c.events.unsubscribe(sub)
 	// Synthetic opening event with current progress; for a finished
 	// campaign (closed broadcaster) it doubles as the terminal event.
 	st := c.status()
@@ -619,30 +621,39 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !send(first) {
 		return
 	}
+	flusher.Flush()
 	if first.Type == EventCampaignDone || first.Type == EventCampaignFailed {
 		return
 	}
+	var batch []Event
 	for {
 		select {
-		case ev, ok := <-ch:
-			if !ok {
-				// Broadcaster closed: the campaign settled while we
-				// streamed, and its state is final.
-				state, errMsg := c.snapshotState()
-				st := c.status()
-				if state == "failed" {
-					send(Event{Type: EventCampaignFailed, Campaign: c.id, Done: st.Done, Total: st.Total, Err: errMsg})
-				} else {
-					send(Event{Type: EventCampaignDone, Campaign: c.id, Done: st.Done, Total: st.Total})
-				}
-				return
-			}
-			if !send(ev) {
-				return
-			}
+		case <-sub.wake:
 		case <-r.Context().Done():
 			return
 		case <-s.ctx.Done():
+			return
+		}
+		var closed bool
+		batch, closed = c.events.drain(sub, batch[:0])
+		for _, ev := range batch {
+			if !send(ev) {
+				return
+			}
+		}
+		if closed {
+			// Broadcaster closed: the campaign settled while we streamed,
+			// and its state is final.
+			state, errMsg := c.snapshotState()
+			st := c.status()
+			if state == "failed" {
+				send(Event{Type: EventCampaignFailed, Campaign: c.id, Done: st.Done, Total: st.Total, Err: errMsg})
+			} else {
+				send(Event{Type: EventCampaignDone, Campaign: c.id, Done: st.Done, Total: st.Total})
+			}
+		}
+		flusher.Flush()
+		if closed {
 			return
 		}
 	}
@@ -692,11 +703,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	total := len(s.campaigns)
 	running := 0
 	dropped := 0
+	var sseDropped int64
 	for _, c := range s.campaigns {
 		if state, _ := c.snapshotState(); state == "running" {
 			running++
 		}
 		dropped += c.store.Dropped()
+		sseDropped += c.events.droppedCount()
 	}
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -708,6 +721,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "xentry_shard_retries_total %d\n", s.shardRetries.Load())
 	fmt.Fprintf(w, "xentry_worker_deaths_total %d\n", s.workerDeaths.Load())
 	fmt.Fprintf(w, "xentry_wal_records_dropped_total %d\n", dropped)
+	fmt.Fprintf(w, "xentry_sse_events_dropped_total %d\n", sseDropped)
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"dead\"} %d\n", s.prunedDead.Load())
 	fmt.Fprintf(w, "xentry_pruned_total{reason=\"converged\"} %d\n", s.prunedConverged.Load())
 	s.prunedMu.Lock()
@@ -784,49 +798,102 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// subscriberQueue bounds each subscriber's queue of lifecycle events.
+// Outcomes never take a slot, so the queue holds only the few events per
+// shard lease published while the handler writes, and fills only behind
+// a client that stopped reading. Overflow drops lifecycle events
+// (counted), never progress.
+const subscriberQueue = 1024
+
 // broadcaster fans engine events out to any number of SSE subscribers.
-// Slow subscribers drop events rather than stalling workers; the terminal
-// event is synthesized by the handler from campaign state, so a drop never
-// wedges a client.
+// Lifecycle events queue per subscriber in publish order; outcome events
+// coalesce into one slot per subscriber that holds the newest. Slow
+// subscribers drop lifecycle events rather than stalling workers; the
+// terminal event is synthesized by the handler from campaign state, so a
+// drop never wedges a client.
 type broadcaster struct {
 	mu     sync.Mutex
-	subs   map[chan Event]struct{}
+	subs   map[*subscriber]struct{}
 	closed bool
+	// dropped counts lifecycle events lost to full subscriber queues.
+	dropped int64
+}
+
+// subscriber is one event stream's pending state, guarded by the
+// broadcaster's mu. wake holds at most one pending wake-up, so a burst of
+// publishes costs the handler one drain and one flush.
+type subscriber struct {
+	wake  chan struct{}
+	queue []Event
+	// outcome is the newest outcome accepted, pending until drained. An
+	// outcome with a lower Done than it is stale and skipped, so the
+	// outcomes a client sees never go back in progress.
+	outcome Event
+	pending bool
 }
 
 func newBroadcaster() *broadcaster {
-	return &broadcaster{subs: map[chan Event]struct{}{}}
+	return &broadcaster{subs: map[*subscriber]struct{}{}}
 }
 
-func (b *broadcaster) subscribe() (<-chan Event, func()) {
-	ch := make(chan Event, 256)
+func (b *broadcaster) subscribe() *subscriber {
+	sub := &subscriber{wake: make(chan struct{}, 1)}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		close(ch)
-		b.mu.Unlock()
-		return ch, func() {}
+		sub.poke()
+	} else {
+		b.subs[sub] = struct{}{}
 	}
-	b.subs[ch] = struct{}{}
+	return sub
+}
+
+func (b *broadcaster) unsubscribe(sub *subscriber) {
+	b.mu.Lock()
+	delete(b.subs, sub)
 	b.mu.Unlock()
-	return ch, func() {
-		b.mu.Lock()
-		if _, ok := b.subs[ch]; ok {
-			delete(b.subs, ch)
-			close(ch)
-		}
-		b.mu.Unlock()
-	}
 }
 
 func (b *broadcaster) publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for ch := range b.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop
+	for sub := range b.subs {
+		switch {
+		case ev.Type == EventOutcome:
+			if ev.Done < sub.outcome.Done {
+				continue
+			}
+			sub.outcome, sub.pending = ev, true
+		case len(sub.queue) < subscriberQueue:
+			sub.queue = append(sub.queue, ev)
+		default:
+			b.dropped++
+			continue
 		}
+		sub.poke()
 	}
+}
+
+// drain appends sub's pending events to dst, queued lifecycle events in
+// publish order and then the pending outcome, and reports whether the
+// broadcaster has closed. Everything published before the close is in
+// the drain that reports it.
+func (b *broadcaster) drain(sub *subscriber, dst []Event) ([]Event, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	dst = append(dst, sub.queue...)
+	sub.queue = sub.queue[:0]
+	if sub.pending {
+		dst = append(dst, sub.outcome)
+		sub.pending = false
+	}
+	return dst, b.closed
+}
+
+func (b *broadcaster) droppedCount() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dropped
 }
 
 func (b *broadcaster) close() {
@@ -836,8 +903,15 @@ func (b *broadcaster) close() {
 		return
 	}
 	b.closed = true
-	for ch := range b.subs {
-		close(ch)
-		delete(b.subs, ch)
+	for sub := range b.subs {
+		sub.poke()
+		delete(b.subs, sub)
+	}
+}
+
+func (sub *subscriber) poke() {
+	select {
+	case sub.wake <- struct{}{}:
+	default:
 	}
 }

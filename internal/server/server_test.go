@@ -3,12 +3,14 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xentry/internal/inject"
 )
@@ -151,13 +153,95 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	}
 
 	// Metrics endpoint serves the counter page.
+	if page := metricsPage(t, client); !strings.Contains(page, "\nxentry_sse_events_dropped_total ") {
+		t.Errorf("/metrics lacks xentry_sse_events_dropped_total:\n%s", page)
+	}
+	_ = s
+}
+
+// metricsPage fetches the /metrics text.
+func metricsPage(t *testing.T, client *Client) string {
+	t.Helper()
 	resp, err := http.Get(strings.TrimRight(client.Base, "/") + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("metrics status = %v", resp.Status)
+		t.Fatalf("metrics status = %v", resp.Status)
 	}
-	_ = s
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestServerEventsCoalesceOutcomes pins the SSE contract under a burst the
+// client does not read: 1,000 outcome events with rising Done, interleaved
+// with 300 lifecycle events, then the settle-and-close runCampaign does.
+// Every lifecycle event arrives, in publish order; outcome Done never
+// decreases and ends at the last outcome published; nothing is dropped;
+// and the terminal event comes last.
+func TestServerEventsCoalesceOutcomes(t *testing.T) {
+	const outcomes, lifecycle = 1000, 300
+	s, client := testServer(t)
+	cfg := testCampaignConfig()
+	c := &campaign{id: "burst", spec: CampaignSpec{Benchmarks: cfg.Benchmarks}, total: outcomes,
+		store: testStore(t, cfg, "burst"), events: newBroadcaster(), state: "running", started: time.Now()}
+	s.mu.Lock()
+	s.campaigns[c.id] = c
+	s.order = append(s.order, c.id)
+	s.mu.Unlock()
+
+	var got []Event
+	err := client.StreamEvents(context.Background(), c.id, func(ev Event) {
+		got = append(got, ev)
+		if ev.Type != "status" {
+			return
+		}
+		// The handler has subscribed, and the client reads nothing more
+		// until this callback returns.
+		seq := 0
+		for done := 1; done <= outcomes; done++ {
+			c.events.publish(Event{Type: EventOutcome, Campaign: c.id, Done: done, Total: outcomes})
+			if done%10 < 3 {
+				c.events.publish(Event{Type: EventShardStart, Campaign: c.id, Shard: seq, Done: done, Total: outcomes})
+				seq++
+			}
+		}
+		c.mu.Lock()
+		c.state = "done"
+		c.mu.Unlock()
+		c.events.close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || got[len(got)-1].Type != EventCampaignDone {
+		t.Fatalf("stream of %d events did not end with campaign_done", len(got))
+	}
+	shards, lastDone := 0, 0
+	for _, ev := range got[1 : len(got)-1] {
+		switch ev.Type {
+		case EventShardStart:
+			if ev.Shard != shards {
+				t.Fatalf("lifecycle event %d arrived as number %d", ev.Shard, shards)
+			}
+			shards++
+		case EventOutcome:
+			if ev.Done < lastDone {
+				t.Fatalf("outcome Done fell from %d to %d", lastDone, ev.Done)
+			}
+			lastDone = ev.Done
+		default:
+			t.Fatalf("unexpected %s event inside the stream", ev.Type)
+		}
+	}
+	if shards != lifecycle || lastDone != outcomes {
+		t.Errorf("saw %d lifecycle events and outcomes up to Done=%d, want %d and %d", shards, lastDone, lifecycle, outcomes)
+	}
+	if page := metricsPage(t, client); !strings.Contains(page, "\nxentry_sse_events_dropped_total 0\n") {
+		t.Errorf("/metrics does not report 0 dropped SSE events:\n%s", page)
+	}
 }

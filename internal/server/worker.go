@@ -154,9 +154,10 @@ func (st *workerState) configure(spec []byte) error {
 }
 
 // benchRun returns the prepared run for one benchmark, caching the most
-// recent one — benchmarks execute sequentially, so a single slot keeps
-// memory bounded while still amortizing the golden run and checkpoint
-// pool across every shard of the benchmark.
+// recent one — the coordinator queues shards in benchmark order, so a
+// single slot keeps memory bounded while still amortizing the golden run
+// and checkpoint pool across every shard of the benchmark. Only a
+// requeued shard, which rejoins at the tail, can cost a second prepare.
 func (st *workerState) benchRun(at int, bench string) (*inject.BenchmarkRun, *inject.Worker, error) {
 	if at < 0 || at >= len(st.cfg.Benchmarks) || st.cfg.Benchmarks[at] != bench {
 		return nil, nil, fmt.Errorf("worker: lease names benchmark %q at %d, campaign has %v", bench, at, st.cfg.Benchmarks)

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Fleet smoke: boot a coordinator with a fleet listener, run one campaign
-# across three real xentry-worker processes, kill one of them mid-flight
-# (its lease requeues to the survivors), and require the fleet campaign's
+# Fleet smoke: boot a coordinator with a fleet listener, run one
+# two-benchmark campaign across three real xentry-worker processes (so
+# leases cross a benchmark boundary), kill one of them mid-flight (its
+# lease requeues to the survivors), and require the fleet campaign's
 # final report to be byte-identical to the same campaign executed in
 # process on the coordinator (inject.ResumeCampaign writing into the
 # store). This is the end-to-end proof that the binary data plane changes
@@ -66,7 +67,7 @@ await() {
     return 1
 }
 
-spec='{"id":"smoke","benchmarks":["canneal"],"injections_per_benchmark":3000,"activations":48,"seed":29,"recovery":"microreboot","execution":"fleet"}'
+spec='{"id":"smoke","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"recovery":"microreboot","execution":"fleet"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$spec" "http://$api/campaigns" >/dev/null
 
 # Kill one worker once outcomes are flowing — its lease must requeue to
@@ -83,7 +84,7 @@ await smoke
 curl -fsS "http://$api/campaigns/smoke/result" >"$bin/fleet-report.json"
 
 # Reference: the identical campaign run in process.
-poolspec='{"id":"smoke-pool","benchmarks":["canneal"],"injections_per_benchmark":3000,"activations":48,"seed":29,"recovery":"microreboot"}'
+poolspec='{"id":"smoke-pool","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"recovery":"microreboot"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$poolspec" "http://$api/campaigns" >/dev/null
 await smoke-pool
 curl -fsS "http://$api/campaigns/smoke-pool/result" >"$bin/pool-report.json"
