@@ -199,11 +199,11 @@ type TrainResult struct {
 	DecisionTreeDepth, RandomDeep int
 }
 
-// Train collects a training and a held-out testing dataset from injection
-// and fault-free runs (the paper's ~23,400/~17,700 run split), trains both
-// tree algorithms, and evaluates them on the testing set.
-func Train(sc Scale) (*TrainResult, error) {
-	trainCfg := inject.DatasetConfig{
+// DatasetConfigs returns the training and held-out testing collections
+// the scale describes (the paper's ~23,400/~17,700 run split), over every
+// benchmark in PV mode.
+func DatasetConfigs(sc Scale) (train, test inject.DatasetConfig) {
+	train = inject.DatasetConfig{
 		Benchmarks:             workload.Names(),
 		Mode:                   workload.PV,
 		FaultFreeRuns:          sc.TrainFaultFreeRuns,
@@ -212,14 +212,22 @@ func Train(sc Scale) (*TrainResult, error) {
 		Seed:                   sc.Seed,
 		Workers:                sc.Workers,
 	}
+	test = train
+	test.FaultFreeRuns = sc.TestFaultFreeRuns
+	test.InjectionsPerBenchmark = sc.TestInjections / len(workload.Names())
+	test.Seed = sc.Seed + 777777
+	return train, test
+}
+
+// Train collects a training and a held-out testing dataset from injection
+// and fault-free runs (DatasetConfigs), trains both tree algorithms, and
+// evaluates them on the testing set.
+func Train(sc Scale) (*TrainResult, error) {
+	trainCfg, testCfg := DatasetConfigs(sc)
 	trainSet, err := inject.CollectDataset(trainCfg)
 	if err != nil {
 		return nil, err
 	}
-	testCfg := trainCfg
-	testCfg.FaultFreeRuns = sc.TestFaultFreeRuns
-	testCfg.InjectionsPerBenchmark = sc.TestInjections / len(workload.Names())
-	testCfg.Seed = sc.Seed + 777777
 	testSet, err := inject.CollectDataset(testCfg)
 	if err != nil {
 		return nil, err

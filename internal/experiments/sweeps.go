@@ -7,7 +7,6 @@ import (
 	"xentry/internal/inject"
 	"xentry/internal/ml"
 	"xentry/internal/stats"
-	"xentry/internal/workload"
 )
 
 // The paper's Section III-B ends with: "Due to the space limit, we omit the
@@ -52,23 +51,11 @@ type SizeRow struct {
 
 // Sweeps collects one train/test split and runs all four studies on it.
 func Sweeps(sc Scale) (*SweepResult, error) {
-	trainCfg := inject.DatasetConfig{
-		Benchmarks:             workload.Names(),
-		Mode:                   workload.PV,
-		FaultFreeRuns:          sc.TrainFaultFreeRuns,
-		Activations:            sc.Activations,
-		InjectionsPerBenchmark: sc.TrainInjections / len(workload.Names()),
-		Seed:                   sc.Seed,
-		Workers:                sc.Workers,
-	}
+	trainCfg, testCfg := DatasetConfigs(sc)
 	trainSet, err := inject.CollectDataset(trainCfg)
 	if err != nil {
 		return nil, err
 	}
-	testCfg := trainCfg
-	testCfg.FaultFreeRuns = sc.TestFaultFreeRuns
-	testCfg.InjectionsPerBenchmark = sc.TestInjections / len(workload.Names())
-	testCfg.Seed = sc.Seed + 777777
 	testSet, err := inject.CollectDataset(testCfg)
 	if err != nil {
 		return nil, err

@@ -43,9 +43,11 @@ type DatasetConfig struct {
 	// detection switch; dataset bytes are bit-identical either way (the
 	// differential tests prove it).
 	LegacyDetection bool
-	// DisablePrune forces every injection run to its full activation
-	// budget (see Runner.DisablePrune); dataset bytes are bit-identical
-	// either way (the differential tests prove it).
+	// DisablePrune turns off dead-value pre-pruning, so every injection
+	// run executes its injected activation; dataset bytes are
+	// bit-identical either way (the differential tests prove it). Dataset
+	// runs never execute past the injected activation, pruned or not: the
+	// sample is its VM-entry signature.
 	DisablePrune bool
 }
 
@@ -68,6 +70,11 @@ func DefaultDatasetConfig(seed int64) DatasetConfig {
 // corruptions with golden-identical signatures are excluded — they are not
 // incorrect *control flow*, and the transition detector by construction
 // cannot see them (they form Table II's undetected classes instead).
+//
+// Per benchmark, samples come in a fixed order: fault-free run 0, runs
+// 1…FaultFreeRuns−1, then the injections in plan order. Run 0 shares the
+// injection runner's configuration, so its samples are the runner's golden
+// run rather than a second simulation of it.
 func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 	if len(cfg.Benchmarks) == 0 {
 		cfg.Benchmarks = workload.Names()
@@ -81,22 +88,18 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 	}
 	var dataset ml.Dataset
 
-	for bi, bench := range cfg.Benchmarks {
+	for bi := range cfg.Benchmarks {
+		runner, plans, err := cfg.prepare(bi)
+		if err != nil {
+			return nil, err
+		}
 		// Correct samples from fault-free runs.
 		for run := 0; run < cfg.FaultFreeRuns; run++ {
-			simCfg := sim.Config{
-				Benchmark:       bench,
-				Mode:            cfg.Mode,
-				Domains:         3,
-				Seed:            cfg.Seed + int64(bi)*1543 + int64(run)*389,
-				Detection:       core.FullDetection(),
-				SlowPath:        cfg.SlowPath,
-				SwitchDispatch:  cfg.SwitchDispatch,
-				LegacyDetection: cfg.LegacyDetection,
-			}
-			acts, err := sim.GoldenRun(simCfg, cfg.Activations)
-			if err != nil {
-				return nil, fmt.Errorf("inject: dataset golden run: %w", err)
+			acts := runner.Golden
+			if run > 0 {
+				if acts, err = sim.GoldenRun(cfg.simConfig(bi, run), cfg.Activations); err != nil {
+					return nil, fmt.Errorf("inject: dataset golden run: %w", err)
+				}
 			}
 			for _, a := range acts {
 				if a.Outcome.HasFeatures {
@@ -105,30 +108,8 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 			}
 		}
 
-		// Incorrect samples from injections (no model installed — this is
-		// the data the model will be trained on).
-		simCfg := sim.Config{
-			Benchmark:       bench,
-			Mode:            cfg.Mode,
-			Domains:         3,
-			Seed:            cfg.Seed + int64(bi)*1543,
-			Detection:       core.FullDetection(),
-			SlowPath:        cfg.SlowPath,
-			SwitchDispatch:  cfg.SwitchDispatch,
-			LegacyDetection: cfg.LegacyDetection,
-		}
-		runner, err := NewRunner(simCfg, cfg.Activations, nil)
-		if err != nil {
-			return nil, fmt.Errorf("inject: dataset runner: %w", err)
-		}
-		runner.DisablePrune = cfg.DisablePrune
-		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(bi+3)*6151))
-		plans := make([]Plan, cfg.InjectionsPerBenchmark)
-		for i := range plans {
-			plans[i] = runner.RandomPlan(rng)
-		}
-		// RunCampaign's claim loop: per-worker reusable machines, plans
-		// claimed in activation order.
+		// Incorrect samples from injections. RunCampaign's claim loop:
+		// per-worker reusable machines, plans claimed in activation order.
 		outcomes := make([]Outcome, len(plans))
 		err = claimPlans(context.Background(), workers, runner, plans, ActivationOrder(plans),
 			func(i int, o Outcome) error {
@@ -145,4 +126,38 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 		}
 	}
 	return dataset, nil
+}
+
+// simConfig is the machine of benchmark bi's fault-free run `run`; run 0
+// is also the injection runner's machine.
+func (cfg DatasetConfig) simConfig(bi, run int) sim.Config {
+	return sim.Config{
+		Benchmark:       cfg.Benchmarks[bi],
+		Mode:            cfg.Mode,
+		Domains:         3,
+		Seed:            cfg.Seed + int64(bi)*1543 + int64(run)*389,
+		Detection:       core.FullDetection(),
+		SlowPath:        cfg.SlowPath,
+		SwitchDispatch:  cfg.SwitchDispatch,
+		LegacyDetection: cfg.LegacyDetection,
+	}
+}
+
+// prepare builds benchmark bi's injection runner and draws its plans. No
+// model is installed: this is the data the model will be trained on. The
+// runner stops each run at the injected activation's VM entry, where the
+// sample's signature is final.
+func (cfg DatasetConfig) prepare(bi int) (*Runner, []Plan, error) {
+	runner, err := NewRunner(cfg.simConfig(bi, 0), cfg.Activations, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("inject: dataset runner: %w", err)
+	}
+	runner.DisablePrune = cfg.DisablePrune
+	runner.featuresOnly = true
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(bi+3)*6151))
+	plans := make([]Plan, cfg.InjectionsPerBenchmark)
+	for i := range plans {
+		plans[i] = runner.RandomPlan(rng)
+	}
+	return runner, plans, nil
 }

@@ -222,6 +222,14 @@ type Runner struct {
 	// the first plan is drawn or run.
 	Targets []string
 
+	// featuresOnly stops every injection run at its injected activation's
+	// VM entry, after the dead-value pre-prune: the outcome's signature
+	// fields (HasFeatures, FeaturesDiffer, Features) are final there, and
+	// they are all that training-data collection reads. Only
+	// CollectDataset's runners set it; every other field of such an
+	// outcome is unfinished.
+	featuresOnly bool
+
 	ckptOnce sync.Once
 	ckptErr  error
 	// pool[j] is the machine state immediately before activation j*poolK,
@@ -733,6 +741,9 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	o.HasFeatures = act.Outcome.HasFeatures
 	o.FeaturesDiffer = act.Outcome.HasFeatures &&
 		act.Outcome.Features != r.Golden[plan.Activation].Outcome.Features
+	if r.featuresOnly {
+		return o, nil
+	}
 	latencyBase := sub(res.Steps, activatedStep)
 	o.foldVerdict(plan.Activation, &act, latencyBase)
 

@@ -10,100 +10,98 @@ package isa
 // RIP is excluded from both sets: a flip in RIP is always activated at the
 // next fetch and is handled specially by the injector.
 
+// RegSet is a set of registers, bit r standing for register r. The
+// activation analysis tests membership on every traced instruction, so a
+// set is a word, not a slice.
+type RegSet uint32
+
+// regBit is r's member bit. A shift by the word width or more is zero in
+// Go, so a NoReg (0xFF) operand contributes no member.
+func regBit(r Reg) RegSet { return 1 << r }
+
+// Has reports whether r is a member.
+func (s RegSet) Has(r Reg) bool { return s&regBit(r) != 0 }
+
 // Reads returns the registers the instruction reads.
-func (in Instr) Reads() []Reg {
+func (in Instr) Reads() RegSet {
 	switch in.Op {
 	case OpNop, OpHlt, OpMovImm, OpJmp, OpVMEntry:
-		return nil
+		return 0
 	case OpMov:
-		return []Reg{in.Src}
+		return regBit(in.Src)
 	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv:
-		return []Reg{in.Dst, in.Src}
+		return regBit(in.Dst) | regBit(in.Src)
 	case OpAddImm, OpSubImm, OpAndImm, OpOrImm, OpXorImm, OpShlImm, OpShrImm:
-		return []Reg{in.Dst}
+		return regBit(in.Dst)
 	case OpCmp, OpTest:
-		return []Reg{in.Dst, in.Src}
+		return regBit(in.Dst) | regBit(in.Src)
 	case OpCmpImm, OpTestImm:
-		return []Reg{in.Dst}
+		return regBit(in.Dst)
 	case OpJe, OpJne, OpJl, OpJle, OpJg, OpJge, OpJb, OpJae, OpJs, OpJns:
-		return []Reg{RFLAGS}
+		return regBit(RFLAGS)
 	case OpJmpReg:
-		return []Reg{in.Dst}
+		return regBit(in.Dst)
 	case OpLoop:
-		return []Reg{RCX}
+		return regBit(RCX)
 	case OpCall:
-		return []Reg{RSP}
+		return regBit(RSP)
 	case OpRet:
-		return []Reg{RSP}
+		return regBit(RSP)
 	case OpPush:
-		return []Reg{in.Src, RSP}
+		return regBit(in.Src) | regBit(RSP)
 	case OpPop:
-		return []Reg{RSP}
+		return regBit(RSP)
 	case OpLoad:
-		return []Reg{in.Base}
+		return regBit(in.Base)
 	case OpStore:
-		return []Reg{in.Src, in.Base}
+		return regBit(in.Src) | regBit(in.Base)
 	case OpRepMovs:
-		return []Reg{RCX, RSI, RDI}
+		return regBit(RCX) | regBit(RSI) | regBit(RDI)
 	case OpCpuid:
-		return []Reg{RAX}
+		return regBit(RAX)
 	case OpRdtsc:
-		return nil
+		return 0
 	case OpOut:
-		return []Reg{in.Src}
+		return regBit(in.Src)
 	case OpAssertEq, OpAssertNe, OpAssertLe, OpAssertGe:
-		return []Reg{in.Dst}
+		return regBit(in.Dst)
 	case OpAssertRange:
-		return []Reg{in.Dst, in.Src}
+		return regBit(in.Dst) | regBit(in.Src)
 	}
-	return nil
+	return 0
 }
 
 // Writes returns the registers the instruction writes.
-func (in Instr) Writes() []Reg {
+func (in Instr) Writes() RegSet {
 	switch in.Op {
 	case OpMovImm, OpMov, OpPop, OpLoad:
 		if in.Op == OpPop {
-			return []Reg{in.Dst, RSP}
+			return regBit(in.Dst) | regBit(RSP)
 		}
-		return []Reg{in.Dst}
+		return regBit(in.Dst)
 	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
 		OpAddImm, OpSubImm, OpAndImm, OpOrImm, OpXorImm, OpShlImm, OpShrImm:
-		return []Reg{in.Dst, RFLAGS}
+		return regBit(in.Dst) | regBit(RFLAGS)
 	case OpCmp, OpCmpImm, OpTest, OpTestImm:
-		return []Reg{RFLAGS}
+		return regBit(RFLAGS)
 	case OpLoop:
-		return []Reg{RCX}
+		return regBit(RCX)
 	case OpCall, OpRet:
-		return []Reg{RSP}
+		return regBit(RSP)
 	case OpPush:
-		return []Reg{RSP}
+		return regBit(RSP)
 	case OpRepMovs:
-		return []Reg{RCX, RSI, RDI}
+		return regBit(RCX) | regBit(RSI) | regBit(RDI)
 	case OpCpuid:
-		return []Reg{RAX, RBX, RCX, RDX}
+		return regBit(RAX) | regBit(RBX) | regBit(RCX) | regBit(RDX)
 	case OpRdtsc:
-		return []Reg{RAX, RDX}
+		return regBit(RAX) | regBit(RDX)
 	}
-	return nil
+	return 0
 }
 
 // ReadsReg reports whether the instruction reads r.
-func (in Instr) ReadsReg(r Reg) bool {
-	for _, x := range in.Reads() {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
+func (in Instr) ReadsReg(r Reg) bool { return in.Reads().Has(r) }
 
 // WritesReg reports whether the instruction writes r.
-func (in Instr) WritesReg(r Reg) bool {
-	for _, x := range in.Writes() {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
+func (in Instr) WritesReg(r Reg) bool { return in.Writes().Has(r) }

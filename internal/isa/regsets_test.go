@@ -5,54 +5,86 @@ import "testing"
 func TestReadWriteSets(t *testing.T) {
 	cases := []struct {
 		in     Instr
-		reads  []Reg
-		writes []Reg
+		reads  RegSet
+		writes RegSet
 	}{
-		{Instr{Op: OpMovImm, Dst: RAX}, nil, []Reg{RAX}},
-		{Instr{Op: OpMov, Dst: RAX, Src: RBX}, []Reg{RBX}, []Reg{RAX}},
-		{Instr{Op: OpAdd, Dst: RAX, Src: RBX}, []Reg{RAX, RBX}, []Reg{RAX, RFLAGS}},
-		{Instr{Op: OpCmp, Dst: RAX, Src: RBX}, []Reg{RAX, RBX}, []Reg{RFLAGS}},
-		{Instr{Op: OpJe}, []Reg{RFLAGS}, nil},
-		{Instr{Op: OpJmpReg, Dst: R9}, []Reg{R9}, nil},
-		{Instr{Op: OpLoop}, []Reg{RCX}, []Reg{RCX}},
-		{Instr{Op: OpPush, Src: RBP}, []Reg{RBP, RSP}, []Reg{RSP}},
-		{Instr{Op: OpPop, Dst: RBP}, []Reg{RSP}, []Reg{RBP, RSP}},
-		{Instr{Op: OpCall}, []Reg{RSP}, []Reg{RSP}},
-		{Instr{Op: OpRet}, []Reg{RSP}, []Reg{RSP}},
-		{Instr{Op: OpLoad, Dst: RAX, Base: RSI}, []Reg{RSI}, []Reg{RAX}},
-		{Instr{Op: OpStore, Src: RAX, Base: RDI}, []Reg{RAX, RDI}, nil},
-		{Instr{Op: OpRepMovs}, []Reg{RCX, RSI, RDI}, []Reg{RCX, RSI, RDI}},
-		{Instr{Op: OpCpuid}, []Reg{RAX}, []Reg{RAX, RBX, RCX, RDX}},
-		{Instr{Op: OpRdtsc}, nil, []Reg{RAX, RDX}},
-		{Instr{Op: OpAssertLe, Dst: RCX}, []Reg{RCX}, nil},
-		{Instr{Op: OpVMEntry}, nil, nil},
-		{Instr{Op: OpNop}, nil, nil},
+		{Instr{Op: OpMovImm, Dst: RAX}, 0, setOf(RAX)},
+		{Instr{Op: OpMov, Dst: RAX, Src: RBX}, setOf(RBX), setOf(RAX)},
+		{Instr{Op: OpAdd, Dst: RAX, Src: RBX}, setOf(RAX, RBX), setOf(RAX, RFLAGS)},
+		{Instr{Op: OpCmp, Dst: RAX, Src: RBX}, setOf(RAX, RBX), setOf(RFLAGS)},
+		{Instr{Op: OpJe}, setOf(RFLAGS), 0},
+		{Instr{Op: OpJmpReg, Dst: R9}, setOf(R9), 0},
+		{Instr{Op: OpLoop}, setOf(RCX), setOf(RCX)},
+		{Instr{Op: OpPush, Src: RBP}, setOf(RBP, RSP), setOf(RSP)},
+		{Instr{Op: OpPop, Dst: RBP}, setOf(RSP), setOf(RBP, RSP)},
+		{Instr{Op: OpCall}, setOf(RSP), setOf(RSP)},
+		{Instr{Op: OpRet}, setOf(RSP), setOf(RSP)},
+		{Instr{Op: OpLoad, Dst: RAX, Base: RSI}, setOf(RSI), setOf(RAX)},
+		{Instr{Op: OpStore, Src: RAX, Base: RDI}, setOf(RAX, RDI), 0},
+		{Instr{Op: OpRepMovs}, setOf(RCX, RSI, RDI), setOf(RCX, RSI, RDI)},
+		{Instr{Op: OpCpuid}, setOf(RAX), setOf(RAX, RBX, RCX, RDX)},
+		{Instr{Op: OpRdtsc}, 0, setOf(RAX, RDX)},
+		{Instr{Op: OpAssertLe, Dst: RCX}, setOf(RCX), 0},
+		{Instr{Op: OpVMEntry}, 0, 0},
+		{Instr{Op: OpNop}, 0, 0},
 	}
 	for _, c := range cases {
-		if got := c.in.Reads(); !sameRegs(got, c.reads) {
-			t.Errorf("%v Reads() = %v, want %v", c.in, got, c.reads)
+		if got := c.in.Reads(); got != c.reads {
+			t.Errorf("%v Reads() = %v, want %v", c.in, members(got), members(c.reads))
 		}
-		if got := c.in.Writes(); !sameRegs(got, c.writes) {
-			t.Errorf("%v Writes() = %v, want %v", c.in, got, c.writes)
+		if got := c.in.Writes(); got != c.writes {
+			t.Errorf("%v Writes() = %v, want %v", c.in, members(got), members(c.writes))
 		}
 	}
 }
 
-func sameRegs(a, b []Reg) bool {
-	if len(a) != len(b) {
-		return false
+// setOf builds the set of the given registers.
+func setOf(regs ...Reg) RegSet {
+	var s RegSet
+	for _, r := range regs {
+		s |= regBit(r)
 	}
-	seen := map[Reg]int{}
-	for _, r := range a {
-		seen[r]++
-	}
-	for _, r := range b {
-		seen[r]--
-		if seen[r] < 0 {
-			return false
+	return s
+}
+
+// members lists a set's registers in ascending order.
+func members(s RegSet) []Reg {
+	var out []Reg
+	for r := Reg(0); r < NumReg; r++ {
+		if s.Has(r) {
+			out = append(out, r)
 		}
 	}
-	return true
+	return out
+}
+
+// An unused operand (NoReg) is in no set, and no set holds NoReg.
+func TestNoRegContributesNoMember(t *testing.T) {
+	for _, in := range []Instr{
+		{Op: OpMov, Dst: NoReg, Src: NoReg},
+		{Op: OpAdd, Dst: NoReg, Src: NoReg},
+		{Op: OpStore, Src: NoReg, Base: NoReg},
+		{Op: OpPop, Dst: NoReg},
+	} {
+		if in.Reads()&^setOf(RSP) != 0 || in.Writes()&^setOf(RSP, RFLAGS) != 0 {
+			t.Errorf("%v: NoReg operands gave members reads=%v writes=%v",
+				in, members(in.Reads()), members(in.Writes()))
+		}
+		if in.ReadsReg(NoReg) || in.WritesReg(NoReg) {
+			t.Errorf("%v: NoReg reported as a member", in)
+		}
+	}
+}
+
+// Reading the sets allocates nothing: the fault hook and the dead-value
+// proofs test membership on every traced instruction.
+func TestRegSetsDoNotAllocate(t *testing.T) {
+	in := Instr{Op: OpRepMovs}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = in.ReadsReg(RSI) && in.WritesReg(RDI)
+	}); n != 0 {
+		t.Errorf("ReadsReg/WritesReg allocate %.0f times per call pair", n)
+	}
 }
 
 func TestReadsRegWritesReg(t *testing.T) {

@@ -70,23 +70,10 @@ func (d Dataset) Counts() (correct, incorrect int) {
 	return
 }
 
-// Split partitions the dataset by feature f at threshold t: left receives
-// samples with feature ≤ t.
-func (d Dataset) Split(f int, t uint64) (left, right Dataset) {
-	for _, s := range d {
-		if s.Features[f] <= t {
-			left = append(left, s)
-		} else {
-			right = append(right, s)
-		}
-	}
-	return
-}
+// Majority returns the majority class (true = correct).
+func (d Dataset) Majority() bool { return majority(d.Counts()) }
 
-// Majority returns the majority class (true = correct). Ties favour
+// majority is the class of c correct and i incorrect samples. Ties favour
 // correct, the safe default for a detector (prefer false negatives over
 // constant false positives when evidence is absent).
-func (d Dataset) Majority() bool {
-	c, i := d.Counts()
-	return c >= i
-}
+func majority(c, i int) bool { return c >= i }

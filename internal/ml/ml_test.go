@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,8 @@ func TestPaperWorkedExampleSelectsCleanCut(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d = append(d, NewSample(0, uint64(210+i*10), 0, 0, 0, false)) // RT > 200
 	}
-	s, ok := bestSplitOn(d, FeatRT, entropy(10, 5))
+	b := newBuilder(d, Config{MinLeaf: 1})
+	s, ok := b.bestSplitOn(FeatRT, 0, len(d), 10, 5, entropy(10, 5))
 	if !ok {
 		t.Fatal("no split found")
 	}
@@ -68,6 +70,9 @@ func TestPaperWorkedExampleSelectsCleanCut(t *testing.T) {
 	}
 	if math.Abs(s.gain-entropy(10, 5)) > 1e-12 {
 		t.Errorf("gain = %f, want full parent entropy for a perfect split", s.gain)
+	}
+	if s.leftC != 10 || s.leftI != 0 {
+		t.Errorf("left counts = %d correct, %d incorrect, want 10, 0", s.leftC, s.leftI)
 	}
 }
 
@@ -192,13 +197,14 @@ func TestFeatureNames(t *testing.T) {
 	}
 }
 
+// TestDatasetSplit checks the reference builder's partition.
 func TestDatasetSplit(t *testing.T) {
 	d := Dataset{
 		NewSample(0, 10, 0, 0, 0, true),
 		NewSample(0, 20, 0, 0, 0, false),
 		NewSample(0, 30, 0, 0, 0, true),
 	}
-	l, r := d.Split(FeatRT, 20)
+	l, r := splitRef(d, FeatRT, 20)
 	if len(l) != 2 || len(r) != 1 {
 		t.Errorf("split sizes = %d, %d", len(l), len(r))
 	}
@@ -355,4 +361,161 @@ func BenchmarkNaiveBayesClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nb.Classify(feats)
 	}
+}
+
+// The reference builder: tree induction as it was before presorting, which
+// sorts every candidate feature at every node and copies each split into
+// two new datasets. Train must grow exactly the tree it grows.
+
+// trainRef is Train on the reference builder.
+func trainRef(d Dataset, cfg Config) *Tree {
+	if cfg.MinLeaf < 1 {
+		cfg.MinLeaf = 1
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	return &Tree{Root: growRef(d, cfg, rng, 0), Cfg: cfg}
+}
+
+// bestSplitOnRef finds the best threshold for one feature by scanning
+// class boundaries of the value-sorted samples.
+func bestSplitOnRef(d Dataset, f int, parentEntropy float64) (split, bool) {
+	type vl struct {
+		v       uint64
+		correct bool
+	}
+	vals := make([]vl, len(d))
+	for i, s := range d {
+		vals[i] = vl{s.Features[f], s.Correct}
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+
+	totalC, totalI := d.Counts()
+	n := float64(len(d))
+	best := split{feature: f, gain: -1}
+	leftC, leftI := 0, 0
+	for i := 0; i < len(vals)-1; i++ {
+		if vals[i].correct {
+			leftC++
+		} else {
+			leftI++
+		}
+		if vals[i].v == vals[i+1].v {
+			continue
+		}
+		rightC, rightI := totalC-leftC, totalI-leftI
+		nl := float64(leftC + leftI)
+		nr := float64(rightC + rightI)
+		gain := parentEntropy - (nl/n*entropy(leftC, leftI) + nr/n*entropy(rightC, rightI))
+		if gain > best.gain {
+			best.gain = gain
+			best.threshold = vals[i].v
+		}
+	}
+	return best, best.gain >= 0
+}
+
+// growRef recursively builds nodes.
+func growRef(d Dataset, cfg Config, rng *rand.Rand, depth int) *Node {
+	c, i := d.Counts()
+	if c == 0 || i == 0 || len(d) < 2*cfg.MinLeaf ||
+		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
+		return &Node{Leaf: true, Correct: d.Majority()}
+	}
+	parentEntropy := entropy(c, i)
+
+	features := candidateFeatures(cfg, rng)
+	best := split{gain: -1}
+	found := false
+	for _, f := range features {
+		s, ok := bestSplitOnRef(d, f, parentEntropy)
+		if ok && s.gain > best.gain {
+			best = s
+			found = true
+		}
+	}
+	if !found || best.gain <= 0 {
+		if cfg.RandomFeatures > 0 {
+			for f := 0; f < NumFeatures; f++ {
+				s, ok := bestSplitOnRef(d, f, parentEntropy)
+				if ok && s.gain > best.gain {
+					best = s
+					found = true
+				}
+			}
+		}
+		if !found || best.gain <= 0 {
+			return &Node{Leaf: true, Correct: d.Majority()}
+		}
+	}
+	left, right := splitRef(d, best.feature, best.threshold)
+	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+		return &Node{Leaf: true, Correct: d.Majority()}
+	}
+	return &Node{
+		Feature:   best.feature,
+		Threshold: best.threshold,
+		Left:      growRef(left, cfg, rng, depth+1),
+		Right:     growRef(right, cfg, rng, depth+1),
+	}
+}
+
+// splitRef partitions the dataset by feature f at threshold t: left
+// receives samples with feature ≤ t.
+func splitRef(d Dataset, f int, t uint64) (left, right Dataset) {
+	for _, s := range d {
+		if s.Features[f] <= t {
+			left = append(left, s)
+		} else {
+			right = append(right, s)
+		}
+	}
+	return
+}
+
+// tiedDataset draws n samples whose feature values come from an alphabet
+// of `alphabet` multiples of step per feature (so values tie heavily),
+// labelled correct with probability 1/2, or all correct when oneClass is
+// set.
+func tiedDataset(rng *rand.Rand, n, alphabet int, step uint64, oneClass bool) Dataset {
+	d := make(Dataset, n)
+	for k := range d {
+		for f := range d[k].Features {
+			d[k].Features[f] = uint64(rng.Intn(alphabet)) * step
+		}
+		d[k].Correct = oneClass || rng.Intn(2) == 0
+	}
+	return d
+}
+
+// FuzzTrainMatchesReference checks the presorted builder against the
+// reference builder on tie-heavy random datasets, over decision and random
+// configurations with every MinLeaf and MaxDepth the checks name.
+func FuzzTrainMatchesReference(f *testing.F) {
+	for i := 0; i < 12; i++ {
+		f.Add(int64(i), uint16(20+i*37), uint8(i), uint8(i*21), uint8(i*7), int64(i*101))
+	}
+	f.Add(int64(99), uint16(1), uint8(0), uint8(0), uint8(0), int64(0))
+	f.Add(int64(5), uint16(2000), uint8(7), uint8(1), uint8(8), int64(3))
+	f.Fuzz(func(t *testing.T, dataSeed int64, n uint16, alphabet, shape, cfgSel uint8, treeSeed int64) {
+		size := 1 + int(n)%2500
+		// shape picks the label mix and the value magnitude, so the
+		// presort's radix passes see keys differing in any byte.
+		step := uint64(37) << (shape / 4 % 57)
+		d := tiedDataset(rand.New(rand.NewSource(dataSeed)), size, 1+int(alphabet)%8, step, shape%4 == 0)
+		cfg := Config{
+			MinLeaf:  []int{1, 2, 5}[cfgSel%3],
+			MaxDepth: []int{0, 2, 24}[(cfgSel/3)%3],
+			Seed:     treeSeed,
+		}
+		if cfgSel/9%2 == 1 {
+			cfg.RandomFeatures = PaperRandomFeatures
+		}
+		got, err := Train(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := trainRef(d, cfg); got.String() != want.String() {
+			t.Fatalf("cfg %+v, %d samples: presorted tree\n%s\nreference tree\n%s", cfg, size, got, want)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -66,49 +65,27 @@ func entropy(c, i int) float64 {
 }
 
 // split describes one candidate split and its information gain D
-// (paper Section III-B: D(T,Tl,Tr) = H(T) − (Pl·H(Tl) + Pr·H(Tr))).
+// (paper Section III-B: D(T,Tl,Tr) = H(T) − (Pl·H(Tl) + Pr·H(Tr))), with
+// the class counts of the samples it routes left.
 type split struct {
-	feature   int
-	threshold uint64
-	gain      float64
+	feature      int
+	threshold    uint64
+	gain         float64
+	leftC, leftI int
 }
 
-// bestSplitOn finds the best threshold for one feature by scanning class
-// boundaries of the value-sorted samples.
-func bestSplitOn(d Dataset, f int, parentEntropy float64) (split, bool) {
-	type vl struct {
-		v       uint64
-		correct bool
-	}
-	vals := make([]vl, len(d))
-	for i, s := range d {
-		vals[i] = vl{s.Features[f], s.Correct}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-
-	totalC, totalI := d.Counts()
-	n := float64(len(d))
-	best := split{feature: f, gain: -1}
-	leftC, leftI := 0, 0
-	for i := 0; i < len(vals)-1; i++ {
-		if vals[i].correct {
-			leftC++
-		} else {
-			leftI++
-		}
-		if vals[i].v == vals[i+1].v {
-			continue // threshold must separate distinct values
-		}
-		rightC, rightI := totalC-leftC, totalI-leftI
-		nl := float64(leftC + leftI)
-		nr := float64(rightC + rightI)
-		gain := parentEntropy - (nl/n*entropy(leftC, leftI) + nr/n*entropy(rightC, rightI))
-		if gain > best.gain {
-			best.gain = gain
-			best.threshold = vals[i].v
-		}
-	}
-	return best, best.gain >= 0
+// builder grows a tree on presorted columns: cols[f] holds sample indices
+// in ascending order of feature f, and every node owns the same index
+// range [lo, hi) of all five columns. A node scans its candidate columns
+// in order instead of sorting them, and a split stably partitions each
+// column's range in place, so both children's ranges stay sorted.
+type builder struct {
+	cfg     Config
+	rng     *rand.Rand
+	vals    [NumFeatures][]uint64 // vals[f][i]: feature f of sample i
+	correct []bool                // correct[i]: sample i's label
+	cols    [NumFeatures][]int32
+	scratch []int32 // right-hand side of one column's partition
 }
 
 // Train induces a tree on the dataset with the given configuration.
@@ -119,25 +96,87 @@ func Train(d Dataset, cfg Config) (*Tree, error) {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	root := grow(d, cfg, rng, 0)
+	b := newBuilder(d, cfg)
+	c, i := d.Counts()
+	root := b.grow(0, len(d), c, i, 0)
 	return &Tree{Root: root, Cfg: cfg}, nil
 }
 
-// grow recursively builds nodes.
-func grow(d Dataset, cfg Config, rng *rand.Rand, depth int) *Node {
-	c, i := d.Counts()
-	if c == 0 || i == 0 || len(d) < 2*cfg.MinLeaf ||
+// newBuilder sorts the dataset's sample indices once per feature.
+func newBuilder(d Dataset, cfg Config) *builder {
+	n := len(d)
+	b := &builder{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		correct: make([]bool, n),
+		scratch: make([]int32, n),
+	}
+	for k, s := range d {
+		b.correct[k] = s.Correct
+	}
+	for f := range b.cols {
+		v := make([]uint64, n)
+		col := make([]int32, n)
+		for k, s := range d {
+			v[k] = s.Features[f]
+			col[k] = int32(k)
+		}
+		sortByValue(col, b.scratch, v)
+		b.vals[f], b.cols[f] = v, col
+	}
+	return b
+}
+
+// sortByValue orders the sample indices in col by ascending v[index]
+// with a stable LSD radix sort, one pass per key byte that is not the same
+// in every key; tmp is scratch of col's length. Tie order is immaterial to
+// the tree: a threshold only ever falls between distinct values, where the
+// counts to its left do not depend on it.
+func sortByValue(col, tmp []int32, v []uint64) {
+	or, and := uint64(0), ^uint64(0)
+	for _, x := range v {
+		or |= x
+		and &= x
+	}
+	src, dst := col, tmp
+	for shift := 0; shift < 64; shift += 8 {
+		if byte((or^and)>>shift) == 0 {
+			continue // every key has this byte
+		}
+		var next [256]int32
+		for _, k := range src {
+			next[byte(v[k]>>shift)]++
+		}
+		sum := int32(0)
+		for d, c := range next {
+			next[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := byte(v[k] >> shift)
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(col, src) // a no-op unless the pass count was odd
+}
+
+// grow recursively builds the node over column range [lo, hi), which
+// holds c correct and i incorrect samples.
+func (b *builder) grow(lo, hi, c, i, depth int) *Node {
+	cfg := b.cfg
+	if c == 0 || i == 0 || hi-lo < 2*cfg.MinLeaf ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
-		return &Node{Leaf: true, Correct: d.Majority()}
+		return leafNode(c, i)
 	}
 	parentEntropy := entropy(c, i)
 
-	features := candidateFeatures(cfg, rng)
+	features := candidateFeatures(cfg, b.rng)
 	best := split{gain: -1}
 	found := false
 	for _, f := range features {
-		s, ok := bestSplitOn(d, f, parentEntropy)
+		s, ok := b.bestSplitOn(f, lo, hi, c, i, parentEntropy)
 		if ok && s.gain > best.gain {
 			best = s
 			found = true
@@ -148,7 +187,7 @@ func grow(d Dataset, cfg Config, rng *rand.Rand, depth int) *Node {
 		// like WEKA falling back when the drawn subset is uninformative.
 		if cfg.RandomFeatures > 0 {
 			for f := 0; f < NumFeatures; f++ {
-				s, ok := bestSplitOn(d, f, parentEntropy)
+				s, ok := b.bestSplitOn(f, lo, hi, c, i, parentEntropy)
 				if ok && s.gain > best.gain {
 					best = s
 					found = true
@@ -156,18 +195,80 @@ func grow(d Dataset, cfg Config, rng *rand.Rand, depth int) *Node {
 			}
 		}
 		if !found || best.gain <= 0 {
-			return &Node{Leaf: true, Correct: d.Majority()}
+			return leafNode(c, i)
 		}
 	}
-	left, right := d.Split(best.feature, best.threshold)
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
-		return &Node{Leaf: true, Correct: d.Majority()}
+	nl := best.leftC + best.leftI
+	if nl < cfg.MinLeaf || hi-lo-nl < cfg.MinLeaf {
+		return leafNode(c, i)
 	}
+	mid := lo + nl
+	b.partition(lo, hi, best.feature, best.threshold)
 	return &Node{
 		Feature:   best.feature,
 		Threshold: best.threshold,
-		Left:      grow(left, cfg, rng, depth+1),
-		Right:     grow(right, cfg, rng, depth+1),
+		Left:      b.grow(lo, mid, best.leftC, best.leftI, depth+1),
+		Right:     b.grow(mid, hi, c-best.leftC, i-best.leftI, depth+1),
+	}
+}
+
+// leafNode is a leaf of the majority class of c correct and i incorrect
+// samples.
+func leafNode(c, i int) *Node { return &Node{Leaf: true, Correct: majority(c, i)} }
+
+// bestSplitOn finds the best threshold for feature f over the node's
+// column range by scanning the class boundaries of its sorted order. Ties
+// in gain keep the lowest threshold.
+func (b *builder) bestSplitOn(f, lo, hi, totalC, totalI int, parentEntropy float64) (split, bool) {
+	col := b.cols[f][lo:hi]
+	v := b.vals[f]
+	n := float64(len(col))
+	best := split{feature: f, gain: -1}
+	leftC, leftI := 0, 0
+	for k := 0; k < len(col)-1; k++ {
+		if b.correct[col[k]] {
+			leftC++
+		} else {
+			leftI++
+		}
+		x := v[col[k]]
+		if x == v[col[k+1]] {
+			continue // threshold must separate distinct values
+		}
+		rightC, rightI := totalC-leftC, totalI-leftI
+		nl := float64(leftC + leftI)
+		nr := float64(rightC + rightI)
+		gain := parentEntropy - (nl/n*entropy(leftC, leftI) + nr/n*entropy(rightC, rightI))
+		if gain > best.gain {
+			best.gain = gain
+			best.threshold = x
+			best.leftC, best.leftI = leftC, leftI
+		}
+	}
+	return best, best.gain >= 0
+}
+
+// partition stably reorders every column's range [lo, hi) so the samples
+// with feature f ≤ t come first, keeping each side in its sorted order.
+// Column f is already in that order.
+func (b *builder) partition(lo, hi, f int, t uint64) {
+	v := b.vals[f]
+	for g := range b.cols {
+		if g == f {
+			continue
+		}
+		col := b.cols[g][lo:hi]
+		l, r := 0, 0
+		for _, k := range col {
+			if v[k] <= t {
+				col[l] = k
+				l++
+			} else {
+				b.scratch[r] = k
+				r++
+			}
+		}
+		copy(col[l:], b.scratch[:r])
 	}
 }
 

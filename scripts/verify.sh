@@ -22,9 +22,10 @@ go build ./...
 go vet ./...
 go test ./...
 # Golden digests (also in the full run above, where a cached pass may be
-# replayed): the quick report and two recovery-armed campaigns must stay
-# byte-identical to testdata/golden.txt. Uncached, so this run recomputes
-# them.
+# replayed): the five outputs testdata/golden.txt pins (the quick report,
+# two recovery-armed SMP campaigns, the default-K gpr campaign and the
+# quick training dataset) must stay byte-identical. Uncached, so this run
+# recomputes them.
 go test -count=1 -run TestGoldenDigests .
 go test -run '^$' -bench . -benchtime 1x ./...
 # Dual-dispatch differential fuzzing: a short deterministic-corpus run
@@ -49,6 +50,12 @@ go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
 # live recovery snapshots every VM exit through this path.
 go test -run 'FuzzUndoEpoch|TestUndoEpochDifferential' ./internal/mem/
 go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s ./internal/mem/
+# Tree-induction fuzzing: the presorted builder must grow exactly the
+# reference sort-per-node builder's tree on tie-heavy random datasets,
+# over decision and random configurations, because every trained model
+# and every report number downstream depends on it.
+go test -run FuzzTrainMatchesReference ./internal/ml/
+go test -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/ml/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Campaign lifecycle burst: the server's fleet sessions, tombstones and
 # settle-then-terminal-event ordering are timing-sensitive, so one race
