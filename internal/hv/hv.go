@@ -227,27 +227,30 @@ func NewSMP(numDomains, vcpus int) (*Hypervisor, error) {
 	return h, nil
 }
 
-// initDomain writes a domain's structures into hypervisor data memory.
+// initDomain writes a domain's structures into hypervisor data memory, in
+// a fixed order: the first write to each page copies it from the zero
+// page (or from a checkpoint) and journals it, so the write order is the
+// dirty journal's order.
 func (h *Hypervisor) initDomain(d *Domain) error {
 	base := DomAddr(d.ID)
 	priv := uint64(0)
 	if d.Privileged {
 		priv = 1
 	}
-	fields := map[uint64]uint64{
-		base + DomIDField:    uint64(d.ID),
-		base + DomNVcpus:     1,
-		base + DomTotPages:   4096,
-		base + DomMaxPages:   65536,
-		base + DomSharedInfo: SharedInfoAddr(d.ID),
-		base + DomPrivileged: priv,
-		base + DomEvtchnWord: EvtchnAddr(d.ID),
-	}
 	vb := VCPUAddr(d.VCPU)
-	fields[vb+VCPUDomID] = uint64(d.ID)
-	fields[vb+VCPUID] = uint64(d.VCPU)
-	for addr, val := range fields {
-		if err := h.Mem.Poke(addr, val); err != nil {
+	fields := [...]struct{ addr, val uint64 }{
+		{base + DomIDField, uint64(d.ID)},
+		{base + DomNVcpus, 1},
+		{base + DomTotPages, 4096},
+		{base + DomMaxPages, 65536},
+		{base + DomSharedInfo, SharedInfoAddr(d.ID)},
+		{base + DomPrivileged, priv},
+		{base + DomEvtchnWord, EvtchnAddr(d.ID)},
+		{vb + VCPUDomID, uint64(d.ID)},
+		{vb + VCPUID, uint64(d.VCPU)},
+	}
+	for _, f := range fields {
+		if err := h.Mem.Poke(f.addr, f.val); err != nil {
 			return err
 		}
 	}

@@ -37,7 +37,10 @@ func epochLayout() *Memory {
 //   - the incremental FoldFrom against every checkpoint must equal the
 //     from-scratch fold. Against the checkpoint m derives from, FoldFrom
 //     rehashes only the dirty journal, so this also catches a journal
-//     entry recorded twice.
+//     entry recorded twice;
+//   - the shared zero page every fresh region starts from must stay all
+//     zero and on no free list, which catches any write path that
+//     bypasses cowPage.
 //
 // A FlipTLBTag that hits an armed entry may send later accesses to the
 // wrong page, as the modelled soft error does, so the model is not
@@ -238,6 +241,7 @@ func (h *epochHarness) resync(flat map[string][]uint64) {
 
 func (h *epochHarness) verify() {
 	t := h.t
+	checkZeroPage(t, h.m, h.check, h.twin)
 	if !h.poisoned && !reflect.DeepEqual(h.m.Snapshot(), h.model) {
 		t.Fatal("memory differs from the model of every write so far")
 	}

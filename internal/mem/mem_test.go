@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -489,6 +490,100 @@ func TestCheckpointSharesUnchangedChunks(t *testing.T) {
 		for j, pg := range chunk.pages {
 			if &ra.pages[page&^chunkMask+j][0] != &pg[0] {
 				t.Fatalf("page %d of the differing chunk not reinstalled", page&^chunkMask+j)
+			}
+		}
+	}
+}
+
+// machineLayout maps the simulated machine's regions at their sizes for
+// three domains, as hv.MapMachineMemory does (mem cannot import hv).
+func machineLayout() *Memory {
+	m := New()
+	m.MustMap("hv_data", 0x100000, 0x10000, PermRW)
+	m.MustMap("hv_stack", 0x200000, 0x2000, PermRW)
+	m.MustMap("shared_info", 0x300000, 3*0x1000, PermRW)
+	m.MustMap("guest_buf", 0x400000, 3*0x10000, PermRW)
+	m.MustMap("mmio", 0x600000, 0x1000, PermRW)
+	return m
+}
+
+// isZeroPage reports whether pg is backed by the shared zero page.
+func isZeroPage(pg []uint64) bool { return &pg[0] == &zeroPage[0] }
+
+// TestMapSharesZeroPage: mapping the machine layout allocates page tables
+// but no page contents, every slot reads zero from the shared zero page,
+// and the first write copies exactly the written page (journaling it)
+// while its neighbours stay on the zero page.
+func TestMapSharesZeroPage(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := machineLayout()
+	runtime.ReadMemStats(&after)
+	var size uint64
+	for _, r := range m.Regions() {
+		size += r.Size
+		for p, pg := range r.pages {
+			if !isZeroPage(pg) || r.state[p] != pageShared {
+				t.Fatalf("%s page %d: not the shared zero page after Map", r.Name, p)
+			}
+		}
+	}
+	// The page tables are 25 bytes per 512-byte page.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size/8 {
+		t.Errorf("mapping %d bytes of memory allocated %d bytes", size, alloc)
+	}
+	r := m.Region("guest_buf")
+	words := make([]uint64, r.Size/8)
+	words[len(words)-1] = 1
+	if err := m.PeekRange(r.Start, words); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words {
+		if w != 0 {
+			t.Fatalf("guest_buf word %d = %#x on a fresh memory", i, w)
+		}
+	}
+
+	const page = 5
+	addr := r.Start + page*pageWords*8 + 16
+	if f := m.Store(addr, 0xfeed); f != FaultNone {
+		t.Fatal(f)
+	}
+	if v, _ := m.Read64(addr); v != 0xfeed {
+		t.Fatalf("read back %#x, want 0xfeed", v)
+	}
+	for _, reg := range m.Regions() {
+		for p, pg := range reg.pages {
+			written := reg == r && p == page
+			if isZeroPage(pg) == written || (reg.state[p] == pageShared) == written {
+				t.Errorf("%s page %d: zero page = %v, state %d after writing guest_buf page %d",
+					reg.Name, p, isZeroPage(pg), reg.state[p], page)
+			}
+		}
+		journaled := len(reg.dirty) == 1 && reg.dirty[0] == page
+		if reg == r && !journaled || reg != r && len(reg.dirty) != 0 {
+			t.Errorf("%s dirty journal = %v", reg.Name, reg.dirty)
+		}
+	}
+	checkZeroPage(t, m)
+}
+
+// checkZeroPage fails when the shared zero page holds a nonzero word,
+// which only a write that bypassed cowPage can cause, or sits on a free
+// list, from which cowPage would hand it out as a private page.
+func checkZeroPage(t testing.TB, mems ...*Memory) {
+	t.Helper()
+	for i, w := range zeroPage {
+		if w != 0 {
+			t.Fatalf("zero page word %d = %#x", i, w)
+		}
+	}
+	for _, m := range mems {
+		for _, r := range m.regions {
+			for _, pg := range r.freePages {
+				if isZeroPage(pg) {
+					t.Fatalf("region %s: the zero page is on the free list", r.Name)
+				}
 			}
 		}
 	}
