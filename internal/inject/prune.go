@@ -245,10 +245,11 @@ func (r *Runner) foldRefSuffix(o *Outcome, from int, runningLatency uint64) {
 // the fault-free stream) makes the armed engine a real asymmetry — a
 // live suffix fires a reboot that a folded one never would — so pruning
 // goes off. This check is two-stage: the golden stream inspected here is
-// recorded detector-free, so buildCheckpoints re-checks the refVerdicts
-// after the reference replay, where model false positives first surface,
-// and drops the prune tables on any hit. Legacy RecoverOnDetection needs
-// neither check — the reference replay recovers too, symmetrically.
+// recorded detector-free, so buildCheckpoints re-checks each refVerdict
+// during the reference replay, where model false positives first surface,
+// and stops recording and drops the prune tables at the first hit. Legacy
+// RecoverOnDetection needs neither check — the reference replay recovers
+// too, symmetrically.
 func (r *Runner) pruneEnabled() bool {
 	if r.DisablePrune || len(r.Cfg.Detectors) > 0 {
 		return false

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xentry/internal/core"
 	"xentry/internal/recovery"
 	"xentry/internal/workload"
 )
@@ -215,6 +216,46 @@ func TestMicrorebootModelPruneBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(pruned, full) {
 		t.Fatalf("engine-armed pruning diverges under a model\npruned: %+v\nfull:   %+v",
 			pruned.Total.Recovery, full.Total.Recovery)
+	}
+}
+
+// TestReferenceDetectionDropsPruneTables: under an armed engine, the
+// first detection in the reference replay turns pruning off and leaves the
+// runner with no pruning tables. The shape is the golden
+// campaign-policy-smp4's: 4 vCPUs, every site class, the recovery policy,
+// and a model trained on one vCPU, which flags fault-free SMP activations
+// the detector-free golden stream cannot show.
+func TestReferenceDetectionDropsPruneTables(t *testing.T) {
+	cfg := DefaultCampaign(8, 11)
+	cfg.Benchmarks = []string{"postmark"}
+	cfg.Activations = 60
+	cfg.VCPUs = 4
+	cfg.Targets = TargetNames()
+	cfg.Recovery = "policy"
+	cfg.Model = testModel(t)
+	br, err := PrepareBenchmark(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := br.Runner
+	if !r.pruneEnabled() {
+		t.Fatal("the golden stream carries a detection; the test needs the reference replay to find the first")
+	}
+	first := -1
+	for i, rv := range r.refs {
+		if rv.technique != core.TechNone {
+			first = i
+			break
+		}
+	}
+	if first < 0 || first == len(r.refs)-1 {
+		t.Fatalf("first reference detection at activation %d; want one before the last", first)
+	}
+	if r.fps != nil || r.traces != nil || r.ptAccs != nil || r.refHV != nil {
+		t.Errorf("runner keeps pruning tables after reference detection at activation %d", first)
+	}
+	if o, ok := r.prunePlan(br.Plans[0]); ok {
+		t.Errorf("plan %v pruned (%v) with pruning off", br.Plans[0], o.Pruned)
 	}
 }
 
