@@ -11,7 +11,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"xentry/internal/core"
 	"xentry/internal/detect"
@@ -311,29 +314,39 @@ type Fig7Result struct {
 
 // Fig7 replays identical workload streams under unmodified Xen, runtime
 // detection only, and full Xentry, and reports the added-cycle fractions.
+// The streams run on sc.Workers goroutines; their clocks are folded in
+// benchmark and run order.
 func Fig7(sc Scale, model *ml.Tree) (*Fig7Result, error) {
+	benches := workload.Names()
+	runs := sc.OverheadRuns
+	type clocks struct{ base, rt, full float64 }
+	measured := make([]clocks, len(benches)*runs)
+	err := parallel(sc.Workers, len(measured), func(i int) error {
+		bench, seed := benches[i/runs], sc.Seed+int64(i%runs)*51407
+		c := &measured[i]
+		var err error
+		if c.base, err = measureClock(bench, seed, sc.Activations, core.Options{}, nil); err != nil {
+			return err
+		}
+		if c.rt, err = measureClock(bench, seed, sc.Activations,
+			core.Options{RuntimeDetection: true}, nil); err != nil {
+			return err
+		}
+		c.full, err = measureClock(bench, seed, sc.Activations, core.FullDetection(), model)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig7Result{}
 	var sum float64
-	for _, bench := range workload.Names() {
+	for bi, bench := range benches {
 		row := Fig7Row{Benchmark: bench}
 		var rtSum, fullSum float64
-		for run := 0; run < sc.OverheadRuns; run++ {
-			seed := sc.Seed + int64(run)*51407
-			base, err := measureClock(bench, seed, sc.Activations, core.Options{}, nil)
-			if err != nil {
-				return nil, err
-			}
-			rt, err := measureClock(bench, seed, sc.Activations,
-				core.Options{RuntimeDetection: true}, nil)
-			if err != nil {
-				return nil, err
-			}
-			full, err := measureClock(bench, seed, sc.Activations, core.FullDetection(), model)
-			if err != nil {
-				return nil, err
-			}
-			rtOv := (rt - base) / base
-			fullOv := (full - base) / base
+		for run := 0; run < runs; run++ {
+			c := measured[bi*runs+run]
+			rtOv := (c.rt - c.base) / c.base
+			fullOv := (c.full - c.base) / c.base
 			rtSum += rtOv
 			fullSum += fullOv
 			if rtOv > row.RuntimeMax {
@@ -383,11 +396,38 @@ func (r *Fig7Result) Render() string {
 		100*r.AvgFull, t.String())
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// parallel calls f(0), …, f(n−1) on up to workers goroutines (0 =
+// GOMAXPROCS) and returns the error of the lowest failing index, the one a
+// loop in index order would have stopped at. Callers write each result to
+// its own slot and fold the slots in index order, so results do not
+// depend on the schedule.
+func parallel(workers, n int, f func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return b
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -585,35 +625,42 @@ type Fig11Result struct {
 }
 
 // Fig11 estimates the false-positive recovery overhead per benchmark from
-// measured activation traces.
+// measured activation traces. The benchmarks run on sc.Workers goroutines;
+// the average sums their overheads in benchmark order.
 func Fig11(sc Scale, fpr float64) (*Fig11Result, error) {
 	model := recovery.DefaultModel()
 	if fpr > 0 {
 		model.FalsePositiveRate = fpr
 	}
-	res := &Fig11Result{}
-	var sum float64
-	for _, bench := range workload.Names() {
-		cfg := sim.Config{Benchmark: bench, Mode: workload.PV, Domains: 3,
+	benches := workload.Names()
+	res := &Fig11Result{Estimates: make([]recovery.Estimate, len(benches))}
+	err := parallel(sc.Workers, len(benches), func(bi int) error {
+		cfg := sim.Config{Benchmark: benches[bi], Mode: workload.PV, Domains: 3,
 			Seed: sc.Seed, Detection: core.Options{}}
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n := min(sc.RecoveryActivations, 20000)
 		trace := make([]recovery.ActivationCost, 0, n)
 		for i := 0; i < n; i++ {
 			act, err := m.Step()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			trace = append(trace, recovery.ActivationCost{
 				GuestCycles:   act.GuestCycles,
 				HandlerCycles: float64(act.Outcome.Result.Steps),
 			})
 		}
-		est := model.EstimateForTrace(bench, trace, sc.RecoveryReps, sc.Seed+99)
-		res.Estimates = append(res.Estimates, est)
+		res.Estimates[bi] = model.EstimateForTrace(benches[bi], trace, sc.RecoveryReps, sc.Seed+99)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var sum float64
+	for _, est := range res.Estimates {
 		sum += est.Overhead
 	}
 	res.Avg = sum / float64(len(res.Estimates))

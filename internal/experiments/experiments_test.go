@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,5 +165,61 @@ func TestFig11Shape(t *testing.T) {
 	}
 	if s := res.Render(); !strings.Contains(s, "Fig. 11") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestFig7Fig11IndependentOfWorkers: the parallel Fig. 7 and Fig. 11
+// studies fold their machines in a fixed order, so one worker and several
+// produce identical results, down to every float.
+func TestFig7Fig11IndependentOfWorkers(t *testing.T) {
+	sc := QuickScale()
+	sc.OverheadRuns = 2
+	train, err := Train(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fig7 []*Fig7Result
+	var fig11 []*Fig11Result
+	for _, workers := range []int{1, 3} {
+		sc.Workers = workers
+		f7, err := Fig7(sc, train.Best())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f11, err := Fig11(sc, 0.007)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig7, fig11 = append(fig7, f7), append(fig11, f11)
+	}
+	if !reflect.DeepEqual(fig7[0], fig7[1]) {
+		t.Errorf("Fig. 7 differs between 1 and 3 workers:\n%+v\n%+v", fig7[0], fig7[1])
+	}
+	if !reflect.DeepEqual(fig11[0], fig11[1]) {
+		t.Errorf("Fig. 11 differs between 1 and 3 workers:\n%+v\n%+v", fig11[0], fig11[1])
+	}
+}
+
+// TestParallelReturnsLowestFailingIndex: parallel runs every index once
+// and reports the error a loop in index order would have stopped at.
+func TestParallelReturnsLowestFailingIndex(t *testing.T) {
+	ran := make([]int, 40)
+	err := parallel(4, len(ran), func(i int) error {
+		ran[i]++
+		if i == 17 || i == 31 {
+			return errors.New(strings.Repeat("x", i))
+		}
+		return nil
+	})
+	if err == nil || len(err.Error()) != 17 {
+		t.Fatalf("err = %v, want index 17's", err)
+	}
+	for i, n := range ran {
+		if n != 1 {
+			t.Fatalf("index %d ran %d times", i, n)
+		}
+	}
+	if err := parallel(0, 0, func(int) error { return errors.New("called") }); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,7 +59,9 @@ type WeightedReason struct {
 	Weight int
 }
 
-// Profile is one benchmark's hypervisor workload model.
+// Profile is one benchmark's hypervisor workload model. The profiles
+// ByName and Profiles return are one shared table built once per process:
+// read-only, safe for concurrent use, and never to be modified.
 type Profile struct {
 	Name string
 	// Class is the paper's workload classification (cpu, memory, io).
@@ -77,6 +79,9 @@ type Profile struct {
 	// peak).
 	BurstProb   float64
 	BurstFactor float64
+
+	// totals is the sum of each mode's Mix weights, for SampleReason.
+	totals map[Mode]int
 }
 
 // pvCommon is the hypercall-heavy mixture shared by PV profiles.
@@ -109,9 +114,18 @@ func hvmCommon(extra ...WeightedReason) []WeightedReason {
 	return append(base, extra...)
 }
 
-// Profiles returns the six benchmark profiles in the paper's order.
+// profiles is the shared, read-only profile table, in the paper's order.
+var profiles = buildProfiles()
+
+// Profiles returns the six benchmark profiles in the paper's order. The
+// slice is the caller's; the profiles are the shared read-only table.
 func Profiles() []*Profile {
-	return []*Profile{
+	return append([]*Profile(nil), profiles...)
+}
+
+// buildProfiles builds the profile table with each mode's weight total.
+func buildProfiles() []*Profile {
+	ps := []*Profile{
 		{
 			Name: "mcf", Class: "memory",
 			Mix: map[Mode][]WeightedReason{
@@ -209,11 +223,20 @@ func Profiles() []*Profile {
 			BurstFactor:  4,
 		},
 	}
+	for _, p := range ps {
+		p.totals = make(map[Mode]int, len(p.Mix))
+		for mode, mix := range p.Mix {
+			for _, w := range mix {
+				p.totals[mode] += w.Weight
+			}
+		}
+	}
+	return ps
 }
 
-// ByName returns the named profile.
+// ByName returns the named profile from the shared read-only table.
 func ByName(name string) (*Profile, error) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
@@ -223,9 +246,8 @@ func ByName(name string) (*Profile, error) {
 
 // Names lists the benchmark names in the paper's order.
 func Names() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i, p := range ps {
+	names := make([]string, len(profiles))
+	for i, p := range profiles {
 		names[i] = p.Name
 	}
 	return names
@@ -234,11 +256,7 @@ func Names() []string {
 // SampleReason draws one exit reason from the profile's mixture.
 func (p *Profile) SampleReason(mode Mode, rng Source) hv.ExitReason {
 	mix := p.Mix[mode]
-	total := 0
-	for _, w := range mix {
-		total += w.Weight
-	}
-	pick := rng.Intn(total)
+	pick := rng.Intn(p.totals[mode])
 	for _, w := range mix {
 		pick -= w.Weight
 		if pick < 0 {

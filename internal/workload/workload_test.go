@@ -170,3 +170,49 @@ func TestModeString(t *testing.T) {
 		t.Error("mode names wrong")
 	}
 }
+
+// sampleReasonRef is SampleReason summing the mode's weights on every
+// call, as it did before the table cached the totals.
+func sampleReasonRef(p *Profile, mode Mode, rng Source) hv.ExitReason {
+	total := 0
+	for _, w := range p.Mix[mode] {
+		total += w.Weight
+	}
+	pick := rng.Intn(total)
+	for _, w := range p.Mix[mode] {
+		pick -= w.Weight
+		if pick < 0 {
+			return w.Reason
+		}
+	}
+	return p.Mix[mode][len(p.Mix[mode])-1].Reason
+}
+
+// TestCachedTotalsDrawLikeSummedWeights: SampleReason with the table's
+// cached per-mode weight totals consumes the same draws and returns the
+// same reasons as summing the weights on every call.
+func TestCachedTotalsDrawLikeSummedWeights(t *testing.T) {
+	for _, p := range Profiles() {
+		for _, mode := range []Mode{PV, HVM} {
+			a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			for i := 0; i < 2000; i++ {
+				if got, want := p.SampleReason(mode, a), sampleReasonRef(p, mode, b); got != want {
+					t.Fatalf("%s %v draw %d: %v, reference %v", p.Name, mode, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestByNameSharesTable: every machine looks its profile up by name, so
+// the lookup returns the shared table's profile without allocating.
+func TestByNameSharesTable(t *testing.T) {
+	a, _ := ByName("mcf")
+	b, _ := ByName("mcf")
+	if a != b {
+		t.Error("ByName built a second mcf profile")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("postmark") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call", n)
+	}
+}
