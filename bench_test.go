@@ -493,6 +493,35 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareBenchmark measures the fixed cost a campaign pays per
+// benchmark on campaign-smp-recover's machine shape: PrepareBenchmark
+// (golden run, K=1 checkpoint pool, plans) of one 4-vCPU, all-targets
+// benchmark with the recovery policy armed and the QuickScale model
+// installed, plus one worker's first run (its machine build and first
+// restore) in claim order. The single-vCPU model flags fault-free SMP
+// activations, so the reference replay drops its pruning tables.
+func BenchmarkPrepareBenchmark(b *testing.B) {
+	cfg := inject.DefaultCampaign(100, 42)
+	cfg.Benchmarks = []string{"postmark"}
+	cfg.VCPUs = 4
+	cfg.Targets = inject.TargetNames()
+	cfg.Recovery = "policy"
+	cfg.CheckpointEvery = 1
+	cfg.Model = model(b).Best()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, err := inject.PrepareBenchmark(cfg, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := br.Plans[inject.ActivationOrder(br.Plans)[0]]
+		if _, err := br.Runner.NewWorker().RunOne(first); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCheckpointPool measures building one 160-activation runner's
 // checkpoint pool, with the pruning tables the same reference replay
 // records, at K=1 and K=16. Besides time and allocations it reports

@@ -19,9 +19,12 @@
 #              and forced-slow paths, the D-TLB hit/miss cost, the wire
 #              codec's encode/decode cost (must stay 0 allocs/op), and
 #              fleet ingest throughput (inj/s through one coordinator
-#              from 10 loopback workers), and the cost of building one
+#              from 10 loopback workers), the cost of building one
 #              160-activation checkpoint pool at K=1 and K=16 (time,
-#              B/op, allocs/op, and pool-B, the live heap the pool holds).
+#              B/op, allocs/op, and pool-B, the live heap the pool holds),
+#              and the fixed per-benchmark cost of a 4-vCPU, all-targets,
+#              recovery-policy campaign (PrepareBenchmark plus one
+#              worker's first run; time, B/op, allocs/op).
 # Each benchmark runs three times (matching the baseline protocol) and
 # every metric is recorded as a three-element array, so shared-machine
 # noise is visible instead of averaged away. BenchmarkCPURunHot/fast must
@@ -38,6 +41,7 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' -bench BenchmarkCampaignThroughput -benchmem -count 3 . >"$tmp"
 go test -run '^$' -bench BenchmarkSiteThroughput -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkCheckpointPool -benchmem -count 3 . >>"$tmp"
+go test -run '^$' -bench BenchmarkPrepareBenchmark -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkCPURunHot -benchmem -count 3 ./internal/cpu/ >>"$tmp"
 go test -run '^$' -bench BenchmarkMemAccess -benchmem -count 3 ./internal/mem/ >>"$tmp"
 go test -run '^$' -bench BenchmarkWireCodec -benchmem -count 3 ./internal/wire/ >>"$tmp"
