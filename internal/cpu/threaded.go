@@ -323,7 +323,6 @@ func fuseLoopBody(s *Segment, i int) opFn {
 		if !c.Mem.StoreHit(addr, r[ss]) {
 			if fk := c.Mem.Store(addr, r[ss]); fk != mem.FaultNone {
 				r[isa.RFLAGS] = flagsAdd(oa, imm)
-				c.Cycles += 2
 				c.TSC += 2
 				c.pend[perf.StoresRetired]++
 				r[isa.RIP] = mid1
@@ -332,7 +331,6 @@ func fuseLoopBody(s *Segment, i int) opFn {
 		}
 		if budget < 3 {
 			r[isa.RFLAGS] = flagsAdd(oa, imm)
-			c.Cycles += 2
 			c.TSC += 2
 			c.pend[perf.StoresRetired]++
 			return mid2, 2, nil
@@ -343,7 +341,6 @@ func fuseLoopBody(s *Segment, i int) opFn {
 			var fk mem.FaultKind
 			if v, fk = c.Mem.Load(laddr); fk != mem.FaultNone {
 				r[isa.RFLAGS] = flagsAdd(oa, imm)
-				c.Cycles += 3
 				c.TSC += 3
 				c.pend[perf.StoresRetired]++
 				c.pend[perf.LoadsRetired]++
@@ -354,7 +351,6 @@ func fuseLoopBody(s *Segment, i int) opFn {
 		r[ld] = v
 		if budget < 4 {
 			r[isa.RFLAGS] = flagsAdd(oa, imm)
-			c.Cycles += 3
 			c.TSC += 3
 			c.pend[perf.StoresRetired]++
 			c.pend[perf.LoadsRetired]++
@@ -363,14 +359,12 @@ func fuseLoopBody(s *Segment, i int) opFn {
 		r[isa.RFLAGS] = flagsAdd(r[dd], r[ds])
 		r[dd] += r[ds]
 		if fold && budget > 4 {
-			c.Cycles += 5
 			c.TSC += 5
 			c.pend[perf.StoresRetired]++
 			c.pend[perf.LoadsRetired]++
 			c.pend[perf.BranchRetired]++
 			return jt, 5, nil
 		}
-		c.Cycles += 4
 		c.TSC += 4
 		c.pend[perf.StoresRetired]++
 		c.pend[perf.LoadsRetired]++
@@ -378,12 +372,12 @@ func fuseLoopBody(s *Segment, i int) opFn {
 	}
 }
 
-// retirePair charges two retired instructions in one update: the counters
-// are only observable after Run stops, so per-instruction increment order
-// inside a fused body is not architectural — totals are. INST_RETIRED is
+// retirePair charges two retired instructions in one update: the TSC is
+// read only by rdtsc, which never sits inside a fused pair, so
+// per-instruction increment order inside a fused body is not
+// architectural — totals are. INST_RETIRED is
 // charged from RunResult.Steps at the flush point, exactly as retire.
 func (c *CPU) retirePair() {
-	c.Cycles += 2
 	c.TSC += 2
 }
 

@@ -12,9 +12,9 @@ import (
 
 // This file is the dual-dispatch differential harness for the direct-
 // threaded translator: every program must produce bit-identical
-// architectural state — registers, RIP, RFLAGS, TSC, cycle count, PMU
-// counters, memory image, and the RunResult itself — no matter which of
-// the three dispatchers executes it (threaded closures, the devirtualized
+// architectural state — registers, RIP, RFLAGS, TSC, PMU counters, memory
+// image, and the RunResult itself — no matter which of the three
+// dispatchers executes it (threaded closures, the devirtualized
 // semantics-table loop, or the seed-equivalent slow loop).
 
 const (
@@ -90,12 +90,11 @@ func fuzzDecode(data []byte) []isa.Instr {
 
 // archState is everything a dispatcher can influence.
 type archState struct {
-	res    RunResult
-	regs   [isa.NumReg]uint64
-	tsc    uint64
-	cycles uint64
-	pmu    perf.Sample
-	mem    map[string][]uint64
+	res  RunResult
+	regs [isa.NumReg]uint64
+	tsc  uint64
+	pmu  perf.Sample
+	mem  map[string][]uint64
 }
 
 // execVariant runs instrs from identical initial state under one
@@ -136,12 +135,11 @@ func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDi
 	c.PMU.Arm()
 	res := c.Run(budget)
 	return archState{
-		res:    res,
-		regs:   c.Regs,
-		tsc:    c.TSC,
-		cycles: c.Cycles,
-		pmu:    c.PMU.Read(),
-		mem:    m.Snapshot(),
+		res:  res,
+		regs: c.Regs,
+		tsc:  c.TSC,
+		pmu:  c.PMU.Read(),
+		mem:  m.Snapshot(),
 	}
 }
 
@@ -154,8 +152,8 @@ func diffStates(t *testing.T, label string, got, want archState) {
 	if got.regs != want.regs {
 		t.Errorf("%s: register files diverge\ngot  %v\nwant %v", label, got.regs, want.regs)
 	}
-	if got.tsc != want.tsc || got.cycles != want.cycles {
-		t.Errorf("%s: tsc/cycles %d/%d != %d/%d", label, got.tsc, got.cycles, want.tsc, want.cycles)
+	if got.tsc != want.tsc {
+		t.Errorf("%s: tsc %d != %d", label, got.tsc, want.tsc)
 	}
 	if got.pmu != want.pmu {
 		t.Errorf("%s: PMU %v != %v", label, got.pmu, want.pmu)
@@ -388,7 +386,7 @@ func TestConcurrentTranslationRace(t *testing.T) {
 				ref.DisableThreaded = true
 				ref.Regs[isa.RIP] = symtab["hot"]
 				ref.Run(budget)
-				if c.Regs != ref.Regs || c.TSC != ref.TSC || c.Cycles != ref.Cycles {
+				if c.Regs != ref.Regs || c.TSC != ref.TSC {
 					t.Errorf("worker %d (budget %d): threaded diverges from switch dispatch", g, budget)
 				}
 			}(g)

@@ -64,7 +64,7 @@ type Hypervisor struct {
 	// CPUs[0]; single-CPU callers keep using it unchanged.
 	CPU *cpu.CPU
 	// CPUs is the full logical-CPU bank. Every CPU has its own register
-	// file, TSC, cycle count and PMU, but all share the one machine memory,
+	// file, TSC and PMU, but all share the one machine memory,
 	// linked text, and — because the interleave model serializes handler
 	// executions at activation granularity — the one hypervisor stack.
 	CPUs    []*cpu.CPU
@@ -496,9 +496,14 @@ func (h *Hypervisor) Dispatch(ev *ExitEvent, budget uint64) (Result, error) {
 
 // Snap is the live-recovery snapshot: every CPU's TSC to rewind to, taken
 // together with an undo epoch over machine memory (mem.Memory.Mark).
-// Unlike Checkpoint it deliberately leaves the register file reset and the
-// accumulated cycle count alone — re-execution after a recovery is real
-// work whose cost must stay charged.
+// Unlike Checkpoint it holds no register file (Restore resets it, and
+// Dispatch rebuilds the entry state from the exit event and memory) and
+// no PMU (the sentry rearms, and so zeroes, the bank at every execution
+// that reads it). What the re-execution costs is charged by
+// sim.Machine.Clock, outside the CPU, so on a single-CPU machine a
+// restored run that retraces the fault-free activation ends it in exactly
+// the fault-free state. On an SMP machine the other CPUs' register files
+// stay reset until their next Dispatch overwrites them.
 //
 // A hypervisor has one live snapshot. Snapshot refills the same Snap and
 // opens a fresh epoch, so an earlier snapshot is gone; Checkpoint and
@@ -520,13 +525,14 @@ func (h *Hypervisor) Snapshot() *Snap {
 	return &h.snap
 }
 
-// Checkpoint is a complete hypervisor-level machine image: the CPU's
-// architectural state, the PMU, and a copy-on-write image of machine
-// memory. Unlike the partial Snapshot/Restore pair (memory + TSC only,
-// used for live-recovery re-execution whose cycle cost must stay
-// charged), restoring a Checkpoint reproduces the hypervisor bit-for-bit —
-// the property the campaign engine's shared checkpoint pool depends on. Checkpoints are immutable and safe to restore
-// into many hypervisors concurrently.
+// Checkpoint is a complete hypervisor-level machine image: every CPU's
+// architectural state (registers and TSC), its PMU, and a copy-on-write
+// image of machine memory. Unlike the partial Snapshot/Restore pair
+// (memory and TSC, taken at a VM exit where the register file is dead),
+// restoring a Checkpoint reproduces the hypervisor bit-for-bit at any
+// point — the property the campaign engine's shared checkpoint pool
+// depends on. Checkpoints are immutable and safe to restore into many
+// hypervisors concurrently.
 type Checkpoint struct {
 	cpus []cpu.State
 	pmus []perf.State
@@ -572,12 +578,13 @@ func (h *Hypervisor) RestoreFrom(cp *Checkpoint) error {
 	return nil
 }
 
-// Restore reinstates the live snapshot and resets every CPU's
-// architectural state: memory rolls back through the undo epoch, which
-// stays open, so the same snapshot can be restored again. Accumulated
-// cycles are preserved: re-execution after a live recovery is real work.
-// snap must be the Snap the latest Snapshot returned; Restore fails when
-// the epoch has ended since.
+// Restore reinstates the live snapshot: memory rolls back through the
+// undo epoch, which stays open, so the same snapshot can be restored
+// again; every CPU's register file is reset and its TSC rewound to the
+// snapshot's, which is all the mutable state a CPU has. The
+// re-execution's cost is charged by the caller's clock
+// (sim.Machine.Clock). snap must be the Snap the latest Snapshot
+// returned; Restore fails when the epoch has ended since.
 func (h *Hypervisor) Restore(snap *Snap) error {
 	if err := h.Mem.Rollback(); err != nil {
 		return fmt.Errorf("hv: restore snapshot: %w", err)

@@ -31,7 +31,7 @@ import (
 )
 
 // convFoldBudget bounds how many memory folds a single run may spend on
-// arch-hash matches that turn out not to be memory matches. TSC/cycle
+// arch-hash matches that turn out not to be memory matches. TSC
 // divergence makes such re-coincidences rare; the budget keeps a
 // pathological workload from folding memory at every boundary. It is a
 // fixed constant so the decision to stop checking is deterministic (the

@@ -224,9 +224,9 @@ func (cp *Checkpoint) MemImage() *mem.Checkpoint {
 }
 
 // Fingerprint is a compact summary of a machine's complete state at an
-// activation boundary: Arch hashes every register file plus TSC/cycle
-// counters, Uncore hashes the machine state outside the register files
-// and guest memory (per-CPU PMU banks and the D-TLB poison summary — see
+// activation boundary: Arch hashes every register file plus its TSC,
+// Uncore hashes the machine state outside the register files and guest
+// memory (per-CPU PMU banks and the D-TLB poison summary — see
 // hv.UncoreHash; the APIC mailbox and page-table words live in hv_data,
 // so Mem covers them), and Mem XOR-folds per-page memory hashes. Equal
 // fingerprints at equal activation indices mean (modulo hash collision,
