@@ -282,3 +282,59 @@ func TestUnknownRecoveryStrategyRejected(t *testing.T) {
 		t.Fatalf("want unknown-strategy error naming the accepted set, got %v", err)
 	}
 }
+
+// TestRecoveryRestoredRunsConverge: a run that rolls a detected
+// activation back to its VM-exit snapshot — the Section VI mechanism or
+// the engine's restore strategy — and re-executes it cleanly is in the
+// reference state again at the next activation boundary, so convergence
+// pruning folds its suffix. Per plan, the pruned outcome must equal the
+// -prune=off outcome in every field but Pruned, and at least one
+// recovered run must have converged.
+func TestRecoveryRestoredRunsConverge(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(r *Runner)
+	}{
+		{"sec6", func(r *Runner) { r.Recover = true }},
+		{"restore", func(r *Runner) { r.Recovery = recovery.NewEngine(recovery.StrategyRestore) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pruned := testRunner(t, "postmark", nil)
+			full := testRunner(t, "postmark", nil)
+			tc.arm(pruned)
+			tc.arm(full)
+			full.DisablePrune = true
+			pw, fw := pruned.NewWorker(), full.NewWorker()
+			rng := rand.New(rand.NewSource(29))
+			var recovered, converged int
+			for i := 0; i < 300; i++ {
+				plan := pruned.RandomPlan(rng)
+				po, err := pw.RunOne(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fo, err := fw.RunOne(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fo.Pruned != PruneNone {
+					t.Fatalf("disabled runner pruned plan %v: %v", plan, fo.Pruned)
+				}
+				if po.Recovered || po.Recovery.Attempted {
+					recovered++
+					if po.Pruned == PruneConverged {
+						converged++
+					}
+				}
+				po.Pruned = PruneNone
+				if !reflect.DeepEqual(po, fo) {
+					t.Fatalf("plan %v diverges:\npruned %+v\nfull   %+v", plan, po, fo)
+				}
+			}
+			if converged == 0 {
+				t.Fatalf("none of %d recovered runs converged", recovered)
+			}
+			t.Logf("%d of %d recovered runs converged", converged, recovered)
+		})
+	}
+}

@@ -56,6 +56,13 @@ go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s ./internal/mem/
 # and every report number downstream depends on it.
 go test -run FuzzTrainMatchesReference ./internal/ml/
 go test -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/ml/
+# Fingerprint soundness fuzzing: a single-bit flip anywhere in the state
+# the convergence fingerprint covers (registers, TSC, memory, D-TLB tags,
+# PMU banks) must change it, and reverting the flip must restore it,
+# because convergence pruning treats fingerprint equality as state
+# equality.
+go test -run FuzzFingerprintSoundness ./internal/sim/
+go test -run '^$' -fuzz FuzzFingerprintSoundness -fuzztime 15s ./internal/sim/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Campaign lifecycle burst: the server's fleet sessions, tombstones and
 # settle-then-terminal-event ordering are timing-sensitive, so one race
@@ -64,8 +71,10 @@ go test -race -count=10 ./internal/server/
 # Recovery differential pass: recover=off campaigns must stay
 # bit-identical to the engine-less baseline, microreboot campaigns must
 # be deterministic (including under the race detector's schedule
-# perturbation), and the outcome-class mix must stay honest (nonzero
-# full AND failed). Focused runs so a recovery regression names itself.
+# perturbation), the outcome-class mix must stay honest (nonzero full
+# AND failed), and runs rolled back to their VM-exit snapshot must
+# converge under pruning with outcomes equal to -prune=off. Focused runs
+# so a recovery regression names itself.
 go test -run 'Recovery|Microreboot|Reinit|Snapshot|Rollback' ./internal/inject/ ./internal/hv/ ./internal/sim/ ./internal/store/
 go test ./internal/recovery/
 go test -race -run 'Microreboot' ./internal/inject/
