@@ -436,7 +436,8 @@ func BenchmarkInjectionRun(b *testing.B) {
 // arms the microreboot recovery engine, so the cost of salvaging and
 // re-entering detected runs shows up next to the detection-only numbers;
 // microreboot never reads the VM-exit snapshot, so only K=1+restore, with
-// the restore engine armed, takes it at every step.
+// the restore engine armed, and K=1+sec6, with the paper's Section VI
+// recovery (Runner.Recover), take it at every step.
 // The pool is built outside the timer, as RunCampaign builds it eagerly
 // before dispatching workers; plans replay the same seed in activation
 // order, matching the campaign claim loop.
@@ -451,6 +452,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		{"K=off", -1, ""},
 		{"K=1+recover", 1, "microreboot"},
 		{"K=1+restore", 1, "restore"},
+		{"K=1+sec6", 1, "sec6"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			runner, err := inject.NewRunner(sim.DefaultConfig("postmark", 3), 160, nil)
@@ -458,7 +460,9 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			runner.CheckpointEvery = bc.every
-			if bc.recover != "" {
+			if bc.recover == "sec6" {
+				runner.Recover = true
+			} else if bc.recover != "" {
 				engine, err := recovery.EngineFor(bc.recover)
 				if err != nil {
 					b.Fatal(err)
