@@ -10,11 +10,17 @@ package xentry
 // cmd/xentry-report for the full-scale numbers.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"xentry/internal/core"
 	"xentry/internal/experiments"
@@ -23,6 +29,7 @@ import (
 	"xentry/internal/inject"
 	"xentry/internal/ml"
 	"xentry/internal/recovery"
+	"xentry/internal/server"
 	"xentry/internal/sim"
 	"xentry/internal/stats"
 	"xentry/internal/workload"
@@ -620,6 +627,93 @@ func BenchmarkSiteThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
 		})
 	}
+}
+
+// BenchmarkFleetCampaign runs one campaign end to end over a loopback
+// fleet: an in-process Server and Fleet, two RunWorker goroutines, each
+// training a small model from the spec, and six 1,000-plan benchmarks.
+// shard=64 pins the old fixed lease size and shard=auto derives each
+// lease's size from the work left; both report inj/s (submit to report)
+// and leases/op, the per-lease cost the derived size cuts.
+func BenchmarkFleetCampaign(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		shard int
+	}{{"shard=64", 64}, {"shard=auto", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var leases, injections int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n, stats := fleetCampaign(b, bc.shard)
+				leases += stats.Leases
+				injections += int64(n)
+			}
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(injections)/secs, "inj/s")
+			}
+			b.ReportMetric(float64(leases)/float64(b.N), "leases/op")
+		})
+	}
+}
+
+// fleetCampaign runs BenchmarkFleetCampaign's campaign once, timing only
+// the client's submit-to-report call, and returns the injection count and
+// the fleet's counters.
+func fleetCampaign(b *testing.B, shardSize int) (int, server.FleetStats) {
+	fleet, err := server.NewFleet("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fleet.Close()
+	srv, err := server.NewServer(server.Config{DataDir: b.TempDir(), Fleet: fleet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	client := &server.Client{Base: hs.URL, HTTPClient: &http.Client{Transport: transport}}
+	spec := server.CampaignSpec{
+		ID:                     "bench-fleet",
+		InjectionsPerBenchmark: 1000,
+		Seed:                   20140901,
+		TrainInjections:        60,
+		ShardSize:              shardSize,
+		Execution:              "fleet",
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = server.RunWorker(ctx, server.WorkerOptions{
+				Coordinator:   fleet.Addr(),
+				Campaign:      spec.ID,
+				RetryInterval: 5 * time.Millisecond,
+				MaxDials:      1000,
+			})
+		}(w)
+	}
+	b.StartTimer()
+	rep, err := client.RunToCompletion(ctx, spec, nil)
+	b.StopTimer()
+	cancel()
+	wg.Wait()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for w, werr := range errs {
+		if werr != nil && !errors.Is(werr, context.Canceled) {
+			b.Fatalf("worker %d: %v", w, werr)
+		}
+	}
+	return rep.Injections, fleet.Stats()
 }
 
 // BenchmarkRecoveryEffectiveness runs the paired Section VI live-recovery

@@ -11,8 +11,10 @@
 //	             [-shard-size N] [-max-attempts N] [-shard-timeout D]
 //
 // -workers sizes in-process campaigns. -shard-size, -max-attempts and
-// -shard-timeout apply only to fleet campaigns: shards of -shard-size plan
-// indices are leased to workers, a shard fails the campaign after
+// -shard-timeout apply only to fleet campaigns: leases of -shard-size plan
+// indices are granted to workers (0, the default, sizes each lease from
+// the work left: ⌈Q/2W⌉ plans for Q plans queued and W workers serving
+// the campaign, at least 64), a lease fails the campaign after
 // -max-attempts failed attempts, and a lease with no batch for
 // -shard-timeout is requeued (0 = a 2-minute lease).
 //
@@ -51,8 +53,8 @@ func main() {
 	addr := flag.String("addr", ":8044", "listen address")
 	data := flag.String("data", "xentry-data", "root directory for campaign result stores")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "injection workers per in-process campaign")
-	shardSize := flag.Int("shard-size", 64, "plan indices per fleet shard")
-	maxAttempts := flag.Int("max-attempts", 3, "failed attempts per fleet shard before the campaign fails")
+	shardSize := flag.Int("shard-size", 0, "plan indices per fleet lease (0 = sized from the work left)")
+	maxAttempts := flag.Int("max-attempts", 3, "failed attempts per fleet lease before the campaign fails")
 	shardTimeout := flag.Duration("shard-timeout", 0, "fleet lease timeout (0 = 2 minutes)")
 	fleetAddr := flag.String("fleet", "",
 		"fleet listener address for remote xentry-worker processes (empty = fleet execution disabled)")

@@ -75,7 +75,9 @@ type Outcome struct {
 	// the execution passed or monitoring was off).
 	Technique Technique
 	// Verdict is the full first positive verdict (zero when Technique is
-	// TechNone): which detector class fired, where, and why.
+	// TechNone): which detector class fired, where, and why. The runtime
+	// detector's why is the exception or failed assertion in Result,
+	// which it leaves unformatted.
 	Verdict Verdict
 	// Hang reports budget exhaustion (a corruption class none of the
 	// paper's three techniques can see).

@@ -54,12 +54,22 @@ type Exception struct {
 	Vector Vector
 	PC     uint64 // address of the faulting instruction
 	Addr   uint64 // faulting data/fetch address, when meaningful
-	Cause  string
+	// Cause is a fixed description of the exception, or empty when Fault
+	// explains it.
+	Cause string
+	// Fault is the memory unit's error behind a faulting load or store.
+	// It is kept unformatted: most exceptions end a campaign run whose
+	// explanation nothing reads, so Error formats it on demand.
+	Fault error
 }
 
 // Error implements error.
 func (e *Exception) Error() string {
-	return fmt.Sprintf("cpu: %s at pc=%#x addr=%#x (%s)", e.Vector, e.PC, e.Addr, e.Cause)
+	cause := e.Cause
+	if e.Fault != nil {
+		cause = e.Fault.Error()
+	}
+	return fmt.Sprintf("cpu: %s at pc=%#x addr=%#x (%s)", e.Vector, e.PC, e.Addr, cause)
 }
 
 // FetchResult reports the outcome of an instruction fetch.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"xentry/internal/isa"
@@ -288,6 +289,15 @@ func TestUnmappedLoadRaisesPF(t *testing.T) {
 	}
 	if res.Exc.Addr != 0xdead0000 {
 		t.Errorf("fault addr = %#x", res.Exc.Addr)
+	}
+	// The memory fault is kept unformatted and rendered only by Error.
+	f, ok := res.Exc.Fault.(*mem.Fault)
+	if !ok || f.Addr != 0xdead0000 || res.Exc.Cause != "" {
+		t.Fatalf("exception keeps fault %#v and cause %q, want the unmapped read", res.Exc.Fault, res.Exc.Cause)
+	}
+	want := fmt.Sprintf("cpu: #PF at pc=%#x addr=0xdead0000 (%s)", res.Exc.PC, f.Error())
+	if got := res.Exc.Error(); got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
 	}
 }
 

@@ -139,7 +139,7 @@ func condition(op isa.Op, flags uint64) bool {
 func memException(err error, pc uint64, stack bool) *Exception {
 	f, ok := err.(*mem.Fault)
 	if !ok {
-		return &Exception{Vector: VecGP, PC: pc, Cause: err.Error()}
+		return &Exception{Vector: VecGP, PC: pc, Fault: err}
 	}
 	vec := VecPF
 	switch f.Kind {
@@ -152,7 +152,7 @@ func memException(err error, pc uint64, stack bool) *Exception {
 			vec = VecPF
 		}
 	}
-	return &Exception{Vector: vec, PC: pc, Addr: f.Addr, Cause: f.Error()}
+	return &Exception{Vector: vec, PC: pc, Addr: f.Addr, Fault: f}
 }
 
 // loadFault rebuilds the architectural exception for a read the

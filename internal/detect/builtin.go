@@ -27,23 +27,25 @@ type Runtime struct {
 func (Runtime) Name() string { return "runtime" }
 
 // OnException reports a surfacing exception or BUG/panic halt as a
-// fatal system corruption.
+// fatal system corruption. An exception's verdict carries no Detail: the
+// exception itself is the explanation, kept in the execution's result
+// (hv.Result.Exc) and formatted only when read (cpu.Exception.Error),
+// because most campaign runs that end in one are never explained.
 func (Runtime) OnException(ev *Event) Verdict {
 	if ev.Halt {
 		return Verdict{Technique: TechHWException, Detail: "BUG/panic halt"}
 	}
 	if FatalException(ev.Exc) {
-		return Verdict{Technique: TechHWException, Detail: ev.Exc.Error()}
+		return Verdict{Technique: TechHWException}
 	}
 	return Verdict{}
 }
 
-// OnAssertion reports a fired software assertion.
-func (Runtime) OnAssertion(ev *Event) Verdict {
-	return Verdict{
-		Technique: TechAssertion,
-		Detail:    fmt.Sprintf("assertion at pc=%#x", ev.AssertPC),
-	}
+// OnAssertion reports a fired software assertion. As with exceptions, the
+// failed assertion's address stays in the execution's result
+// (hv.Result.AssertPC) instead of being formatted into Detail.
+func (Runtime) OnAssertion(*Event) Verdict {
+	return Verdict{Technique: TechAssertion}
 }
 
 // OnWatchdog parses the hung execution's watchdog NMI (Xen's

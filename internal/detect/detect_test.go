@@ -8,6 +8,7 @@ import (
 
 	"xentry/internal/cpu"
 	"xentry/internal/hv"
+	"xentry/internal/mem"
 	"xentry/internal/ml"
 )
 
@@ -206,6 +207,23 @@ func TestRuntimeDetector(t *testing.T) {
 	}
 	if v := r.OnVMEntry(&Event{Kind: KindVMEntry}); v.Detected() {
 		t.Fatalf("vm-entry should not fire runtime detection: %+v", v)
+	}
+}
+
+// TestRuntimeVerdictsAllocFree: the runtime detector judges a memory
+// fault's exception and a failed assertion without formatting anything;
+// the evidence stays unformatted in the event (and the execution result).
+func TestRuntimeVerdictsAllocFree(t *testing.T) {
+	var r Runtime
+	exc := &cpu.Exception{Vector: cpu.VecPF, PC: 0x123, Addr: 0xdead0000,
+		Fault: &mem.Fault{Kind: mem.FaultUnmapped, Addr: 0xdead0000}}
+	fault := &Event{Kind: KindException, Exc: exc}
+	assertion := &Event{Kind: KindAssertion, AssertPC: 0x4040}
+	if n := testing.AllocsPerRun(100, func() {
+		r.OnException(fault)
+		r.OnAssertion(assertion)
+	}); n != 0 {
+		t.Errorf("runtime verdicts allocate %v times, want 0", n)
 	}
 }
 

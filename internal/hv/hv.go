@@ -496,14 +496,14 @@ func (h *Hypervisor) Dispatch(ev *ExitEvent, budget uint64) (Result, error) {
 
 // Snap is the live-recovery snapshot: every CPU's TSC to rewind to, taken
 // together with an undo epoch over machine memory (mem.Memory.Mark).
-// Unlike Checkpoint it holds no register file (Restore resets it, and
-// Dispatch rebuilds the entry state from the exit event and memory) and
-// no PMU (the sentry rearms, and so zeroes, the bank at every execution
-// that reads it). What the re-execution costs is charged by
-// sim.Machine.Clock, outside the CPU, so on a single-CPU machine a
+// Unlike Checkpoint it holds no register file and no PMU. Between a
+// snapshot and its restore only the re-entered CPU executes, and Dispatch
+// rebuilds that CPU's entry state from the exit event and memory, so every
+// other CPU's registers are still the snapshot's; the sentry rearms, and so
+// zeroes, a PMU bank at every execution that reads it. What the
+// re-execution costs is charged by sim.Machine.Clock, outside the CPU, so a
 // restored run that retraces the fault-free activation ends it in exactly
-// the fault-free state. On an SMP machine the other CPUs' register files
-// stay reset until their next Dispatch overwrites them.
+// the fault-free state, on any number of CPUs.
 //
 // A hypervisor has one live snapshot. Snapshot refills the same Snap and
 // opens a fresh epoch, so an earlier snapshot is gone; Checkpoint and
@@ -580,17 +580,17 @@ func (h *Hypervisor) RestoreFrom(cp *Checkpoint) error {
 
 // Restore reinstates the live snapshot: memory rolls back through the
 // undo epoch, which stays open, so the same snapshot can be restored
-// again; every CPU's register file is reset and its TSC rewound to the
-// snapshot's, which is all the mutable state a CPU has. The
-// re-execution's cost is charged by the caller's clock
-// (sim.Machine.Clock). snap must be the Snap the latest Snapshot
-// returned; Restore fails when the epoch has ended since.
+// again, and every CPU's TSC rewinds to the snapshot's. Register files are
+// left alone: the idle CPUs' still hold the snapshot's state, and the
+// re-entered CPU's is rebuilt by the next Dispatch. The re-execution's
+// cost is charged by the caller's clock (sim.Machine.Clock). snap must be
+// the Snap the latest Snapshot returned; Restore fails when the epoch has
+// ended since.
 func (h *Hypervisor) Restore(snap *Snap) error {
 	if err := h.Mem.Rollback(); err != nil {
 		return fmt.Errorf("hv: restore snapshot: %w", err)
 	}
 	for i, c := range h.CPUs {
-		c.Reset()
 		c.TSC = snap.tscs[i]
 	}
 	return nil

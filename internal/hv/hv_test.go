@@ -400,6 +400,44 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsIdleCPURegisters: on a 4-vCPU machine, restoring a
+// snapshot after one CPU dispatched leaves the other CPUs' register files
+// exactly as the snapshot found them, since they are part of the state a
+// restored run's fingerprint is compared on.
+func TestRestoreKeepsIdleCPURegisters(t *testing.T) {
+	h, err := NewSMP(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range h.CPUs {
+		if _, err := h.Dispatch(&ExitEvent{Reason: HCEventChannelOp, Dom: 1, VCPU: i, Args: [4]uint64{4, uint64(i)}}, DefaultBudget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make([]cpu.State, len(h.CPUs))
+	for i, c := range h.CPUs {
+		before[i] = c.State()
+	}
+	snap := h.Snapshot()
+	if _, err := h.Dispatch(&ExitEvent{Reason: HCEventChannelOp, Dom: 1, VCPU: 2, Args: [4]uint64{4, 3}}, DefaultBudget); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range h.CPUs {
+		if i == 2 {
+			if c.TSC != before[i].TSC {
+				t.Errorf("cpu 2: TSC %d after restore, want %d", c.TSC, before[i].TSC)
+			}
+			continue
+		}
+		if got := c.State(); got != before[i] {
+			t.Errorf("cpu %d: state %+v after restore, want %+v", i, got, before[i])
+		}
+	}
+}
+
 // TestSnapshotCycleAllocFree: once warm, the live snapshot allocates
 // nothing, neither when a detection restores it nor when the next VM exit
 // replaces it, so a recovery-armed machine makes no per-step garbage.

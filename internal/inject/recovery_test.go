@@ -8,6 +8,7 @@ import (
 
 	"xentry/internal/core"
 	"xentry/internal/recovery"
+	"xentry/internal/sim"
 	"xentry/internal/workload"
 )
 
@@ -289,18 +290,30 @@ func TestUnknownRecoveryStrategyRejected(t *testing.T) {
 // reference state again at the next activation boundary, so convergence
 // pruning folds its suffix. Per plan, the pruned outcome must equal the
 // -prune=off outcome in every field but Pruned, and at least one
-// recovered run must have converged.
+// recovered run must have converged. On the 4-vCPU machine the idle
+// CPUs' registers are part of that state, and a restore must keep them.
 func TestRecoveryRestoredRunsConverge(t *testing.T) {
+	restore := func(r *Runner) { r.Recovery = recovery.NewEngine(recovery.StrategyRestore) }
 	for _, tc := range []struct {
-		name string
-		arm  func(r *Runner)
+		name  string
+		vcpus int
+		arm   func(r *Runner)
 	}{
-		{"sec6", func(r *Runner) { r.Recover = true }},
-		{"restore", func(r *Runner) { r.Recovery = recovery.NewEngine(recovery.StrategyRestore) }},
+		{"sec6", 1, func(r *Runner) { r.Recover = true }},
+		{"restore", 1, restore},
+		{"restore-smp4", 4, restore},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pruned := testRunner(t, "postmark", nil)
-			full := testRunner(t, "postmark", nil)
+			cfg := sim.DefaultConfig("postmark", 21)
+			cfg.VCPUs = tc.vcpus
+			newRunner := func() *Runner {
+				r, err := NewRunner(cfg, 60, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			pruned, full := newRunner(), newRunner()
 			tc.arm(pruned)
 			tc.arm(full)
 			full.DisablePrune = true

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -127,39 +126,36 @@ func PreparePlans(cfg CampaignConfig, bi int) ([]Plan, error) {
 	return plans, nil
 }
 
-// ActivationOrder returns the plan indices sorted by activation (stable, so
-// equal activations keep plan order). Executing runs in this order makes
+// ActivationOrder returns the plan indices sorted by activation, equal
+// activations in plan order. Executing runs in this order makes
 // consecutive restores hit the same or adjacent checkpoints, keeping
 // residual replays and COW page traffic minimal; outcomes are still folded
-// at their original index, so the order is pure mechanism.
+// at their original index, so the order is pure mechanism. It is a
+// counting sort over the activation range, which a campaign bounds by its
+// activation count, so it is linear and stable by construction.
 func ActivationOrder(plans []Plan) []int {
 	order := make([]int, len(plans))
-	for i := range order {
-		order[i] = i
+	if len(plans) == 0 {
+		return order
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return plans[order[a]].Activation < plans[order[b]].Activation
-	})
+	lo, hi := plans[0].Activation, plans[0].Activation
+	for _, p := range plans[1:] {
+		lo, hi = min(lo, p.Activation), max(hi, p.Activation)
+	}
+	// next[a-lo] is where the next plan of activation a goes.
+	next := make([]int, hi-lo+2)
+	for _, p := range plans {
+		next[p.Activation-lo+1]++
+	}
+	for a := 1; a < len(next); a++ {
+		next[a] += next[a-1]
+	}
+	for i, p := range plans {
+		a := p.Activation - lo
+		order[next[a]] = i
+		next[a]++
+	}
 	return order
-}
-
-// SliceShards chunks an index order into shards of at most size indices,
-// preserving order. Slicing an activation-sorted order gives each shard a
-// contiguous activation range — the locality that makes a shard cheap for
-// whichever worker executes it. size <= 0 yields a single shard.
-func SliceShards(order []int, size int) [][]int {
-	if len(order) == 0 {
-		return nil
-	}
-	if size <= 0 {
-		size = len(order)
-	}
-	shards := make([][]int, 0, (len(order)+size-1)/size)
-	for len(order) > size {
-		shards = append(shards, order[:size:size])
-		order = order[size:]
-	}
-	return append(shards, order)
 }
 
 // ResultSink is durable storage for campaign outcomes, keyed by (benchmark,

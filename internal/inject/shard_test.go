@@ -3,7 +3,9 @@ package inject
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -38,45 +40,69 @@ func TestPrepareBenchmarkDeterministic(t *testing.T) {
 	}
 }
 
-func TestActivationOrderAndShards(t *testing.T) {
-	_, br := testBenchmarkRun(t)
-	order := ActivationOrder(br.Plans)
-	if len(order) != len(br.Plans) {
-		t.Fatalf("order has %d indices, want %d", len(order), len(br.Plans))
+// stableActivationOrder is ActivationOrder's oracle: the comparison sort
+// it replaced.
+func stableActivationOrder(plans []Plan) []int {
+	order := make([]int, len(plans))
+	for i := range order {
+		order[i] = i
 	}
-	seen := map[int]bool{}
-	for k := 1; k < len(order); k++ {
-		a, b := br.Plans[order[k-1]], br.Plans[order[k]]
-		if a.Activation > b.Activation {
-			t.Fatalf("order not sorted by activation at %d", k)
-		}
-		if a.Activation == b.Activation && order[k-1] > order[k] {
-			t.Fatalf("order not stable at %d", k)
-		}
-	}
-	for _, i := range order {
-		if seen[i] {
-			t.Fatalf("index %d appears twice", i)
-		}
-		seen[i] = true
-	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return plans[order[a]].Activation < plans[order[b]].Activation
+	})
+	return order
+}
 
-	shards := SliceShards(order, 7)
-	var flat []int
-	for si, sh := range shards {
-		if len(sh) == 0 || len(sh) > 7 {
-			t.Fatalf("shard %d has %d indices", si, len(sh))
+// TestActivationOrderMatchesStableSort: the counting sort returns exactly
+// the stable comparison sort's order, on a prepared benchmark's plans and
+// on random, empty, single-activation and all-equal plan lists.
+func TestActivationOrderMatchesStableSort(t *testing.T) {
+	_, br := testBenchmarkRun(t)
+	rng := rand.New(rand.NewSource(3))
+	random := func(n, lo, span int) []Plan {
+		plans := make([]Plan, n)
+		for i := range plans {
+			plans[i] = Plan{Activation: lo + rng.Intn(span), Step: uint64(i)}
 		}
-		flat = append(flat, sh...)
+		return plans
 	}
-	if !reflect.DeepEqual(flat, order) {
-		t.Error("shards do not concatenate back to the order")
+	cases := map[string][]Plan{
+		"prepared":         br.Plans,
+		"empty":            nil,
+		"single":           {{Activation: 7}},
+		"one-activation":   random(50, 12, 1),
+		"all-equal-zero":   make([]Plan, 33),
+		"random-160":       random(2000, 0, 160),
+		"random-sparse":    random(40, 0, 5000),
+		"random-offset":    random(300, 1000, 30),
+		"random-few-ranks": random(500, 0, 3),
 	}
-	if got := SliceShards(order, 0); len(got) != 1 || len(got[0]) != len(order) {
-		t.Error("size<=0 must yield a single shard")
+	for name, plans := range cases {
+		got, want := ActivationOrder(plans), stableActivationOrder(plans)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ActivationOrder = %v, want %v", name, got, want)
+		}
 	}
-	if got := SliceShards(nil, 4); got != nil {
-		t.Error("empty order must yield no shards")
+}
+
+// BenchmarkActivationOrder sorts one 20,000-plan benchmark over 160
+// activations, a default-scale campaign benchmark's shape.
+func BenchmarkActivationOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	plans := make([]Plan, 20000)
+	for i := range plans {
+		plans[i].Activation = rng.Intn(160)
+	}
+	for _, bc := range []struct {
+		name  string
+		order func([]Plan) []int
+	}{{"counting", ActivationOrder}, {"stable-sort", stableActivationOrder}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.order(plans)
+			}
+		})
 	}
 }
 

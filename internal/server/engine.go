@@ -7,8 +7,8 @@
 // A campaign runs in process or on the worker fleet. In process, the
 // engine runs inject.ResumeCampaign with the store as its sink — the same
 // executor RunCampaign and xentry-campaign -store use — and turns every
-// recorded outcome into an event. On the fleet, shards are leased to
-// remote workers (fleet.go). Either way outcomes fold at their original
+// recorded outcome into an event. On the fleet, runs of plans are leased
+// to remote workers (fleet.go). Either way outcomes fold at their original
 // plan index, so the final aggregates are bit-identical to single-process
 // inject.RunCampaign with the same seed, however the work was split,
 // interrupted, resumed or reassigned.
@@ -85,9 +85,12 @@ type Engine struct {
 	// Store receives every outcome and assembles the result. Required; a
 	// partially full store resumes — stored indices are never re-planned.
 	Store *store.Store
-	// ShardSize is the number of plan indices per fleet shard (default 64).
+	// ShardSize, when positive, is the number of plan indices per fleet
+	// lease. 0 sizes each lease from the work left: ⌈Q/2W⌉ plans for Q
+	// plans still queued and W worker sessions serving the campaign, at
+	// least 64 and at most what is left of the benchmark.
 	ShardSize int
-	// MaxAttempts bounds failed attempts per fleet shard before the
+	// MaxAttempts bounds failed attempts per fleet lease before the
 	// campaign fails (default 3). Worker deaths and lease expiries do not
 	// consume attempts.
 	MaxAttempts int
@@ -99,7 +102,7 @@ type Engine struct {
 	// for that.
 	OnEvent func(Event)
 	// Fleet, when set, executes the campaign over the remote worker fleet
-	// instead of in process: shards are leased to connected xentry-worker
+	// instead of in process: plans are leased to connected xentry-worker
 	// processes over the binary shard protocol, and their batched results
 	// are group-committed off the HTTP/JSON path. The in-process run takes
 	// its parallelism from the config's Workers.

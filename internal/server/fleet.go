@@ -19,8 +19,9 @@ import (
 // This file is the coordinator side of the multi-process campaign data
 // plane. A Fleet owns one TCP listener shared by every campaign; each
 // fleet-mode Engine.Run registers a fleetRun with it, and remote
-// xentry-worker processes connect, lease activation-sorted shards, and
-// stream outcome batches back as concatenated WAL-ready record frames.
+// xentry-worker processes connect, lease runs of activation-sorted plan
+// indices carved off the campaign's queue, and stream outcome batches
+// back as concatenated WAL-ready record frames.
 //
 // The hot path is deliberately narrow: the per-connection goroutine
 // verifies and decodes each record (interning strings, so steady state is
@@ -41,6 +42,12 @@ import (
 // records). Past half this depth, acks ask workers to slow down.
 const fleetIngestDepth = 64
 
+// fleetMinLease is the smallest lease the derived size carves while a
+// benchmark has more plans left: each lease costs three stop-and-wait
+// round trips, a WAL write and a tally cross-check, so it must carry
+// enough injection work to pay for them.
+const fleetMinLease = 64
+
 // fleetTombstones bounds how many completed campaign ids a Fleet
 // remembers, so that a worker dialing after its campaign finished is told
 // Done instead of being refused like a worker that dialed too early.
@@ -57,7 +64,7 @@ type FleetStats struct {
 	Damaged int64
 	// Slowdowns counts acks that carried the slowdown flag.
 	Slowdowns int64
-	// Leases and Requeues count shard leases granted and shards requeued
+	// Leases and Requeues count leases granted and leases requeued
 	// (expiry, disconnect, failure, or cross-check mismatch).
 	Leases   int64
 	Requeues int64
@@ -280,6 +287,10 @@ func (f *Fleet) serveConn(conn net.Conn, wid int) {
 		refuse(conn, "fleet: unknown campaign %q", msg.Hello.Campaign)
 		return
 	}
+	// The session counts toward the derived lease size before its worker
+	// sees the Welcome, so no lease is sized without it once it has.
+	run.join(1)
+	defer run.join(-1)
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.spec})); err != nil {
 		return
@@ -469,7 +480,13 @@ const (
 	fleetRunStopped
 )
 
-// fleetShard is one shard's coordinator-side state across lease attempts.
+// fleetShard is a run of one benchmark's plan indices in activation
+// order. On the queue it is work not yet leased: a benchmark's whole todo
+// list, or a requeued lease's missing remainder. grantLease carves each
+// lease off the head of the queue as a shard of its own, numbered in
+// carving order within its benchmark; a requeued lease keeps its number
+// and attempt count. shard is -1 on a queued run no lease was numbered
+// from yet.
 type fleetShard struct {
 	bench   string
 	benchAt int
@@ -492,8 +509,8 @@ type fleetLease struct {
 	tally    *inject.Tally
 }
 
-// fleetRun is one campaign's live fleet execution: the shard queue, the
-// lease table, and the ingest pipeline.
+// fleetRun is one campaign's live fleet execution: the queue of plan
+// runs leases are carved from, the lease table, and the ingest pipeline.
 type fleetRun struct {
 	id           string
 	spec         []byte
@@ -511,11 +528,18 @@ type fleetRun struct {
 	ingestDone chan struct{} // closed when the ingest goroutine exits
 	dec        *wire.Decoder // ingest-goroutine only
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []*fleetShard
-	leases      map[uint64]*fleetLease
-	leaseSeq    uint64
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []*fleetShard
+	// queued counts the plans on the queue, and sessions the worker
+	// sessions serving the run: the derived lease size's Q and W.
+	queued   int
+	sessions int
+	// carved counts the shards numbered so far in each benchmark.
+	carved   []int
+	leases   map[uint64]*fleetLease
+	leaseSeq uint64
+	// outstanding counts the shards not yet settled, queued and leased.
 	outstanding int
 	finished    bool
 	stopped     bool
@@ -534,6 +558,7 @@ func newFleetRun(e *Engine, cfg inject.CampaignConfig, leaseTimeout time.Duratio
 		maxAttempts:  maxAttempts,
 		leaseTimeout: leaseTimeout,
 		retryMillis:  100,
+		carved:       make([]int, len(cfg.Benchmarks)),
 		ingest:       make(chan ingestItem, fleetIngestDepth),
 		done:         make(chan struct{}),
 		ingestDone:   make(chan struct{}),
@@ -588,15 +613,22 @@ func (run *fleetRun) renewLease(id uint64, wid int) {
 	run.mu.Unlock()
 }
 
-// grantLease pops the next shard that still has un-stored indices and
-// leases it to the worker. Shards whose every index landed in the store
-// meanwhile (stale-lease duplicates) settle on the spot.
+// join adds delta to the worker sessions serving the run.
+func (run *fleetRun) join(delta int) {
+	run.mu.Lock()
+	run.sessions += delta
+	run.mu.Unlock()
+}
+
+// grantLease carves the next lease off the queue and grants it to the
+// worker. Indices that landed in the store meanwhile (stale-lease
+// duplicates) are dropped from it, and a lease left empty settles on the
+// spot.
 func (run *fleetRun) grantLease(wid int) *wire.Lease {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	for !run.finished && !run.stopped && run.err == nil && len(run.queue) > 0 {
-		sh := run.queue[0]
-		run.queue = run.queue[1:]
+		sh := run.carveLocked()
 		remaining := sh.indices[:0]
 		for _, i := range sh.indices {
 			if !run.store.Has(sh.bench, i) {
@@ -629,6 +661,44 @@ func (run *fleetRun) grantLease(wid int) *wire.Lease {
 	return nil
 }
 
+// carveLocked cuts the next lease's shard, leaseSizeLocked plans long,
+// off the head of the queue; a head no longer than that leaves the queue
+// whole. The first shard cut from a requeued run keeps its number, and
+// every other shard takes the benchmark's next. Callers hold run.mu.
+func (run *fleetRun) carveLocked() *fleetShard {
+	head := run.queue[0]
+	n := min(run.leaseSizeLocked(), len(head.indices))
+	run.queued -= n
+	sh := head
+	if n < len(head.indices) {
+		sh = &fleetShard{bench: head.bench, benchAt: head.benchAt, shard: head.shard,
+			attempt: head.attempt, indices: head.indices[:n:n]}
+		head.indices, head.shard = head.indices[n:], -1
+		run.outstanding++
+	} else {
+		run.queue[0] = nil
+		run.queue = run.queue[1:]
+	}
+	if sh.shard < 0 {
+		sh.shard = run.carved[sh.benchAt]
+		run.carved[sh.benchAt]++
+	}
+	return sh
+}
+
+// leaseSizeLocked is the size of the next lease: Engine.ShardSize when
+// set, else guided self-scheduling's share of the work left, ⌈Q/2W⌉ for
+// Q queued plans and W serving sessions, at least fleetMinLease. Early
+// leases are large, so a campaign pays few leases; late ones shrink, so
+// the workers finish together. Callers hold run.mu.
+func (run *fleetRun) leaseSizeLocked() int {
+	if run.eng.ShardSize > 0 {
+		return run.eng.ShardSize
+	}
+	w := 2 * max(run.sessions, 1)
+	return max((run.queued+w-1)/w, fleetMinLease)
+}
+
 // settleLocked marks one shard complete. Callers hold run.mu.
 func (run *fleetRun) settleLocked(sh *fleetShard, wid int) {
 	done, total := run.store.TotalCount(), run.total
@@ -653,7 +723,8 @@ func (run *fleetRun) fail(err error) {
 	run.mu.Unlock()
 }
 
-// requeue puts a shard's still-missing indices back on the queue.
+// requeue puts a shard's still-missing indices back on the queue, at its
+// tail, to be carved again like any queued run.
 // bumpAttempt distinguishes real failures (worker-reported errors,
 // cross-check mismatches — these consume an attempt) from reassignments
 // (disconnects, expiries — the shard did nothing wrong). A shard whose
@@ -684,25 +755,28 @@ func (run *fleetRun) requeue(sh *fleetShard, wid int, cause error, bumpAttempt b
 		Shard: sh.shard, Worker: wid, Attempt: sh.attempt, Done: done, Total: total, Err: cause.Error()})
 	run.mu.Lock()
 	run.queue = append(run.queue, sh)
+	run.queued += len(remaining)
 	run.mu.Unlock()
 }
 
-// enqueueBench adds one benchmark's shards to the queue and announces the
-// benchmark. It emits under run.mu, as grantLease does, so no shard of
-// the benchmark is announced before the benchmark itself.
-func (run *fleetRun) enqueueBench(benchAt int, bench string, shards [][]int) {
+// enqueueBench queues one benchmark's todo list, in activation order, as
+// one run for grantLease to carve, and announces the benchmark. It emits
+// under run.mu, as grantLease does, so no shard of the benchmark is
+// announced before the benchmark itself.
+func (run *fleetRun) enqueueBench(benchAt int, bench string, todo []int) {
 	run.mu.Lock()
 	defer run.mu.Unlock()
-	for si, indices := range shards {
-		run.queue = append(run.queue, &fleetShard{bench: bench, benchAt: benchAt, shard: si, attempt: 1, indices: indices})
+	if len(todo) > 0 {
+		run.queue = append(run.queue, &fleetShard{bench: bench, benchAt: benchAt, shard: -1, attempt: 1, indices: todo})
+		run.queued += len(todo)
+		run.outstanding++
 	}
-	run.outstanding += len(shards)
 	run.eng.emit(Event{Type: EventBenchmarkStart, Campaign: run.id, Bench: bench,
 		Done: run.store.TotalCount(), Total: run.total})
 }
 
-// wait blocks until every enqueued shard settled, the run failed, or the
-// context was cancelled.
+// wait blocks until every queued plan was leased and settled, the run
+// failed, or the context was cancelled.
 func (run *fleetRun) wait(ctx context.Context) error {
 	run.mu.Lock()
 	defer run.mu.Unlock()
@@ -899,21 +973,17 @@ func (run *fleetRun) processDone(item ingestItem) {
 	run.settle(l.shard, item.wid)
 }
 
-// runFleet executes the campaign over the remote worker fleet: shards are
-// leased to connected xentry-worker processes and their batched results
+// runFleet executes the campaign over the remote worker fleet: leases are
+// granted to connected xentry-worker processes and their batched results
 // ingested off the HTTP/JSON path. The coordinator never executes an
 // injection itself — it derives each benchmark's plan list (PreparePlans,
-// no checkpoint pool) only to compute the activation-sorted shard split.
-// Every unfinished benchmark's shards join one queue, in benchmark order,
+// no checkpoint pool) only to compute its activation order. Every
+// unfinished benchmark's todo list joins one queue, in benchmark order,
 // before the single wait: workers lease across benchmark boundaries, and
-// NoWork means every remaining shard is leased.
+// NoWork means every remaining plan is leased.
 func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
 	if len(e.Spec) == 0 {
 		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
-	}
-	shardSize := e.ShardSize
-	if shardSize <= 0 {
-		shardSize = 64
 	}
 	maxAttempts := e.MaxAttempts
 	if maxAttempts <= 0 {
@@ -958,7 +1028,7 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 				todo = append(todo, i)
 			}
 		}
-		run.enqueueBench(bi, bench, inject.SliceShards(todo, shardSize))
+		run.enqueueBench(bi, bench, todo)
 	}
 	if err := run.wait(ctx); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,11 +181,26 @@ func TestFleetDifferentialMultiProcess(t *testing.T) {
 	}
 }
 
+// leaseSizes are the fleet lease sizes the differential tests run under:
+// a pinned size small enough that every campaign spans several leases,
+// and the derived size (unset), which gives each of these small
+// benchmarks one lease.
+var leaseSizes = []struct {
+	name string
+	size int
+}{{"shard=5", 5}, {"shard=auto", 0}}
+
 // TestFleetKillAndResumeBitIdentical kills one worker process mid-flight,
 // interrupts the coordinator mid-campaign, then resumes from the WAL with
 // the surviving workers — and the final result is still bit-identical to
 // the uninterrupted in-process run.
 func TestFleetKillAndResumeBitIdentical(t *testing.T) {
+	for _, ls := range leaseSizes {
+		t.Run(ls.name, func(t *testing.T) { testFleetKillAndResume(t, ls.size) })
+	}
+}
+
+func testFleetKillAndResume(t *testing.T, shardSize int) {
 	spec, cfg, specJSON := fleetSpec(t, "fleet-kill")
 	want, err := inject.RunCampaign(cfg)
 	if err != nil {
@@ -223,7 +239,7 @@ func TestFleetKillAndResumeBitIdentical(t *testing.T) {
 	st1 := openStore()
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	e1 := &Engine{Store: st1, Fleet: f, Spec: specJSON, ShardSize: 5, ShardTimeout: 10 * time.Second}
+	e1 := &Engine{Store: st1, Fleet: f, Spec: specJSON, ShardSize: shardSize, ShardTimeout: 10 * time.Second}
 	var outcomes atomic.Int64
 	var killOnce, cancelOnce sync.Once
 	e1.OnEvent = func(ev Event) {
@@ -251,7 +267,7 @@ func TestFleetKillAndResumeBitIdentical(t *testing.T) {
 	// still redialing and find the campaign again.
 	st2 := openStore()
 	defer st2.Close()
-	e2 := &Engine{Store: st2, Fleet: f, Spec: specJSON, ShardSize: 5, ShardTimeout: 30 * time.Second}
+	e2 := &Engine{Store: st2, Fleet: f, Spec: specJSON, ShardSize: shardSize, ShardTimeout: 30 * time.Second}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel2()
 	got, err := e2.Run(ctx2, cfg)
@@ -279,6 +295,12 @@ func TestFleetKillAndResumeBitIdentical(t *testing.T) {
 // real TCP) — the fast differential that needs no process spawning, and
 // the one the race detector can see through end to end.
 func TestFleetGoroutineWorkers(t *testing.T) {
+	for _, ls := range leaseSizes {
+		t.Run(ls.name, func(t *testing.T) { testFleetGoroutineWorkers(t, ls.size) })
+	}
+}
+
+func testFleetGoroutineWorkers(t *testing.T, shardSize int) {
 	spec, cfg, specJSON := fleetSpec(t, "fleet-goroutine")
 	want, err := inject.RunCampaign(cfg)
 	if err != nil {
@@ -294,7 +316,7 @@ func TestFleetGoroutineWorkers(t *testing.T) {
 		Store:        testStore(t, cfg, spec.ID),
 		Fleet:        f,
 		Spec:         specJSON,
-		ShardSize:    5,
+		ShardSize:    shardSize,
 		ShardTimeout: 30 * time.Second,
 	}
 
@@ -448,6 +470,203 @@ func TestFleetLeasesAcrossBenchmarks(t *testing.T) {
 	want.Normalize()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cross-benchmark fleet result diverges:\n got %+v\nwant %+v", got.Total, want.Total)
+	}
+}
+
+// TestFleetLeaseSizes leases a 2 × 2,000-plan campaign to raw sessions
+// that never complete a lease, so the queue drains through grants alone.
+// Under either size rule the leases take the benchmarks in order, each
+// benchmark's leases concatenate to its activation order and number 0,
+// 1, 2, …, and every lease has the rule's size.
+//   - ShardSize = 64: the leases are exactly the consecutive 64-plan
+//     chunks, as pre-sliced shards were (32 per benchmark, 64 in all).
+//   - Derived size, two sessions: ⌈Q/4⌉ plans for Q plans not yet
+//     leased, at least min(64, plans left in the benchmark), at most
+//     those; at most 16 leases in all.
+func TestFleetLeaseSizes(t *testing.T) {
+	const injections = 2000
+	for _, tc := range []struct {
+		name      string
+		shardSize int
+		sessions  int
+	}{
+		{"shard=64", 64, 1},
+		{"shard=auto", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, cfg, _ := fleetSpec(t, "lease-sizes", "canneal", "bzip2")
+			spec.InjectionsPerBenchmark = injections
+			cfg.InjectionsPerBenchmark = injections
+			specJSON, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFleet("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			started := make(chan struct{}, len(cfg.Benchmarks))
+			e := &Engine{Store: testStore(t, cfg, spec.ID), Fleet: f, Spec: specJSON, ShardSize: tc.shardSize,
+				OnEvent: func(ev Event) {
+					if ev.Type == EventBenchmarkStart {
+						started <- struct{}{}
+					}
+				}}
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := make(chan error, 1)
+			go func() {
+				_, err := e.Run(ctx, cfg)
+				ran <- err
+			}()
+			defer func() { cancel(); <-ran }()
+			// Every benchmark is queued before the first lease request.
+			for range cfg.Benchmarks {
+				select {
+				case <-started:
+				case err := <-ran:
+					t.Fatalf("campaign ended before it was queued: %v", err)
+				}
+			}
+
+			hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: spec.ID})
+			sessions := make([]*rawConn, tc.sessions)
+			for i := range sessions {
+				sessions[i] = dialRaw(t, f.Addr())
+				if got := sessions[i].replyType(hello); got != wire.MsgWelcome {
+					t.Fatalf("hello: reply type %d, want welcome", got)
+				}
+			}
+			var leases []*wire.Lease
+		drain:
+			for {
+				for _, c := range sessions {
+					m, err := c.roundTrip(wire.AppendLeaseReq(nil))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Type == wire.MsgNoWork {
+						break drain
+					}
+					if m.Type != wire.MsgLease {
+						t.Fatalf("lease request: reply type %d", m.Type)
+					}
+					leases = append(leases, m.Lease)
+				}
+			}
+
+			queued := injections * len(cfg.Benchmarks)
+			left := make([]int, len(cfg.Benchmarks))
+			shards := make([]int, len(cfg.Benchmarks))
+			carved := make([][]int, len(cfg.Benchmarks))
+			for bi := range cfg.Benchmarks {
+				left[bi] = injections
+			}
+			for n, l := range leases {
+				bi := l.BenchAt
+				if bi < 0 || bi >= len(cfg.Benchmarks) || l.Bench != cfg.Benchmarks[bi] {
+					t.Fatalf("lease %d names benchmark %q at %d", n, l.Bench, bi)
+				}
+				if l.Shard != shards[bi] {
+					t.Errorf("lease %d: %s shard %d, want %d", n, l.Bench, l.Shard, shards[bi])
+				}
+				shards[bi]++
+				if bi > 0 && left[bi-1] > 0 {
+					t.Errorf("lease %d: %s leased before %s ran out", n, l.Bench, cfg.Benchmarks[bi-1])
+				}
+				// The size rule, with Q the plans no lease holds yet.
+				want := tc.shardSize
+				if want == 0 {
+					w := 2 * tc.sessions
+					want = max((queued+w-1)/w, fleetMinLease)
+				}
+				want = min(want, left[bi])
+				if size := len(l.Indices); size != want {
+					t.Errorf("lease %d: %d plans with %d queued and %d left in %s, want %d",
+						n, size, queued, left[bi], l.Bench, want)
+				}
+				left[bi] -= len(l.Indices)
+				queued -= len(l.Indices)
+				carved[bi] = append(carved[bi], l.Indices...)
+			}
+			for bi := range cfg.Benchmarks {
+				plans, err := inject.PreparePlans(cfg, bi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(carved[bi], inject.ActivationOrder(plans)) {
+					t.Errorf("%s: leases do not concatenate to the activation order", cfg.Benchmarks[bi])
+				}
+			}
+			want := 2 * ((injections + 63) / 64)
+			if tc.shardSize == 0 {
+				want = 16
+			}
+			if len(leases) > want {
+				t.Errorf("%d leases, want at most %d", len(leases), want)
+			}
+			if n := f.Stats().Leases; n != int64(len(leases)) {
+				t.Errorf("fleet counted %d leases, sessions got %d", n, len(leases))
+			}
+			t.Logf("%d leases", len(leases))
+		})
+	}
+}
+
+// TestFleetRequeuedLeaseCarvedAgain drives one run's queue directly, with
+// no session joined (W = 1): a failed lease rejoins the queue at its tail
+// with its missing plans and one attempt spent, and is carved again by
+// the same size rule. Its first piece keeps the lease's number, later
+// pieces take the benchmark's next numbers, every piece inherits the
+// attempt count, and each carved piece counts as outstanding.
+func TestFleetRequeuedLeaseCarvedAgain(t *testing.T) {
+	cfg := inject.CampaignConfig{Benchmarks: []string{"canneal"}, InjectionsPerBenchmark: 1000}
+	f, err := NewFleet("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	run := newFleetRun(&Engine{Store: testStore(t, cfg, "requeue"), Fleet: f, Spec: []byte("{}")}, cfg, time.Minute, 3)
+	order := make([]int, cfg.InjectionsPerBenchmark)
+	for i := range order {
+		order[i] = i
+	}
+	run.enqueueBench(0, "canneal", order)
+
+	type carved struct{ shard, attempt, first, n int }
+	grant := func(wid int) (uint64, carved) {
+		t.Helper()
+		l := run.grantLease(wid)
+		if l == nil {
+			t.Fatal("queue ran dry")
+		}
+		return l.ID, carved{l.Shard, run.leases[l.ID].shard.attempt, l.Indices[0], len(l.Indices)}
+	}
+	failed, got := grant(1)
+	if want := (carved{0, 1, 0, 500}); got != want { // ⌈1000/2⌉
+		t.Fatalf("first lease %+v, want %+v", got, want)
+	}
+	if _, got := grant(2); got != (carved{1, 1, 500, 250}) {
+		t.Fatalf("second lease %+v, want %+v", got, carved{1, 1, 500, 250})
+	}
+	run.process(ingestItem{kind: itemFail, lease: failed, wid: 1, errMsg: "injected failure"})
+	// Queue: plans 750-999 (fresh), then 0-499 (the failed lease), Q = 750.
+	for i, want := range []carved{
+		{2, 1, 750, 250}, // min(⌈750/2⌉, 250 left in the head run)
+		{0, 2, 0, 250},   // ⌈500/2⌉, keeping the failed lease's number
+		{3, 2, 250, 125}, // ⌈250/2⌉
+		{4, 2, 375, 64},  // ⌈125/2⌉ = 63, floored at 64
+		{5, 2, 439, 61},  // what is left
+	} {
+		if _, got := grant(2); got != want {
+			t.Errorf("lease %d after the requeue: %+v, want %+v", i, got, want)
+		}
+	}
+	if l := run.grantLease(2); l != nil {
+		t.Errorf("drained queue granted lease %d", l.ID)
+	}
+	if run.queued != 0 || run.outstanding != len(run.leases) || len(run.leases) != 6 {
+		t.Errorf("queued %d, outstanding %d, leases %d; want 0, 6, 6", run.queued, run.outstanding, len(run.leases))
 	}
 }
 
@@ -835,9 +1054,11 @@ func BenchmarkFleetIngest(b *testing.B) {
 	)
 	total := shardSize * shardCount
 	pre := buildBenchShards(b, bench, shardCount, shardSize, batchRecords)
-	shards := make([][]int, shardCount)
-	for i := range shards {
-		shards[i] = pre[i].indices
+	// The pinned lease size carves the queue into exactly the pre-encoded
+	// shards, numbered as pre is indexed.
+	var order []int
+	for i := range pre {
+		order = append(order, pre[i].indices...)
 	}
 	cfg := inject.CampaignConfig{Benchmarks: []string{bench}, InjectionsPerBenchmark: total}
 
@@ -855,12 +1076,12 @@ func BenchmarkFleetIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := &Engine{Store: st, Fleet: f, Spec: []byte("{}")}
+		e := &Engine{Store: st, Fleet: f, Spec: []byte("{}"), ShardSize: shardSize}
 		run := newFleetRun(e, cfg, time.Minute, 3)
 		if err := f.start(run); err != nil {
 			b.Fatal(err)
 		}
-		run.enqueueBench(0, bench, shards)
+		run.enqueueBench(0, bench, slices.Clone(order))
 
 		b.StartTimer()
 		start := time.Now()

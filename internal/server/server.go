@@ -45,8 +45,9 @@ type CampaignSpec struct {
 	// TrainInjections > 0 trains the VM-transition model first (same
 	// deterministic training a local run performs); 0 runs without one.
 	TrainInjections int `json:"train_injections,omitempty"`
-	// ShardSize overrides the server's fleet shard size for this campaign;
-	// PoolWorkers overrides its worker count for an in-process campaign.
+	// ShardSize overrides the server's fleet lease size for this campaign
+	// (0 keeps the server's; see Engine.ShardSize); PoolWorkers overrides
+	// its worker count for an in-process campaign.
 	ShardSize   int `json:"shard_size,omitempty"`
 	PoolWorkers int `json:"pool_workers,omitempty"`
 	// Detectors names plugin detector factories (detect.RegisterFactory)
@@ -145,7 +146,8 @@ type Config struct {
 	Workers int
 	// ShardSize, MaxAttempts and ShardTimeout apply to fleet campaigns
 	// only; see the Engine fields of the same names. ShardSize is the
-	// default for specs that do not set their own.
+	// default for specs that do not set their own; 0 derives each lease's
+	// size from the work left.
 	ShardSize    int
 	MaxAttempts  int
 	ShardTimeout time.Duration

@@ -19,7 +19,9 @@
 #              and forced-slow paths, the D-TLB hit/miss cost, the wire
 #              codec's encode/decode cost (must stay 0 allocs/op), and
 #              fleet ingest throughput (inj/s through one coordinator
-#              from 10 loopback workers), the cost of building one
+#              from 10 loopback workers), one loopback fleet campaign
+#              end to end at the fixed 64-plan and the derived lease
+#              size (inj/s and leases/op), the cost of building one
 #              160-activation checkpoint pool at K=1 and K=16 (time,
 #              B/op, allocs/op, and pool-B, the live heap the pool holds),
 #              and the fixed per-benchmark cost of a 4-vCPU, all-targets,
@@ -46,6 +48,7 @@ go test -run '^$' -bench BenchmarkCPURunHot -benchmem -count 3 ./internal/cpu/ >
 go test -run '^$' -bench BenchmarkMemAccess -benchmem -count 3 ./internal/mem/ >>"$tmp"
 go test -run '^$' -bench BenchmarkWireCodec -benchmem -count 3 ./internal/wire/ >>"$tmp"
 go test -run '^$' -bench BenchmarkFleetIngest -count 3 ./internal/server/ >>"$tmp"
+go test -run '^$' -bench BenchmarkFleetCampaign -count 3 . >>"$tmp"
 
 {
 	printf '{\n'

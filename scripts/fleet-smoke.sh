@@ -1,12 +1,13 @@
 #!/bin/sh
-# Fleet smoke: boot a coordinator with a fleet listener, run one
-# two-benchmark campaign across three real xentry-worker processes (so
-# leases cross a benchmark boundary), kill one of them mid-flight (its
-# lease requeues to the survivors), and require the fleet campaign's
-# final report to be byte-identical to the same campaign executed in
-# process on the coordinator (inject.ResumeCampaign writing into the
-# store). This is the end-to-end proof that the binary data plane changes
-# where injections run, never what they produce.
+# Fleet smoke: boot a coordinator with a fleet listener (at the default,
+# derived lease size), run one two-benchmark campaign across three real
+# xentry-worker processes (so leases cross a benchmark boundary), kill one
+# of them mid-flight (its lease requeues to the survivors), and require the
+# fleet campaign's final report to be byte-identical to the same campaign
+# executed in process on the coordinator (inject.ResumeCampaign writing
+# into the store). This is the end-to-end proof that the binary data plane
+# changes where injections run, never what they produce. The verdict line
+# carries the coordinator's lease and requeue counts from /metrics.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -89,8 +90,11 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$poolspec" "http://$ap
 await smoke-pool
 curl -fsS "http://$api/campaigns/smoke-pool/result" >"$bin/pool-report.json"
 
+counts=$(curl -fsS "http://$api/metrics" |
+    awk '/^xentry_fleet_(leases|requeues)_total / {printf "%s%s", sep, $0; sep=", "}')
+
 if ! cmp -s "$bin/fleet-report.json" "$bin/pool-report.json"; then
-    echo "fleet-smoke: fleet report diverges from the in-process reference" >&2
+    echo "fleet-smoke: fleet report diverges from the in-process reference ($counts)" >&2
     diff "$bin/fleet-report.json" "$bin/pool-report.json" >&2 || true
     exit 1
 fi
@@ -100,4 +104,4 @@ wait "$w2"
 wait "$w3"
 w2="" w3=""
 
-echo "fleet-smoke: PASS (reports byte-identical, survivor workers exited cleanly)"
+echo "fleet-smoke: PASS (reports byte-identical, survivor workers exited cleanly; $counts)"
