@@ -436,6 +436,46 @@ func BenchmarkInjectionRun(b *testing.B) {
 	}
 }
 
+// BenchmarkStep measures the per-activation cost of the simulator as the
+// injection engine pays it: a Runner worker's machine (so the golden run's
+// draw table is live), restored from the reset checkpoint and stepped
+// through a 160-activation fault-free suffix, at 1 and 4 vCPUs. It reports
+// ns/step (restore included, 1/160 of it per step) and allocs/op per
+// 160-activation pass.
+func BenchmarkStep(b *testing.B) {
+	const n = 160
+	for _, vcpus := range []int{1, 4} {
+		b.Run(fmt.Sprintf("vcpus=%d", vcpus), func(b *testing.B) {
+			cfg := sim.DefaultConfig("postmark", 3)
+			cfg.VCPUs = vcpus
+			runner, err := inject.NewRunner(cfg, n, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := runner.NewWorker()
+			var act sim.Activation
+			pass := func() {
+				m, err := w.MachineAt(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					if err := m.StepInto(&act); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			pass() // build the pool and the worker's machine untimed
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/step")
+		})
+	}
+}
+
 // BenchmarkCampaignThroughput measures raw campaign engine throughput —
 // injections per second — with the checkpoint pool at several intervals K
 // and with checkpointing disabled (every run replays its fault-free prefix

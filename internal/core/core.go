@@ -229,14 +229,24 @@ func FatalException(exc *cpu.Exception) bool {
 }
 
 // Execute runs one VM exit under Xentry monitoring and returns the
-// detection outcome. With both detectors disabled and no plugins it is
-// exactly the unmodified-Xen path (zero shim cost, assertions compiled
-// out). The event spine is per-activation: one KindExit event before the
-// handler and one terminal event after it, so the interpreter's
-// devirtualized fast path never sees an interface call.
-func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (Outcome, error) {
+// detection outcome.
+func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (out Outcome, err error) {
+	err = s.ExecuteInto(ev, budget, &out)
+	return out, err
+}
+
+// ExecuteInto runs one VM exit under Xentry monitoring and fills out with
+// the detection outcome, every field overwritten. With both detectors
+// disabled and no plugins it is exactly the unmodified-Xen path (zero shim
+// cost, assertions compiled out). The event spine is per-activation: one
+// KindExit event before the handler and one terminal event after it, so
+// the interpreter's devirtualized fast path never sees an interface call.
+// On error out is unspecified.
+func (s *Sentry) ExecuteInto(ev *hv.ExitEvent, budget uint64, out *Outcome) error {
 	if s.ForceLegacy {
-		return s.executeLegacy(ev, budget)
+		var err error
+		*out, err = s.executeLegacy(ev, budget)
+		return err
 	}
 	c := s.HV.CPUFor(ev)
 	c.AssertsEnabled = s.Opts.RuntimeDetection
@@ -262,9 +272,12 @@ func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (Outcome, error) {
 
 	res, err := s.HV.Dispatch(ev, budget)
 	if err != nil {
-		return Outcome{}, err
+		return err
 	}
-	out := Outcome{Result: res, ShimCycles: shim}
+	out.Result = res
+	out.Hang = false
+	out.Features = [ml.NumFeatures]uint64{}
+	out.HasFeatures = false
 	s.stats.Activations++
 	sp.Steps = res.Steps
 
@@ -312,7 +325,7 @@ func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (Outcome, error) {
 	out.Verdict = v
 	s.stats.record(v.Technique)
 	out.ShimCycles = shim + sp.Cost()
-	return out, nil
+	return nil
 }
 
 // executeLegacy is the seed's hard-coded detection path, preserved

@@ -169,6 +169,15 @@ type CPU struct {
 	// instruction boundary and drops to the untraced fast loop for the
 	// rest of the execution.
 	PreStep func(step uint64, pc uint64)
+	// PreStepFrom defers an armed PreStep: Run executes the local steps
+	// below it untraced and calls the hook only from the first instruction
+	// boundary at or after it. A rep movs that straddles the cut runs to
+	// completion untraced first, because the traced loop calls the hook
+	// once per instruction, not once per retired word. The cut applies to
+	// every Run while it is set (each Run counts local steps from zero), so
+	// a hook that must see later Runs from their start clears it when it
+	// fires. The forced slow path ignores it and traces every step.
+	PreStepFrom uint64
 
 	// DisableThreaded pins untraced execution to the switch-era fast loop
 	// (runFast over the shared semantics table) instead of the
@@ -191,6 +200,12 @@ type CPU struct {
 	// allocate one Instr per dynamic instruction. The buffer lives on the
 	// (already heap-resident) CPU instead and is dead outside step.
 	fetchBuf isa.Instr
+
+	// repCut records that a rep movs stopped mid-copy on budget exhaustion
+	// (both dispatchers set it on that cold path). Run clears it before an
+	// untraced prefix and reads it after, to finish a rep the PreStepFrom
+	// cut split.
+	repCut bool
 
 	// pend accumulates performance-counter retirement between flushes.
 	// The run loops retire into these plain counters and flush them to
@@ -236,7 +251,7 @@ func (c *CPU) State() State {
 func (c *CPU) ArchHash() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, r := range c.Regs {
+	for _, r := range &c.Regs {
 		h ^= r
 		h *= prime
 	}
@@ -272,13 +287,14 @@ var (
 // runFast is the same untraced loop over the semantics table — the
 // dispatcher the differential harness holds runThreaded against
 // (DisableThreaded), and the fallback for non-Segment text maps. runTraced
-// runs only while PreStep is armed and hands the remaining budget to the
-// untraced loop the moment the hook disarms itself — which the injector
-// does as soon as the flip's fate is decided, so a traced injection run
-// still spends almost all of its instructions on threaded code. runSlow is
-// the seed-equivalent path behind ForceSlow, kept so differential tests can
-// prove the fast paths bit-identical. All paths flush pending PMU counts
-// exactly once, at stop, before any caller can observe the counter bank.
+// runs only while PreStep is armed, from the PreStepFrom cut on, and hands
+// the remaining budget to the untraced loop the moment the hook disarms
+// itself — which the injector does as soon as the flip's fate is decided,
+// so a traced injection run spends almost all of its instructions on
+// threaded code. runSlow is the seed-equivalent path behind ForceSlow,
+// kept so differential tests can prove the fast paths bit-identical. All
+// paths flush pending PMU counts exactly once, at stop, before any caller
+// can observe the counter bank.
 func (c *CPU) Run(budget uint64) RunResult {
 	if c.ForceSlow {
 		// runSlow flushes per instruction and charges INST_RETIRED itself.
@@ -287,28 +303,64 @@ func (c *CPU) Run(budget uint64) RunResult {
 		return rr
 	}
 	seg, _ := c.Text.(*Segment)
-	var prefix uint64
-	if c.PreStep != nil {
-		rr, done := c.runTraced(budget, seg)
-		if done {
-			c.pend[perf.InstRetired] += rr.Steps
-			c.flushPMU()
-			return rr
-		}
-		prefix = rr.Steps
-	}
 	var rr RunResult
-	if seg != nil && !c.DisableThreaded {
-		rr = c.runThreaded(budget-prefix, seg)
-	} else {
-		rr = c.runFast(budget-prefix, seg)
+	done := false
+	if c.PreStep != nil {
+		if c.PreStepFrom > 0 {
+			rr, done = c.runPrefix(min(c.PreStepFrom, budget), budget, seg)
+		}
+		if !done {
+			rr, done = c.runTraced(rr.Steps, budget, seg)
+		}
 	}
-	rr.Steps += prefix
+	if !done {
+		prefix := rr.Steps
+		rr = c.runUntraced(budget-prefix, seg)
+		rr.Steps += prefix
+	}
 	// INST_RETIRED advances once per retired instruction — the quantity
 	// Steps totals — so it is charged here in bulk (see retire).
 	c.pend[perf.InstRetired] += rr.Steps
 	c.flushPMU()
 	return rr
+}
+
+// runUntraced runs the untraced loop Run would pick for the text map.
+func (c *CPU) runUntraced(budget uint64, seg *Segment) RunResult {
+	if seg != nil && !c.DisableThreaded {
+		return c.runThreaded(budget, seg)
+	}
+	return c.runFast(budget, seg)
+}
+
+// runPrefix executes the first cut local steps of a deferred traced run
+// untraced and reports done when the run stopped before the cut. The
+// untraced loop stops exactly at its budget, at an instruction boundary —
+// fused superinstructions split at budget seams like the interpreter —
+// except inside a rep movs, which retires one step per word; a rep the cut
+// split runs to completion here, so the first hook call lands on the same
+// instruction boundary the traced loop would have given it. total is the
+// whole Run's budget, which bounds the finished rep.
+func (c *CPU) runPrefix(cut, total uint64, seg *Segment) (RunResult, bool) {
+	c.repCut = false
+	rr := c.runUntraced(cut, seg)
+	if rr.Reason != StopBudget || rr.Steps >= total {
+		return rr, true
+	}
+	if c.repCut {
+		// The rep at RIP resumes from its registers; its semantics read
+		// no operand field of the instruction.
+		pc := c.Regs[isa.RIP]
+		retired, err := semRepMovs(c, nil, pc, pc+isa.InstrBytes, total-rr.Steps)
+		rr.Steps += retired
+		if err != nil {
+			return stepStop(err, rr.Steps, pc), true
+		}
+		if rr.Steps >= total {
+			return RunResult{Reason: StopBudget, Steps: rr.Steps}, true
+		}
+	}
+	return rr, false
 }
 
 // fetchStop builds the RunResult for a failed instruction fetch.
@@ -366,13 +418,14 @@ func (c *CPU) runFast(budget uint64, seg *Segment) RunResult {
 	return RunResult{Reason: StopBudget, Steps: steps}
 }
 
-// runTraced runs while PreStep is armed. It re-reads the hook every
-// iteration: when the hook disarms itself (sets PreStep to nil), runTraced
-// returns done=false with the steps consumed so far and Run continues the
-// remaining budget on runFast. The disarm check happens only while
-// steps < budget, so the fast loop always receives a budget of at least one.
-func (c *CPU) runTraced(budget uint64, seg *Segment) (RunResult, bool) {
-	var steps uint64
+// runTraced runs while PreStep is armed, from local step steps (the
+// untraced prefix before a PreStepFrom cut) to budget. It re-reads the
+// hook every iteration: when the hook disarms itself (sets PreStep to
+// nil), runTraced returns done=false with the steps consumed so far and
+// Run continues the remaining budget on the untraced loop. The disarm
+// check happens only while steps < budget, so the untraced loop always
+// receives a budget of at least one.
+func (c *CPU) runTraced(steps, budget uint64, seg *Segment) (RunResult, bool) {
 	for steps < budget {
 		hook := c.PreStep
 		if hook == nil {

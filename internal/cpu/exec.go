@@ -596,14 +596,16 @@ func semStore(c *CPU, in *isa.Instr, pc, next, budget uint64) (uint64, error) {
 
 // semRepMovs copies RCX words from [RSI] to [RDI]; each word retires as one
 // instruction so a corrupted count visibly lengthens the trace. The
-// instruction is restartable: on budget exhaustion RIP stays put and the
-// outer loop reports the hang.
+// instruction is restartable: on budget exhaustion RIP stays put, repCut
+// records the split, and the outer loop reports the hang (or Run finishes
+// the copy, when the budget was a PreStepFrom cut).
 func semRepMovs(c *CPU, in *isa.Instr, pc, next, budget uint64) (uint64, error) {
 	r := &c.Regs
 	var retired uint64
 	for r[isa.RCX] != 0 {
 		if retired >= budget {
 			r[isa.RIP] = pc
+			c.repCut = true
 			return retired, nil
 		}
 		v, fk := c.Mem.Load(r[isa.RSI])

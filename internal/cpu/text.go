@@ -16,6 +16,10 @@ type Segment struct {
 	// Base is the segment's first virtual address.
 	Base   uint64
 	instrs []isa.Instr
+	// regs[i] holds instrs[i]'s register read and write sets, computed
+	// once at link time for the fault injector's per-instruction
+	// activation tests (RegsAt).
+	regs []regUse
 
 	// trans caches the segment's direct-threaded translation (threaded.go),
 	// built on first untraced Run and shared by every CPU executing this
@@ -65,6 +69,24 @@ func (s *Segment) InstrAt(addr uint64) (isa.Instr, bool) {
 	return in, fr == FetchOK
 }
 
+// regUse is one instruction's register read and write sets.
+type regUse struct {
+	reads, writes isa.RegSet
+}
+
+// RegsAt returns the registers the instruction at addr reads and writes
+// (isa.Instr.Reads and Writes, precomputed by Link), and false when addr
+// is outside the segment or off an instruction boundary.
+func (s *Segment) RegsAt(addr uint64) (reads, writes isa.RegSet, ok bool) {
+	off := addr - s.Base
+	idx := off / isa.InstrBytes
+	if idx >= uint64(len(s.regs)) || off%isa.InstrBytes != 0 {
+		return 0, 0, false
+	}
+	u := s.regs[idx]
+	return u.reads, u.writes, true
+}
+
 // Loader links a set of programs into a single Segment with a shared
 // symbol table (program name → entry address), resolving cross-program
 // calls in two passes.
@@ -108,6 +130,10 @@ func (l *Loader) Link() (*Segment, map[string]uint64, map[uint64]uint64, error) 
 			fixups[clone.AddrOf(f.Idx)] = clone.AddrOf(f.Target)
 		}
 		seg.instrs = append(seg.instrs, clone.Instrs...)
+	}
+	seg.regs = make([]regUse, len(seg.instrs))
+	for i := range seg.instrs {
+		seg.regs[i] = regUse{seg.instrs[i].Reads(), seg.instrs[i].Writes()}
 	}
 	return seg, symtab, fixups, nil
 }

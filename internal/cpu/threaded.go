@@ -64,7 +64,7 @@ type opFn func(c *CPU, budget uint64) (next uint64, retired uint64, err error)
 // can never serve stale threaded code — the version mismatch forces
 // retranslation. Bump it whenever the fusion rules or opFn semantics
 // change.
-const TranslationVersion = 4
+const TranslationVersion = 5
 
 // translationVersion is the live version the cache validates against. It
 // is a variable only so tests can simulate a version bump and prove the
@@ -942,13 +942,14 @@ func compileOne(s *Segment, i int) opFn {
 	case isa.OpRepMovs:
 		// The dedicated rep-string body: the per-word loop never re-enters
 		// dispatch, and restartability matches semRepMovs — on budget
-		// exhaustion RIP stays at pc so the next Run resumes the copy.
+		// exhaustion RIP stays at pc and repCut records the split.
 		pc, next := p.PC, p.Next
 		return func(c *CPU, budget uint64) (uint64, uint64, error) {
 			r := &c.Regs
 			var retired uint64
 			for r[isa.RCX] != 0 {
 				if retired >= budget {
+					c.repCut = true
 					return pc, retired, nil
 				}
 				v, ok := c.Mem.LoadHit(r[isa.RSI])

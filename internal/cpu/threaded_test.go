@@ -99,7 +99,8 @@ type archState struct {
 
 // execVariant runs instrs from identical initial state under one
 // dispatcher configuration and returns the final architectural state.
-func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDispatch, slow bool) archState {
+// arm, when non-nil, is called on the ready CPU just before Run.
+func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDispatch, slow bool, arm func(*CPU)) archState {
 	seg := &Segment{Base: fuzzBase, instrs: instrs}
 	m := mem.New()
 	m.MustMap("data", fuzzData, fuzzDataSize, mem.PermRW)
@@ -133,6 +134,9 @@ func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDi
 	c.Regs[isa.RIP] = fuzzBase
 
 	c.PMU.Arm()
+	if arm != nil {
+		arm(c)
+	}
 	res := c.Run(budget)
 	return archState{
 		res:  res,
@@ -169,11 +173,64 @@ func diffStates(t *testing.T, label string, got, want archState) {
 func checkAllDispatchers(t *testing.T, instrs []isa.Instr, seed byte, budgets []uint64, asserts bool) {
 	t.Helper()
 	for _, budget := range budgets {
-		ref := execVariant(instrs, seed, budget, asserts, true, false)
-		thr := execVariant(instrs, seed, budget, asserts, false, false)
-		slw := execVariant(instrs, seed, budget, asserts, false, true)
+		ref := execVariant(instrs, seed, budget, asserts, true, false, nil)
+		thr := execVariant(instrs, seed, budget, asserts, false, false, nil)
+		slw := execVariant(instrs, seed, budget, asserts, false, true, nil)
 		diffStates(t, labelFor("threaded", budget), thr, ref)
 		diffStates(t, labelFor("slow", budget), slw, ref)
+	}
+}
+
+// hookCall is one PreStep invocation.
+type hookCall struct{ step, pc uint64 }
+
+// tracedFrom runs instrs under one dispatcher with a PreStep hook that
+// watches local steps from `from` on: deferred by PreStepFrom, or armed
+// from step 0 and ignoring the steps before from. Like the fault injector,
+// the hook clears PreStepFrom and flips a register bit at its first
+// observed call, and it disarms itself after a few calls, so both the cut
+// and the hand-off back to the untraced loop show in the final state.
+func tracedFrom(instrs []isa.Instr, seed byte, budget, from uint64, asserts, switchDispatch, deferred bool) ([]hookCall, archState) {
+	var calls []hookCall
+	limit := 2 + int(seed%5)
+	st := execVariant(instrs, seed, budget, asserts, switchDispatch, false, func(c *CPU) {
+		c.PreStep = func(step, pc uint64) {
+			if !deferred && step < from {
+				return
+			}
+			calls = append(calls, hookCall{step, pc})
+			if len(calls) == 1 {
+				c.PreStepFrom = 0
+				c.Regs[isa.Reg(seed%isa.NumGPR)] ^= 1 << (seed % 64)
+			}
+			if len(calls) == limit {
+				c.PreStep = nil
+			}
+		}
+		if deferred {
+			c.PreStepFrom = from
+		}
+	})
+	return calls, st
+}
+
+// checkTracedFrom holds a hook deferred to step `from` to one armed from
+// step 0 that ignores the earlier steps, on both untraced dispatchers: the
+// same (step, pc) calls and the same final state.
+func checkTracedFrom(t *testing.T, instrs []isa.Instr, seed byte, budget, from uint64, asserts bool) {
+	t.Helper()
+	for _, sw := range []bool{false, true} {
+		label := "threaded"
+		if sw {
+			label = "switch"
+		}
+		label += " traced from " + uitoa(from) + " @budget=" + uitoa(budget)
+		wantCalls, want := tracedFrom(instrs, seed, budget, from, asserts, sw, false)
+		gotCalls, got := tracedFrom(instrs, seed, budget, from, asserts, sw, true)
+		if !reflect.DeepEqual(gotCalls, wantCalls) {
+			t.Errorf("%s: hook calls %v, want %v", label, gotCalls, wantCalls)
+		}
+		diffStates(t, label, got, want)
 	}
 }
 
@@ -226,8 +283,8 @@ func FuzzThreadedVsSwitch(f *testing.F) {
 		enc(isa.OpAdd, 0, 1, 0),
 		enc(isa.OpJmp, 0, 0, 0),
 	)
-	f.Add(loop, byte(1), uint16(4096), false)
-	f.Add(loop, byte(7), uint16(3), false)
+	f.Add(loop, byte(1), uint16(4096), false, uint16(0))
+	f.Add(loop, byte(7), uint16(3), false, uint16(2))
 	// cmp+Jcc pair, then a loop-body that aliases RFLAGS as a base
 	// register (index 17) — must reject fusion, not change semantics.
 	f.Add(cat(
@@ -237,7 +294,7 @@ func FuzzThreadedVsSwitch(f *testing.F) {
 		enc(isa.OpStore, 0, 4, 17),
 		enc(isa.OpLoad, 1, 17, 4),
 		enc(isa.OpAdd, 0, 1, 0),
-	), byte(3), uint16(64), true)
+	), byte(3), uint16(64), true, uint16(5))
 	// ALU-imm + store + jmp (fuseALUImmStore with fold), call/ret, asserts.
 	f.Add(cat(
 		enc(isa.OpAndImm, 2, 3, 8),
@@ -246,22 +303,64 @@ func FuzzThreadedVsSwitch(f *testing.F) {
 		enc(isa.OpCall, 0, 0, 5),
 		enc(isa.OpAssertLe, 2, 0, 100),
 		enc(isa.OpRet, 0, 0, 0),
-	), byte(9), uint16(33), true)
+	), byte(9), uint16(33), true, uint16(17))
 	// RIP-aliased operands route through compileGeneric.
 	f.Add(cat(
 		enc(isa.OpMov, 4, 16, 0),
 		enc(isa.OpAddImm, 16, 0, 4),
 		enc(isa.OpVMEntry, 0, 0, 0),
-	), byte(2), uint16(10), false)
+	), byte(2), uint16(10), false, uint16(1))
+	// A 40-word rep movs retiring local steps 5-44, with the traced run
+	// deferred to step 20: the cut lands mid-copy, so the first hook call
+	// must wait for the rep's end.
+	f.Add(cat(
+		enc(isa.OpNop, 0, 0, 0),
+		enc(isa.OpNop, 0, 0, 0),
+		enc(isa.OpMovImm, byte(isa.RCX), 0, 40),
+		enc(isa.OpMovImm, byte(isa.RSI), 16, 2),    // 2<<16 = fuzzData
+		enc(isa.OpMovImm, byte(isa.RDI), 11, 0x41), // 0x41<<11 = fuzzData+0x800
+		enc(isa.OpRepMovs, 0, 0, 0),
+		enc(isa.OpAddImm, byte(isa.RAX), 0, 1),
+		enc(isa.OpVMEntry, 0, 0, 0),
+	), byte(0), uint16(299), false, uint16(20))
 
-	f.Fuzz(func(t *testing.T, data []byte, seed byte, rawBudget uint16, asserts bool) {
+	f.Fuzz(func(t *testing.T, data []byte, seed byte, rawBudget uint16, asserts bool, rawFrom uint16) {
 		instrs := fuzzDecode(data)
 		if len(instrs) == 0 {
 			t.Skip()
 		}
 		budget := uint64(rawBudget)%300 + 1
 		checkAllDispatchers(t, instrs, seed, []uint64{budget}, asserts)
+		checkTracedFrom(t, instrs, seed, budget, uint64(rawFrom)%(budget+8), asserts)
 	})
+}
+
+// TestPreStepFromWaitsOutCutRep: a PreStepFrom cut inside a rep movs
+// defers the first hook call to the instruction after the rep — the
+// boundary the traced loop gives the hook — not to the cut step, and the
+// run ends in the state a hook armed from step 0 leaves.
+func TestPreStepFromWaitsOutCutRep(t *testing.T) {
+	instrs := []isa.Instr{
+		{Op: isa.OpMovImm, Dst: isa.RCX, Imm: 10},
+		{Op: isa.OpMovImm, Dst: isa.RSI, Imm: fuzzData},
+		{Op: isa.OpMovImm, Dst: isa.RDI, Imm: fuzzData + 0x800},
+		{Op: isa.OpRepMovs}, // local steps 3-12
+		{Op: isa.OpVMEntry}, // local step 13
+	}
+	want := hookCall{13, fuzzBase + 4*isa.InstrBytes}
+	for _, sw := range []bool{false, true} {
+		for _, from := range []uint64{4, 7, 12, 13} {
+			calls, _ := tracedFrom(instrs, 0, 100, from, false, sw, true)
+			if len(calls) == 0 || calls[0] != want {
+				t.Errorf("switch=%v from=%d: first hook call %v, want %v", sw, from, calls, want)
+			}
+		}
+	}
+	for _, from := range []uint64{0, 3, 4, 12, 13, 14} {
+		for _, budget := range []uint64{5, 12, 13, 14, 100} {
+			checkTracedFrom(t, instrs, 0, budget, from, false)
+		}
+	}
 }
 
 // TestThreadedBudgetSeams pins the interpreter-exact (pc, retired) pairs

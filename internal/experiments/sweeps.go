@@ -61,75 +61,99 @@ func Sweeps(sc Scale) (*SweepResult, error) {
 		return nil, err
 	}
 
-	res := &SweepResult{}
+	// The studies fit about twenty independent trees; each fit is a job run
+	// on sc.Workers goroutines that writes only its own result slot, so the
+	// rows come out in the serial order whatever the schedule.
+	res := &SweepResult{FeatureAblation: make([]FeatureAblationRow, ml.NumFeatures+1)}
+	var jobs []func() error
 
 	// Feature ablation: mask one feature at a time (zeroing it removes its
 	// discriminative power without changing the vector shape).
 	for f := -1; f < ml.NumFeatures; f++ {
-		name := "none"
-		maskedTrain, maskedTest := trainSet, testSet
-		if f >= 0 {
-			name = ml.FeatureName(f)
-			maskedTrain = maskFeature(trainSet, f)
-			maskedTest = maskFeature(testSet, f)
-		}
-		tree, err := ml.Train(maskedTrain, ml.DefaultRandomTree(sc.Seed))
-		if err != nil {
-			return nil, err
-		}
-		res.FeatureAblation = append(res.FeatureAblation, FeatureAblationRow{
-			Dropped:  name,
-			Eval:     ml.Evaluate(tree, maskedTest),
-			TreeSize: tree.Size(),
+		jobs = append(jobs, func() error {
+			name := "none"
+			maskedTrain, maskedTest := trainSet, testSet
+			if f >= 0 {
+				name = ml.FeatureName(f)
+				maskedTrain = maskFeature(trainSet, f)
+				maskedTest = maskFeature(testSet, f)
+			}
+			tree, err := ml.Train(maskedTrain, ml.DefaultRandomTree(sc.Seed))
+			if err != nil {
+				return err
+			}
+			res.FeatureAblation[f+1] = FeatureAblationRow{
+				Dropped:  name,
+				Eval:     ml.Evaluate(tree, maskedTest),
+				TreeSize: tree.Size(),
+			}
+			return nil
 		})
 	}
 
 	// Depth sweep.
-	for _, depth := range []int{2, 4, 6, 8, 12, 16, 24} {
-		tree, err := ml.Train(trainSet, ml.Config{
-			MaxDepth: depth, MinLeaf: 1,
-			RandomFeatures: ml.PaperRandomFeatures, Seed: sc.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var cmp int
-		for _, s := range testSet {
-			_, c := tree.Classify(s.Features)
-			cmp += c
-		}
-		res.DepthSweep = append(res.DepthSweep, DepthRow{
-			MaxDepth:    depth,
-			Eval:        ml.Evaluate(tree, testSet),
-			MeanCompare: float64(cmp) / float64(len(testSet)),
+	depths := []int{2, 4, 6, 8, 12, 16, 24}
+	res.DepthSweep = make([]DepthRow, len(depths))
+	for i, depth := range depths {
+		jobs = append(jobs, func() error {
+			tree, err := ml.Train(trainSet, ml.Config{
+				MaxDepth: depth, MinLeaf: 1,
+				RandomFeatures: ml.PaperRandomFeatures, Seed: sc.Seed,
+			})
+			if err != nil {
+				return err
+			}
+			var cmp int
+			for _, s := range testSet {
+				_, c := tree.Classify(s.Features)
+				cmp += c
+			}
+			res.DepthSweep[i] = DepthRow{
+				MaxDepth:    depth,
+				Eval:        ml.Evaluate(tree, testSet),
+				MeanCompare: float64(cmp) / float64(len(testSet)),
+			}
+			return nil
 		})
 	}
 
 	// Training-set size sweep (prefix fractions keep class mixing).
+	interleaved := interleave(trainSet)
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
 		n := int(frac * float64(len(trainSet)))
 		if n < 10 {
 			continue
 		}
-		sub := interleave(trainSet)[:n]
-		tree, err := ml.Train(sub, ml.DefaultRandomTree(sc.Seed))
-		if err != nil {
-			return nil, err
-		}
-		res.SizeSweep = append(res.SizeSweep, SizeRow{
-			Fraction: frac, Samples: n, Eval: ml.Evaluate(tree, testSet),
+		i := len(res.SizeSweep)
+		res.SizeSweep = append(res.SizeSweep, SizeRow{Fraction: frac, Samples: n})
+		jobs = append(jobs, func() error {
+			tree, err := ml.Train(interleaved[:n], ml.DefaultRandomTree(sc.Seed))
+			if err != nil {
+				return err
+			}
+			res.SizeSweep[i].Eval = ml.Evaluate(tree, testSet)
+			return nil
 		})
 	}
 
 	// Generative baseline.
-	tree, err := ml.Train(trainSet, ml.DefaultRandomTree(sc.Seed))
-	if err != nil {
+	jobs = append(jobs, func() error {
+		tree, err := ml.Train(trainSet, ml.DefaultRandomTree(sc.Seed))
+		if err != nil {
+			return err
+		}
+		res.TreeEval = ml.Evaluate(tree, testSet)
+		return nil
+	}, func() error {
+		if nb, err := ml.TrainNaiveBayes(trainSet); err == nil {
+			res.BayesEval = ml.Evaluate(nb, testSet)
+			res.BayesTrained = true
+		}
+		return nil
+	})
+
+	if err := parallel(sc.Workers, len(jobs), func(i int) error { return jobs[i]() }); err != nil {
 		return nil, err
-	}
-	res.TreeEval = ml.Evaluate(tree, testSet)
-	if nb, err := ml.TrainNaiveBayes(trainSet); err == nil {
-		res.BayesEval = ml.Evaluate(nb, testSet)
-		res.BayesTrained = true
 	}
 	return res, nil
 }

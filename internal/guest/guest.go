@@ -139,9 +139,15 @@ const (
 
 // Capture reads the guest-visible state after one activation. ev supplies
 // the arguments needed to locate activation-specific buffer writes.
-func Capture(h *hv.Hypervisor, ev *hv.ExitEvent) Record {
+func Capture(h *hv.Hypervisor, ev *hv.ExitEvent) (rec Record) {
+	CaptureInto(h, ev, &rec)
+	return rec
+}
+
+// CaptureInto is Capture writing into rec, every field overwritten.
+func CaptureInto(h *hv.Hypervisor, ev *hv.ExitEvent, rec *Record) {
 	d := h.Domains[ev.Dom]
-	rec := Record{
+	*rec = Record{
 		Reason:       ev.Reason,
 		TrapNr:       h.VCPUWord(d.VCPU, hv.VCPUTrapNr),
 		TrapErr:      h.VCPUWord(d.VCPU, hv.VCPUTrapErr),
@@ -184,7 +190,6 @@ func Capture(h *hv.Hypervisor, ev *hv.ExitEvent) Record {
 			)
 		}
 	}
-	return rec
 }
 
 // MaxTrapVector is the highest trap number a guest kernel has a handler

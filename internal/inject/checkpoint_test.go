@@ -22,7 +22,7 @@ func TestPlanStepInvariantHolds(t *testing.T) {
 		r2.CheckpointEvery = every
 		w := r2.NewWorker()
 		for _, a := range []int{0, 1, 15, 16, 17, 31, 42, r.Activations - 1} {
-			m, err := w.machineAt(a)
+			m, err := w.MachineAt(a)
 			if err != nil {
 				t.Fatal(err)
 			}

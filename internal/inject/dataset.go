@@ -93,11 +93,17 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The checkpoint pool builds on its own goroutine while this one
+		// runs the extra fault-free runs, instead of after them on the
+		// first claim-loop worker while the others wait.
+		pool := make(chan error, 1)
+		go func() { pool <- runner.EnsureCheckpoints() }()
 		// Correct samples from fault-free runs.
 		for run := 0; run < cfg.FaultFreeRuns; run++ {
 			acts := runner.Golden
 			if run > 0 {
 				if acts, err = sim.GoldenRun(cfg.simConfig(bi, run), cfg.Activations); err != nil {
+					<-pool
 					return nil, fmt.Errorf("inject: dataset golden run: %w", err)
 				}
 			}
@@ -106,6 +112,9 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 					dataset = append(dataset, ml.Sample{Features: a.Outcome.Features, Correct: true})
 				}
 			}
+		}
+		if err := <-pool; err != nil {
+			return nil, fmt.Errorf("inject: dataset injection: %w", err)
 		}
 
 		// Incorrect samples from injections. RunCampaign's claim loop:

@@ -254,17 +254,21 @@ type Runner struct {
 	ptAccs [][]ptAcc
 	refs   []refVerdict
 	refHV  *hv.Hypervisor
+	// draws is the golden run's workload-draw table (sim.Draws): every
+	// machine the runner builds replays the golden draws instead of
+	// sampling them again. Nil for a Runner built without NewRunner.
+	draws *sim.Draws
 }
 
 // NewRunner computes the golden run for the configuration. The golden run
 // uses the same detection options but no transition model, so it cannot be
 // perturbed by false positives.
 func NewRunner(cfg sim.Config, activations int, model *ml.Tree) (*Runner, error) {
-	golden, err := sim.GoldenRun(cfg, activations)
+	golden, draws, err := sim.RecordGoldenRun(cfg, activations)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{Cfg: cfg, Activations: activations, Model: model, Golden: golden}, nil
+	return &Runner{Cfg: cfg, Activations: activations, Model: model, Golden: golden, draws: draws}, nil
 }
 
 // newMachine builds a machine configured like every injection run's.
@@ -278,6 +282,7 @@ func (r *Runner) newMachine() (*sim.Machine, error) {
 	}
 	m.SetModel(r.Model)
 	m.RecoverOnDetection = r.Recover
+	m.UseDraws(r.draws)
 	for _, d := range m.Sentry.Detectors() {
 		obs, ok := d.(detect.GoldenObserver)
 		if !ok {
@@ -350,6 +355,7 @@ func (r *Runner) buildCheckpoints() error {
 			}
 		}
 	}
+	var act sim.Activation
 	for i := 0; i < r.Activations; i++ {
 		var cp *sim.Checkpoint
 		if i%poolK == 0 {
@@ -383,7 +389,7 @@ func (r *Runner) buildCheckpoints() error {
 				c.PreStep = hooks[ci]
 			}
 		}
-		act, err := m.Step()
+		err := m.StepInto(&act)
 		for _, c := range m.HV.CPUs {
 			c.PreStep = nil
 		}
@@ -433,10 +439,9 @@ func (r *Runner) buildCheckpoints() error {
 type Worker struct {
 	r *Runner
 	m *sim.Machine
-	// recBuf is the reusable guest-record buffer for suffix classification;
-	// it never leaves RunOne, so one allocation serves the worker's whole
-	// campaign share.
-	recBuf []guest.Record
+	// act and next are the injected and the current suffix activation,
+	// stepped in place (sim.Machine.StepInto) run after run.
+	act, next sim.Activation
 	// base is the memory image of the checkpoint the machine was last
 	// restored from: the incremental-hash base for convergence checks
 	// (the fold starts from its fold and rehashes only the pages written
@@ -446,26 +451,23 @@ type Worker struct {
 	hook injHook
 }
 
-// NewWorker returns a worker bound to the runner. Its record buffer holds
-// a whole run's suffix from the start, so it never regrows; runners that
-// stop at the injected activation never fill it and get none.
+// NewWorker returns a worker bound to the runner.
 func (r *Runner) NewWorker() *Worker {
 	w := &Worker{r: r}
-	if !r.featuresOnly {
-		w.recBuf = make([]guest.Record, 0, r.Activations)
-	}
 	w.hook.regFn, w.hook.uncoreFn = w.hook.reg, w.hook.uncore
 	return w
 }
 
 // injHook is the PreStep hook of one injection run: it flips the planned
 // bit when the injected activation reaches the plan's step, then, for a
-// register site, watches the flip's fate. It disarms itself (PreStep =
-// nil) the moment the fate is decided — activated or overwritten — so the
-// CPU drops from the traced loop to the untraced fast loop for the rest
-// of the run instead of paying the hook on every later instruction. Its
-// state lives in the Worker and its two bodies are bound once, so arming
-// it allocates nothing.
+// register site, watches the flip's fate. Arming defers it to the plan's
+// step (cpu.CPU.PreStepFrom), so the fault-free prefix of the injected
+// activation runs untraced, and it disarms itself (PreStep = nil) the
+// moment the fate is decided — activated or overwritten — so the CPU
+// drops back to the untraced loop for the rest of the run instead of
+// paying the hook on every later instruction. Its state lives in the
+// Worker and its two bodies are bound once, so arming it allocates
+// nothing.
 type injHook struct {
 	m    *sim.Machine
 	c    *cpu.CPU
@@ -492,6 +494,7 @@ func (h *injHook) arm(m *sim.Machine, c *cpu.CPU, plan Plan) {
 	} else {
 		c.PreStep = h.uncoreFn
 	}
+	c.PreStepFrom = plan.Step
 }
 
 // uncore applies an uncore flip. Uncore sites have no consume/overwrite
@@ -505,7 +508,7 @@ func (h *injHook) uncore(step, pc uint64) {
 	h.activatedStep = step
 	h.symbol = h.m.HV.SymbolFor(pc)
 	h.activated = applyUncoreFault(h.m, h.plan)
-	h.c.PreStep = nil
+	h.c.PreStep, h.c.PreStepFrom = nil, 0
 }
 
 // reg flips a register bit and follows it to its first reader (activated)
@@ -514,6 +517,9 @@ func (h *injHook) reg(step, pc uint64) {
 	c, plan := h.c, &h.plan
 	if !h.injected {
 		if step >= plan.Step {
+			// Later Runs of this activation (a fixup resumption, a
+			// recovery's re-execution) are watched from their first step.
+			c.PreStepFrom = 0
 			h.injected = true
 			h.activatedStep = step
 			c.Regs[plan.Reg] ^= 1 << plan.Bit
@@ -531,7 +537,8 @@ func (h *injHook) reg(step, pc uint64) {
 		c.PreStep = nil
 		return
 	}
-	in, ok := h.m.HV.Seg.InstrAt(pc)
+	seg := h.m.HV.Seg
+	reads, writes, ok := seg.RegsAt(pc)
 	if !ok {
 		// Fetch about to fault; control flow already diverged.
 		h.activated = true
@@ -539,7 +546,8 @@ func (h *injHook) reg(step, pc uint64) {
 		c.PreStep = nil
 		return
 	}
-	if in.ReadsReg(plan.Reg) {
+	if reads.Has(plan.Reg) {
+		in, _ := seg.FetchPtr(pc)
 		h.activated = true
 		h.activatedStep = step
 		h.consumerOp = in.Op
@@ -547,17 +555,20 @@ func (h *injHook) reg(step, pc uint64) {
 		c.PreStep = nil
 		return
 	}
-	if in.WritesReg(plan.Reg) {
+	if writes.Has(plan.Reg) {
 		h.overwritten = true
 		c.PreStep = nil
 	}
 }
 
-// machineAt returns a machine whose state is exactly the fault-free stream
+// MachineAt returns a machine whose state is exactly the fault-free stream
 // immediately before the given activation: restored from the nearest
 // preceding checkpoint plus a short residual replay when checkpointing is
-// on, or a fresh machine replaying from reset when it is off.
-func (w *Worker) machineAt(activation int) (*sim.Machine, error) {
+// on, or a fresh machine replaying from reset when it is off. The machine
+// is the worker's own, configured like every injection run's (model,
+// recovery switch, the runner's draw table); the worker's next RunOne or
+// MachineAt repositions it.
+func (w *Worker) MachineAt(activation int) (*sim.Machine, error) {
 	r := w.r
 	if err := r.EnsureCheckpoints(); err != nil {
 		return nil, err
@@ -584,7 +595,7 @@ func (w *Worker) machineAt(activation int) (*sim.Machine, error) {
 		w.base = nil
 	}
 	for i := m.StepIndex(); i < activation; i++ {
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&w.next); err != nil {
 			return nil, fmt.Errorf("inject: prefix replay: %w", err)
 		}
 	}
@@ -720,11 +731,11 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	if o, ok := r.prunePlan(plan); ok {
 		return o, nil
 	}
-	m, err := w.machineAt(plan.Activation)
+	m, err := w.MachineAt(plan.Activation)
 	if err != nil {
 		return Outcome{}, err
 	}
-	// Arm the recovery engine for the injected run only (machineAt's
+	// Arm the recovery engine for the injected run only (MachineAt's
 	// prefix replay above ran engine-free, matching the reference replay
 	// that built the checkpoint pool). The engine disarms after its first
 	// attempt: one recovery per run. The injection hook rides on the CPU
@@ -735,7 +746,7 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	ev := r.Golden[plan.Activation].Ev
 	c := m.HV.CPUFor(&ev)
 	defer func() {
-		c.PreStep = nil
+		c.PreStep, c.PreStepFrom = nil, 0
 		m.Recovery = nil
 	}()
 
@@ -749,8 +760,9 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	}
 	h := &w.hook
 	h.arm(m, c, plan)
-	act, err := m.Step()
-	c.PreStep = nil
+	act := &w.act
+	err = m.StepInto(act)
+	c.PreStep, c.PreStepFrom = nil, 0
 	if err != nil {
 		return Outcome{}, fmt.Errorf("inject: injected activation: %w", err)
 	}
@@ -759,14 +771,14 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 		m.Recovery = nil
 		o.Recovery = act.Recovery
 	}
-	res := act.Outcome.Result
+	res := &act.Outcome.Result
 
 	// Host-mode failure before VM entry: a short-latency error. When the
 	// recovery engine fired, reaching here means the re-execution itself
 	// died under the watchdog — recovery failed outright.
 	if res.Stop != cpu.StopVMEntry {
 		o.Hang = act.Outcome.Hang
-		o.foldVerdict(plan.Activation, &act, sub(res.Steps, h.activatedStep))
+		o.foldVerdict(plan.Activation, act, sub(res.Steps, h.activatedStep))
 		o.Consequence = guest.AllVMFailure
 		o.DiffKind = guest.DiffNone
 		o.Manifested = true
@@ -787,7 +799,7 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 		return o, nil
 	}
 	latencyBase := sub(res.Steps, h.activatedStep)
-	o.foldVerdict(plan.Activation, &act, latencyBase)
+	o.foldVerdict(plan.Activation, act, latencyBase)
 
 	// Convergence check (prune.go): after each completed activation,
 	// compare against the golden fingerprint at the next boundary. The
@@ -799,7 +811,7 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 	// the VM-exit snapshot, so a re-execution that retraced the reference
 	// activation converges here.
 	// The check sits after the activation's own detectors have executed
-	// and its record is captured, so early exit can neither mask a
+	// and its record is classified, so early exit can neither mask a
 	// detection nor skip a record comparison.
 	checkConv := r.fps != nil
 	foldBudget := convFoldBudget
@@ -828,34 +840,37 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 
 	// Run the rest of the workload, comparing guest-visible state against
 	// the golden stream and watching for late detections from corrupted
-	// hypervisor state. On convergence the unexecuted suffix is folded
-	// from the reference verdicts instead (identical to executing it, by
-	// the fingerprint argument).
-	records := append(w.recBuf[:0], act.Record)
+	// hypervisor state. Each completed activation's record is classified
+	// against its golden record as it completes; the first most severe
+	// difference wins. On convergence the unexecuted suffix is folded from
+	// the reference verdicts instead (identical to executing it, by the
+	// fingerprint argument), and its records equal the golden ones.
+	var diff recordDiff
+	diff.add(&r.Golden[plan.Activation], &act.Record)
 	truncated := false
 	runningLatency := latencyBase
 	if converged(plan.Activation) {
 		o.Pruned = PruneConverged
 		r.foldRefSuffix(&o, plan.Activation+1, runningLatency)
 	} else {
+		next := &w.next
 		for i := plan.Activation + 1; i < r.Activations; i++ {
-			act2, err := m.Step()
-			if err != nil {
+			if err := m.StepInto(next); err != nil {
 				return Outcome{}, fmt.Errorf("inject: suffix replay: %w", err)
 			}
-			o.foldVerdict(i, &act2, runningLatency+act2.Outcome.Result.Steps)
-			if act2.Recovery.Attempted {
+			o.foldVerdict(i, next, runningLatency+next.Outcome.Result.Steps)
+			if next.Recovery.Attempted {
 				// Late detection from corrupted hypervisor state fired the
 				// engine during the suffix.
 				m.Recovery = nil
-				o.Recovery = act2.Recovery
+				o.Recovery = next.Recovery
 			}
-			if act2.Outcome.Result.Stop != cpu.StopVMEntry {
+			if next.Outcome.Result.Stop != cpu.StopVMEntry {
 				truncated = true
 				break
 			}
-			runningLatency += act2.Outcome.Result.Steps
-			records = append(records, act2.Record)
+			runningLatency += next.Outcome.Result.Steps
+			diff.add(&r.Golden[i], &next.Record)
 			if converged(i) {
 				o.Pruned = PruneConverged
 				r.foldRefSuffix(&o, i+1, runningLatency)
@@ -863,24 +878,13 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 			}
 		}
 	}
-	w.recBuf = records[:0]
 
-	// Golden-differential consequence classification.
-	worst := guest.Benign
-	worstKind := guest.DiffNone
-	for i, rec := range records {
-		g := &r.Golden[plan.Activation+i]
-		cons, kind := guest.ClassifyRecord(g.Record, rec, g.Ev.Dom == 0)
-		if cons > worst {
-			worst = cons
-			worstKind = kind
-		}
-	}
+	worst := diff.worst
 	if truncated {
 		worst = guest.AllVMFailure
 	}
 	o.Consequence = worst
-	o.DiffKind = worstKind
+	o.DiffKind = diff.kind
 	o.Manifested = worst != guest.Benign
 	o.LongLatency = o.Manifested
 	o.Cause = r.undetectedCause(&o, h.haveConsumer, h.consumerOp)
@@ -888,6 +892,23 @@ func (w *Worker) RunOne(plan Plan) (Outcome, error) {
 		o.Recovery.Class = recovery.Classify(!truncated, worst)
 	}
 	return o, nil
+}
+
+// recordDiff folds an injection run's golden-differential record
+// classification one activation at a time, in activation order: the first
+// most severe consequence and the value class behind it.
+type recordDiff struct {
+	worst guest.Consequence
+	kind  guest.DiffKind
+}
+
+// add classifies one completed activation's record against its golden
+// activation's.
+func (d *recordDiff) add(golden *sim.Activation, rec *guest.Record) {
+	cons, kind := guest.ClassifyRecord(golden.Record, *rec, golden.Ev.Dom == 0)
+	if cons > d.worst {
+		d.worst, d.kind = cons, kind
+	}
 }
 
 // applyUncoreFault applies a non-register-site flip to the machine and

@@ -312,16 +312,17 @@ func (r *Runner) prunePlan(plan Plan) (Outcome, bool) {
 		// inspected by the hook (which classifies only from the next
 		// call), so its reads matter here even though they would not set
 		// Activated.
+		seg := r.refHV.Seg
 		erased := false
 		for k := k0; k < len(tr); k++ {
-			in, ok := r.refHV.Seg.InstrAt(tr[k].pc)
+			reads, writes, ok := seg.RegsAt(tr[k].pc)
 			if !ok {
 				return Outcome{}, false
 			}
-			if in.ReadsReg(plan.Reg) {
+			if reads.Has(plan.Reg) {
 				return Outcome{}, false // consumed: execution diverges
 			}
-			if in.WritesReg(plan.Reg) {
+			if writes.Has(plan.Reg) {
 				// The write erases the flip only if the instruction
 				// retired — a faulting load performs none of its register
 				// writes. Retirement is proven by the next entry advancing
@@ -348,18 +349,19 @@ func (r *Runner) prunePlan(plan Plan) (Outcome, bool) {
 		sym = r.refHV.SymbolFor(tr[k0].pc)
 		activatedStep = tr[k0].step
 		for k := k0 + 1; k < len(tr); k++ {
-			in, ok := r.refHV.Seg.InstrAt(tr[k].pc)
+			reads, writes, ok := seg.RegsAt(tr[k].pc)
 			if !ok {
 				return Outcome{}, false
 			}
-			if in.ReadsReg(plan.Reg) {
+			if reads.Has(plan.Reg) {
+				in, _ := seg.FetchPtr(tr[k].pc)
 				activated = true
 				activatedStep = tr[k].step
 				consumerOp = in.Op
 				haveConsumer = true
 				break
 			}
-			if in.WritesReg(plan.Reg) {
+			if writes.Has(plan.Reg) {
 				break // hook sees the overwrite first and disarms
 			}
 		}

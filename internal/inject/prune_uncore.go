@@ -230,14 +230,14 @@ func (r *Runner) ptFlipDead(plan Plan, k0 int) bool {
 // boundaries.
 func regDiesWithin(tr regTrace, from int, reg isa.Reg, refHV *hv.Hypervisor) bool {
 	for k := from; k < len(tr); k++ {
-		in, ok := refHV.Seg.InstrAt(tr[k].pc)
+		reads, writes, ok := refHV.Seg.RegsAt(tr[k].pc)
 		if !ok {
 			return false
 		}
-		if in.ReadsReg(reg) {
+		if reads.Has(reg) {
 			return false
 		}
-		if in.WritesReg(reg) {
+		if writes.Has(reg) {
 			return retiredAt(tr, k)
 		}
 	}

@@ -183,8 +183,17 @@ func (r *Region) contains(addr uint64) bool {
 // zeroPage backs every page of a freshly mapped region (Map): the slots
 // hold it in state pageShared, so cowPage copies it at the page's first
 // write and nothing ever writes it in place or recycles it. A short tail
-// page holds a prefix of it, capped at its length.
+// page holds a prefix of it.
 var zeroPage [pageWords]uint64
+
+// newPage allocates a zeroed page of n ≤ pageWords words. Every page
+// slice, a short tail page included, is a prefix of a whole pageWords-word
+// array (its capacity is pageWords), so a Checkpoint chunk can hold the
+// page as one array pointer (pageArray) instead of a slice header.
+func newPage(n int) []uint64 { return new([pageWords]uint64)[:n] }
+
+// pageArray returns the array backing page pg.
+func pageArray(pg []uint64) *[pageWords]uint64 { return (*[pageWords]uint64)(pg[:pageWords]) }
 
 // zeroPages returns a page table for n words with every slot on zeroPage,
 // all shared (the last page may be short).
@@ -196,7 +205,7 @@ func zeroPages(n uint64) ([][]uint64, []pageState) {
 		if rem := n - uint64(i)*pageWords; rem < l {
 			l = rem
 		}
-		pages[i] = zeroPage[:l:l]
+		pages[i] = zeroPage[:l]
 		state[i] = pageShared
 	}
 	return pages, state
@@ -207,7 +216,7 @@ func zeroPages(n uint64) ([][]uint64, []pageState) {
 func newPages(n uint64) [][]uint64 {
 	pages, _ := zeroPages(n)
 	for i, p := range pages {
-		pages[i] = make([]uint64, len(p))
+		pages[i] = newPage(len(p))
 	}
 	return pages
 }
@@ -249,7 +258,7 @@ func (r *Region) cowPage(p uint64) {
 		np = r.freePages[n-1]
 		r.freePages = r.freePages[:n-1]
 	} else {
-		np = make([]uint64, len(old))
+		np = newPage(len(old))
 	}
 	copy(np, old)
 	r.pages[p] = np
@@ -758,7 +767,7 @@ type cpRegion struct {
 }
 
 // Checkpoint chunk geometry: 16 pages (8 KiB of memory) per chunk keeps a
-// chunk clone at 512 bytes and a chunk-pointer list at 1/16 the length of
+// chunk clone at 256 bytes and a chunk-pointer list at 1/16 the length of
 // the page table it stands for.
 const (
 	chunkShift = 4
@@ -767,10 +776,11 @@ const (
 )
 
 // cpChunk is a run of chunkPages page slots of one region (the region's
-// last chunk may use fewer) with each page's hash. Immutable once its
-// checkpoint is returned.
+// last chunk may use fewer) with each page's hash. A page is held by its
+// backing array (pageArray); the region's page table restores its length.
+// Immutable once its checkpoint is returned.
 type cpChunk struct {
-	pages  [chunkPages][]uint64
+	pages  [chunkPages]*[pageWords]uint64
 	hashes [chunkPages]uint64
 }
 
@@ -805,7 +815,7 @@ func (m *Memory) Checkpoint() *Checkpoint {
 			for p, pg := range r.pages {
 				h := pageHash(pageHashSeed(rs, p), pg)
 				c := cr.chunks[p>>chunkShift]
-				c.pages[p&chunkMask], c.hashes[p&chunkMask] = pg, h
+				c.pages[p&chunkMask], c.hashes[p&chunkMask] = pageArray(pg), h
 				cp.fold ^= h
 				r.state[p] = pageShared
 			}
@@ -826,7 +836,7 @@ func (m *Memory) Checkpoint() *Checkpoint {
 				}
 				h := pageHash(pageHashSeed(rs, int(p)), r.pages[p])
 				cp.fold ^= c.hashes[p&chunkMask] ^ h
-				c.pages[p&chunkMask], c.hashes[p&chunkMask] = r.pages[p], h
+				c.pages[p&chunkMask], c.hashes[p&chunkMask] = pageArray(r.pages[p]), h
 				r.state[p] = pageShared
 			}
 		}
@@ -875,14 +885,17 @@ func (m *Memory) RestoreCheckpoint(cp *Checkpoint) error {
 				if r.state[p] != pageShared {
 					r.recycle(r.pages[p])
 				}
-				r.pages[p] = pr.chunks[p>>chunkShift].pages[p&chunkMask]
+				r.pages[p] = pr.chunks[p>>chunkShift].pages[p&chunkMask][:len(r.pages[p])]
 				r.state[p] = pageShared
 			}
 		}
 		r.dirty = r.dirty[:0]
 		for c, ch := range cp.regions[i].chunks {
 			if prev == nil || ch != prev.regions[i].chunks[c] {
-				copy(r.pages[c<<chunkShift:], ch.pages[:])
+				pages := r.pages[c<<chunkShift:]
+				for k := range min(chunkPages, len(pages)) {
+					pages[k] = ch.pages[k][:len(pages[k])]
+				}
 			}
 		}
 	}

@@ -132,10 +132,14 @@ type Machine struct {
 	// number of activations left in it.
 	schedCur, schedLeft int
 	// evScratch is the reusable exit-event buffer nextEvent fills each
-	// step. Step copies it by value into the returned Activation and no
-	// callee retains the pointer past its call, so one buffer serves the
+	// step. StepInto copies it by value into the Activation and no callee
+	// retains the pointer past its call, so one buffer serves the
 	// machine's whole life instead of one heap escape per activation.
 	evScratch hv.ExitEvent
+	// draws, when set, replays a recorded fault-free run's workload draws
+	// (see Draws); nil machines sample every step. record, set only while
+	// goldenRun records a table, collects the draws instead.
+	draws, record *Draws
 	// Clock accumulates virtual cycles: guest compute + hypervisor
 	// execution + detection shim.
 	Clock float64
@@ -320,39 +324,100 @@ func (m *Machine) RestoreFrom(cp *Checkpoint) error {
 // SetModel installs a trained transition-detection model.
 func (m *Machine) SetModel(t *ml.Tree) { m.Sentry.SetModel(t) }
 
-// nextEvent draws the next VM exit deterministically from the workload.
-func (m *Machine) nextEvent() (*hv.ExitEvent, float64, error) {
-	// Domain selection: the control domain runs the I/O backend and
-	// management plane (~20% of exits); application domains share the rest.
-	var dom int
-	if m.rng.Float64() < 0.2 {
-		dom = 0
-	} else if m.Cfg.Domains > 1 {
-		dom = 1 + m.rng.Intn(m.Cfg.Domains-1)
+// Draws is the workload-draw table of a recorded fault-free run. nextEvent
+// draws only from the machine's rng and from configuration constants
+// (Cfg.Domains, Cfg.Mode, Profile), so a step's draws are a pure function
+// of the rng state entering it. The table keys each step on that state:
+// a machine whose rng state at step i equals rng[i] takes step i's domain,
+// exit reason and guest interval from the recorded activation, the
+// guest-input seed from seed[i], and leaves its rng at rng[i+1], exactly
+// where sampling would have left it. Any other state samples as usual.
+// The table costs 16 bytes per activation beside the golden activations
+// it reads, which the runner keeps anyway. It is read-only once recorded
+// and shared by every machine of the runner.
+type Draws struct {
+	acts []Activation
+	rng  []uint64 // rng state entering step i; rng[len(acts)] after the last
+	seed []uint64 // PrepareGuestInput's seed word of step i
+	// Configuration constants the draws depend on; UseDraws ignores a
+	// table recorded under different ones.
+	mode    workload.Mode
+	domains int
+	profile *workload.Profile
+}
+
+// UseDraws makes the machine replay d's draws wherever its rng state is on
+// the table. A nil table, or one recorded on a machine with a different
+// workload, mode or domain count, turns replay off.
+func (m *Machine) UseDraws(d *Draws) {
+	if d != nil && (d.mode != m.Cfg.Mode || d.domains != m.Cfg.Domains || d.profile != m.Profile) {
+		d = nil
 	}
-	reason := m.Profile.SampleReason(m.Cfg.Mode, m.rng)
-	if dom == 0 && m.rng.Float64() < 0.1 {
-		// Management-plane traffic only Dom0 issues.
-		if m.rng.Intn(2) == 0 {
-			reason = hv.HCDomctl
-		} else {
-			reason = hv.HCSysctl
+	m.draws = d
+}
+
+// nextEvent draws the next VM exit deterministically from the workload,
+// or replays it from the draw table when the rng state is on it.
+// PrepareGuestInput runs either way: it writes the guest's input buffers.
+func (m *Machine) nextEvent() (*hv.ExitEvent, float64, error) {
+	var (
+		dom      int
+		reason   hv.ExitReason
+		seed     uint64
+		interval float64
+	)
+	if d := m.draws; d != nil && m.step < len(d.seed) && m.rng.State() == d.rng[m.step] {
+		g := &d.acts[m.step]
+		dom, reason, seed, interval = g.Ev.Dom, g.Ev.Reason, d.seed[m.step], g.GuestCycles
+		m.rng.SetState(d.rng[m.step+1])
+	} else {
+		before := m.rng.State()
+		// Domain selection: the control domain runs the I/O backend and
+		// management plane (~20% of exits); application domains share the
+		// rest.
+		if m.rng.Float64() < 0.2 {
+			dom = 0
+		} else if m.Cfg.Domains > 1 {
+			dom = 1 + m.rng.Intn(m.Cfg.Domains-1)
+		}
+		reason = m.Profile.SampleReason(m.Cfg.Mode, m.rng)
+		if dom == 0 && m.rng.Float64() < 0.1 {
+			// Management-plane traffic only Dom0 issues.
+			if m.rng.Intn(2) == 0 {
+				reason = hv.HCDomctl
+			} else {
+				reason = hv.HCSysctl
+			}
+		}
+		seed = m.rng.Uint64()
+		interval = m.Profile.SampleInterval(m.Cfg.Mode, m.rng)
+		if r := m.record; r != nil {
+			r.rng = append(r.rng, before)
+			r.seed = append(r.seed, seed)
 		}
 	}
-	args, err := hv.PrepareGuestInput(m.HV, dom, reason, m.rng.Uint64())
+	args, err := hv.PrepareGuestInput(m.HV, dom, reason, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	interval := m.Profile.SampleInterval(m.Cfg.Mode, m.rng)
 	m.evScratch = hv.ExitEvent{Reason: reason, Dom: dom, Args: args}
 	return &m.evScratch, interval, nil
 }
 
-// Step executes one activation.
-func (m *Machine) Step() (Activation, error) {
+// Step executes one activation and returns it.
+func (m *Machine) Step() (act Activation, err error) {
+	err = m.StepInto(&act)
+	return act, err
+}
+
+// StepInto executes one activation and fills act with it, every field
+// overwritten, so a caller that steps many activations can keep one
+// Activation instead of copying a fresh one out per step. On error act is
+// unspecified.
+func (m *Machine) StepInto(act *Activation) error {
 	ev, interval, err := m.nextEvent()
 	if err != nil {
-		return Activation{}, err
+		return err
 	}
 	if m.schedRng != nil {
 		// Deterministic interleave: round-robin over the CPU bank with a
@@ -368,7 +433,7 @@ func (m *Machine) Step() (Activation, error) {
 		// Consume any IPI kick queued for this domain before it runs:
 		// deferred cross-CPU event bits become guest-visible again.
 		if err := m.HV.DeliverIPI(ev.Dom); err != nil {
-			return Activation{}, err
+			return err
 		}
 	}
 	// The TSC runs at wall-clock rate: it advances across the guest's
@@ -384,30 +449,30 @@ func (m *Machine) Step() (Activation, error) {
 		// D-TLB entry, which would change what D-TLB injections strike.
 		snap = m.HV.Snapshot()
 	}
-	out, err := m.Sentry.Execute(ev, hv.DefaultBudget)
-	if err != nil {
-		return Activation{}, err
+	out := &act.Outcome
+	if err := m.Sentry.ExecuteInto(ev, hv.DefaultBudget, out); err != nil {
+		return err
 	}
-	recovered := false
-	firstDetection := out.Technique
-	var recRec recovery.Outcome
+	act.Recovered = false
+	act.FirstDetection = out.Technique
+	act.Recovery = recovery.Outcome{}
 	if m.RecoverOnDetection && out.Verdict.Detected() {
 		// Positive detection: restore the snapshot and re-execute. The
 		// soft error was transient, so the re-execution runs fault-free;
 		// re-execution roughly doubles the activation's hypervisor time.
 		if err := m.HV.Restore(snap); err != nil {
-			return Activation{}, err
+			return err
 		}
-		out, err = m.Sentry.Execute(ev, hv.DefaultBudget)
-		if err != nil {
-			return Activation{}, err
+		if err := m.Sentry.ExecuteInto(ev, hv.DefaultBudget, out); err != nil {
+			return err
 		}
 		m.Recoveries++
-		recovered = true
+		act.Recovered = true
 	} else if m.Recovery != nil && out.Verdict.Detected() {
 		cause := recovery.CauseOf(out.Result.Stop, out.Hang)
 		if strat := m.Recovery.Decide(out.Technique, cause); strat != recovery.StrategyNone {
-			recRec = recovery.Outcome{
+			rec := &act.Recovery
+			*rec = recovery.Outcome{
 				Attempted:  true,
 				Strategy:   strat,
 				Technique:  out.Technique,
@@ -427,27 +492,26 @@ func (m *Machine) Step() (Activation, error) {
 				// left it, and the run fails as it would have unrecovered.
 				m.Recoveries++
 			case err != nil:
-				return Activation{}, err
+				return err
 			default:
 				// Re-enter the interrupted activation and run it under the
 				// engine's watchdog. Unlike the Section VI path, a microreboot
 				// re-executes against rebuilt private state, so the outcome can
 				// legitimately differ from the fault-free reference.
-				out, err = m.Sentry.Execute(ev, m.Recovery.Watchdog())
-				if err != nil {
-					return Activation{}, err
+				if err := m.Sentry.ExecuteInto(ev, m.Recovery.Watchdog(), out); err != nil {
+					return err
 				}
-				recRec.ReSteps = out.Result.Steps
-				recRec.ReExecuted = out.Result.Stop == cpu.StopVMEntry
+				rec.ReSteps = out.Result.Steps
+				rec.ReExecuted = out.Result.Stop == cpu.StopVMEntry
 				m.Recoveries++
-				recovered = true
+				act.Recovered = true
 			}
 		}
 	}
-	rec := guest.Capture(m.HV, ev)
+	guest.CaptureInto(m.HV, ev, &act.Record)
 	// The guest acknowledges delivered events before resuming work.
 	if err := m.HV.ClearEventPending(ev.Dom); err != nil {
-		return Activation{}, err
+		return err
 	}
 	if m.schedRng != nil {
 		// Cross-CPU event delivery: pending bits this activation raised in
@@ -455,33 +519,25 @@ func (m *Machine) Step() (Activation, error) {
 		// CPUs' APIC words, consumed by DeliverIPI when those domains next
 		// run.
 		if err := m.HV.QueueCrossEvents(ev.Dom); err != nil {
-			return Activation{}, err
+			return err
 		}
 	}
 	m.Clock += interval + float64(out.Result.Steps) + float64(out.ShimCycles)
-	act := Activation{
-		Index:          m.step,
-		Ev:             *ev,
-		Outcome:        out,
-		Record:         rec,
-		GuestCycles:    interval,
-		Recovered:      recovered,
-		FirstDetection: firstDetection,
-		Recovery:       recRec,
-	}
+	act.Index = m.step
+	act.Ev = *ev
+	act.GuestCycles = interval
 	m.step++
-	return act, nil
+	return nil
 }
 
-// Run executes n activations and returns them.
+// Run executes n activations and returns them, each stepped in place into
+// its slot.
 func (m *Machine) Run(n int) ([]Activation, error) {
-	acts := make([]Activation, 0, n)
-	for i := 0; i < n; i++ {
-		act, err := m.Step()
-		if err != nil {
-			return acts, err
+	acts := make([]Activation, n)
+	for i := range acts {
+		if err := m.StepInto(&acts[i]); err != nil {
+			return acts[:i], err
 		}
-		acts = append(acts, act)
 	}
 	return acts, nil
 }
@@ -490,11 +546,31 @@ func (m *Machine) Run(n int) ([]Activation, error) {
 // stream: activations (with features), guest records, and per-activation
 // dynamic instruction counts. Injection runs replay the same cfg.
 func GoldenRun(cfg Config, n int) ([]Activation, error) {
+	return goldenRun(cfg, n, nil)
+}
+
+// RecordGoldenRun is GoldenRun that also records the run's draw table, so
+// machines of the same configuration can replay its workload draws instead
+// of sampling them again (UseDraws).
+func RecordGoldenRun(cfg Config, n int) ([]Activation, *Draws, error) {
+	d := &Draws{rng: make([]uint64, 0, n+1), seed: make([]uint64, 0, n)}
+	acts, err := goldenRun(cfg, n, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return acts, d, nil
+}
+
+// goldenRun runs and checks the fault-free stream, recording its draws
+// into d when d is non-nil.
+func goldenRun(cfg Config, n int, d *Draws) ([]Activation, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	m.record = d
 	acts, err := m.Run(n)
+	m.record = nil
 	if err != nil {
 		return nil, err
 	}
@@ -506,6 +582,11 @@ func GoldenRun(cfg Config, n int) ([]Activation, error) {
 		if acts[i].Outcome.Hang {
 			return nil, fmt.Errorf("sim: golden run hung at activation %d", i)
 		}
+	}
+	if d != nil {
+		d.acts = acts
+		d.rng = append(d.rng, m.rng.State())
+		d.mode, d.domains, d.profile = m.Cfg.Mode, m.Cfg.Domains, m.Profile
 	}
 	return acts, nil
 }
@@ -519,9 +600,9 @@ func MeanHandlerCost(cfg Config, n int) (float64, error) {
 		return 0, err
 	}
 	var total uint64
+	var act Activation
 	for i := 0; i < n; i++ {
-		act, err := m.Step()
-		if err != nil {
+		if err := m.StepInto(&act); err != nil {
 			return 0, err
 		}
 		total += act.Outcome.Result.Steps + act.Outcome.ShimCycles

@@ -16,8 +16,11 @@
 #              throughput (inj/s) per checkpoint-interval variant, K=1
 #              throughput per fault-site class on a 4-vCPU machine, the
 #              interpreter's per-instruction cost (ns/instr) on the fast
-#              and forced-slow paths, the D-TLB hit/miss cost, the wire
-#              codec's encode/decode cost (must stay 0 allocs/op), and
+#              and forced-slow paths, the per-activation cost of an
+#              injection worker's machine stepping a 160-activation run
+#              at 1 and 4 vCPUs (ns/step, allocs/op), the D-TLB hit/miss
+#              cost, the wire codec's encode/decode cost (must stay 0
+#              allocs/op), and
 #              fleet ingest throughput (inj/s through one coordinator
 #              from 10 loopback workers), one loopback fleet campaign
 #              end to end at the fixed 64-plan and the derived lease
@@ -44,6 +47,7 @@ go test -run '^$' -bench BenchmarkCampaignThroughput -benchmem -count 3 . >"$tmp
 go test -run '^$' -bench BenchmarkSiteThroughput -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkCheckpointPool -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkPrepareBenchmark -benchmem -count 3 . >>"$tmp"
+go test -run '^$' -bench BenchmarkStep -benchmem -count 3 . >>"$tmp"
 go test -run '^$' -bench BenchmarkCPURunHot -benchmem -count 3 ./internal/cpu/ >>"$tmp"
 go test -run '^$' -bench BenchmarkMemAccess -benchmem -count 3 ./internal/mem/ >>"$tmp"
 go test -run '^$' -bench BenchmarkWireCodec -benchmem -count 3 ./internal/wire/ >>"$tmp"
