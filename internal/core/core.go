@@ -156,14 +156,6 @@ type Sentry struct {
 	Opts  Options
 	Model *ml.Tree // transition-detection model; nil before training
 
-	// ForceLegacy routes Execute through the seed's hard-coded detection
-	// switch instead of the detector pipeline. The two paths are
-	// bit-identical for the built-in configuration — the differential
-	// tests prove it by running whole campaigns both ways — and the
-	// switch exists for them and for triage. Plugin detectors are
-	// ignored on the legacy path.
-	ForceLegacy bool
-
 	pipeline detect.Pipeline
 	extra    []detect.Detector
 	// spine is the reusable event passed to the pipeline; keeping it a
@@ -243,11 +235,6 @@ func (s *Sentry) Execute(ev *hv.ExitEvent, budget uint64) (out Outcome, err erro
 // the interpreter's devirtualized fast path never sees an interface call.
 // On error out is unspecified.
 func (s *Sentry) ExecuteInto(ev *hv.ExitEvent, budget uint64, out *Outcome) error {
-	if s.ForceLegacy {
-		var err error
-		*out, err = s.executeLegacy(ev, budget)
-		return err
-	}
 	c := s.HV.CPUFor(ev)
 	c.AssertsEnabled = s.Opts.RuntimeDetection
 
@@ -326,83 +313,4 @@ func (s *Sentry) ExecuteInto(ev *hv.ExitEvent, budget uint64, out *Outcome) erro
 	s.stats.record(v.Technique)
 	out.ShimCycles = shim + sp.Cost()
 	return nil
-}
-
-// executeLegacy is the seed's hard-coded detection path, preserved
-// verbatim as the differential-testing baseline for the pipeline.
-func (s *Sentry) executeLegacy(ev *hv.ExitEvent, budget uint64) (Outcome, error) {
-	c := s.HV.CPUFor(ev)
-	c.AssertsEnabled = s.Opts.RuntimeDetection
-
-	var shim uint64
-	if s.Opts.TransitionDetection {
-		c.PMU.Arm()
-		shim += ShimExitCost
-	} else {
-		c.PMU.Disarm()
-	}
-
-	res, err := s.HV.Dispatch(ev, budget)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{Result: res, ShimCycles: shim}
-	s.stats.Activations++
-
-	switch res.Stop {
-	case cpu.StopException, cpu.StopHalt:
-		// A surfacing exception (or BUG/panic halt) is a fatal system
-		// corruption; with runtime detection on, Xentry reports it.
-		if s.Opts.RuntimeDetection {
-			if res.Stop == cpu.StopHalt || FatalException(res.Exc) {
-				out.Technique = TechHWException
-				s.stats.HWException++
-			}
-		}
-
-	case cpu.StopAssert:
-		out.Technique = TechAssertion
-		s.stats.Assertion++
-
-	case cpu.StopBudget:
-		// A hung hypervisor execution trips the NMI watchdog (Xen's
-		// watchdog=1); the resulting fatal NMI is parsed by runtime
-		// detection like any other fatal hardware exception.
-		out.Hang = true
-		s.stats.Hangs++
-		if s.Opts.RuntimeDetection {
-			out.Technique = TechHWException
-			s.stats.HWException++
-		}
-
-	case cpu.StopVMEntry:
-		if s.Opts.TransitionDetection {
-			sample := c.PMU.Read()
-			c.PMU.Disarm()
-			out.Features = [ml.NumFeatures]uint64{
-				uint64(ev.Reason), sample.RT(), sample.BR(), sample.RM(), sample.WM(),
-			}
-			out.HasFeatures = true
-			shim += ShimEntryCost
-			if s.Model != nil {
-				correct, comparisons := s.Model.Classify(out.Features)
-				shim += uint64(comparisons) * CompareCost
-				if !correct {
-					out.Technique = TechVMTransition
-					s.stats.VMTransition++
-				}
-			}
-			out.ShimCycles = shim
-		}
-	}
-	if out.Technique != TechNone {
-		// Synthesize the verdict the pipeline would have produced so
-		// recovery policy (driven off the verdict) behaves identically.
-		out.Verdict = Verdict{
-			Technique:  out.Technique,
-			DetectedAt: int(s.stats.Activations) - 1,
-			Latency:    res.Steps,
-		}
-	}
-	return out, nil
 }

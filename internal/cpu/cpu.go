@@ -85,12 +85,6 @@ const (
 	FetchMisaligned
 )
 
-// TextMap resolves instruction addresses; the hypervisor loader provides it.
-type TextMap interface {
-	// FetchInstr returns the instruction at addr.
-	FetchInstr(addr uint64) (isa.Instr, FetchResult)
-}
-
 // StopReason says why a Run returned.
 type StopReason int
 
@@ -145,8 +139,8 @@ type CPU struct {
 
 	// Mem is the data memory map.
 	Mem *mem.Memory
-	// Text resolves instruction fetches.
-	Text TextMap
+	// Text is the linked text segment instruction fetches resolve in.
+	Text *Segment
 	// PMU is the performance counter bank fed at retirement.
 	PMU *perf.Counters
 
@@ -176,30 +170,16 @@ type CPU struct {
 	// once per instruction, not once per retired word. The cut applies to
 	// every Run while it is set (each Run counts local steps from zero), so
 	// a hook that must see later Runs from their start clears it when it
-	// fires. The forced slow path ignores it and traces every step.
+	// fires.
 	PreStepFrom uint64
 
-	// DisableThreaded pins untraced execution to the switch-era fast loop
-	// (runFast over the shared semantics table) instead of the
-	// direct-threaded code. The dual-dispatch differential tests and the
-	// benchmark's /switch variant use it to hold the threaded translator
-	// to the interpreter bit for bit.
+	// DisableThreaded pins untraced execution to runFast, the loop over
+	// the shared semantics table that the traced loop also dispatches
+	// through, instead of the direct-threaded code. It is the threaded
+	// translator's one oracle: FuzzThreadedVsSwitch, the equivalence
+	// matrix's switch column (sim.Config.SwitchDispatch) and the
+	// benchmark's /switch variant hold the translator to it bit for bit.
 	DisableThreaded bool
-
-	// ForceSlow forces the seed-equivalent slow path: instruction fetch
-	// through the Text interface on every step, the hook check inside the
-	// loop, and a per-instruction PMU flush. The fast/slow differential
-	// tests run whole campaigns under it to prove the fast path changes
-	// no architectural outcome.
-	ForceSlow bool
-
-	// fetchBuf holds the instruction fetched through the TextMap interface
-	// on the slow/traced/non-Segment paths. step passes instructions by
-	// pointer into the semantics table, an indirect call the escape
-	// analyzer cannot see through; fetching into a loop-local would heap-
-	// allocate one Instr per dynamic instruction. The buffer lives on the
-	// (already heap-resident) CPU instead and is dead outside step.
-	fetchBuf isa.Instr
 
 	// repCut records that a rep movs stopped mid-copy on budget exhaustion
 	// (both dispatchers set it on that cold path). Run clears it before an
@@ -215,8 +195,8 @@ type CPU struct {
 	pend perf.Sample
 }
 
-// New returns a CPU bound to the given memory, text map and PMU.
-func New(m *mem.Memory, text TextMap, pmu *perf.Counters) *CPU {
+// New returns a CPU bound to the given memory, text segment and PMU.
+func New(m *mem.Memory, text *Segment, pmu *perf.Counters) *CPU {
 	return &CPU{Mem: m, Text: text, PMU: pmu, CpuidTable: map[uint64][4]uint64{}}
 }
 
@@ -281,41 +261,31 @@ var (
 // Run executes from the current RIP until VM entry, halt, exception, failed
 // assertion, or budget exhaustion.
 //
-// The loop is split four ways. runThreaded is the steady state when Text is
-// a concrete *Segment (the hypervisor always loads into one): untraced
-// direct-threaded execution over the segment's translated op closures.
-// runFast is the same untraced loop over the semantics table — the
-// dispatcher the differential harness holds runThreaded against
-// (DisableThreaded), and the fallback for non-Segment text maps. runTraced
-// runs only while PreStep is armed, from the PreStepFrom cut on, and hands
-// the remaining budget to the untraced loop the moment the hook disarms
-// itself — which the injector does as soon as the flip's fate is decided,
-// so a traced injection run spends almost all of its instructions on
-// threaded code. runSlow is the seed-equivalent path behind ForceSlow,
-// kept so differential tests can prove the fast paths bit-identical. All
-// paths flush pending PMU counts exactly once, at stop, before any caller
-// can observe the counter bank.
+// The loop is split three ways, each fetching straight from the Segment.
+// runThreaded is the steady state: untraced direct-threaded execution over
+// the segment's translated op closures. runFast is the same untraced loop
+// over the semantics table — the dispatcher the differential harness holds
+// runThreaded against (DisableThreaded). runTraced runs only while PreStep
+// is armed, from the PreStepFrom cut on, and hands the remaining budget to
+// the untraced loop the moment the hook disarms itself — which the
+// injector does as soon as the flip's fate is decided, so a traced
+// injection run spends almost all of its instructions on threaded code.
+// All paths flush pending PMU counts exactly once, at stop, before any
+// caller can observe the counter bank.
 func (c *CPU) Run(budget uint64) RunResult {
-	if c.ForceSlow {
-		// runSlow flushes per instruction and charges INST_RETIRED itself.
-		rr := c.runSlow(budget)
-		c.flushPMU()
-		return rr
-	}
-	seg, _ := c.Text.(*Segment)
 	var rr RunResult
 	done := false
 	if c.PreStep != nil {
 		if c.PreStepFrom > 0 {
-			rr, done = c.runPrefix(min(c.PreStepFrom, budget), budget, seg)
+			rr, done = c.runPrefix(min(c.PreStepFrom, budget), budget)
 		}
 		if !done {
-			rr, done = c.runTraced(rr.Steps, budget, seg)
+			rr, done = c.runTraced(rr.Steps, budget)
 		}
 	}
 	if !done {
 		prefix := rr.Steps
-		rr = c.runUntraced(budget-prefix, seg)
+		rr = c.runUntraced(budget - prefix)
 		rr.Steps += prefix
 	}
 	// INST_RETIRED advances once per retired instruction — the quantity
@@ -325,12 +295,12 @@ func (c *CPU) Run(budget uint64) RunResult {
 	return rr
 }
 
-// runUntraced runs the untraced loop Run would pick for the text map.
-func (c *CPU) runUntraced(budget uint64, seg *Segment) RunResult {
-	if seg != nil && !c.DisableThreaded {
-		return c.runThreaded(budget, seg)
+// runUntraced runs the untraced loop DisableThreaded selects.
+func (c *CPU) runUntraced(budget uint64) RunResult {
+	if !c.DisableThreaded {
+		return c.runThreaded(budget)
 	}
-	return c.runFast(budget, seg)
+	return c.runFast(budget)
 }
 
 // runPrefix executes the first cut local steps of a deferred traced run
@@ -341,9 +311,9 @@ func (c *CPU) runUntraced(budget uint64, seg *Segment) RunResult {
 // split runs to completion here, so the first hook call lands on the same
 // instruction boundary the traced loop would have given it. total is the
 // whole Run's budget, which bounds the finished rep.
-func (c *CPU) runPrefix(cut, total uint64, seg *Segment) (RunResult, bool) {
+func (c *CPU) runPrefix(cut, total uint64) (RunResult, bool) {
 	c.repCut = false
-	rr := c.runUntraced(cut, seg)
+	rr := c.runUntraced(cut)
 	if rr.Reason != StopBudget || rr.Steps >= total {
 		return rr, true
 	}
@@ -392,20 +362,14 @@ func stepStop(err error, steps, pc uint64) RunResult {
 	}
 }
 
-// runFast is the untraced hot loop: no PreStep check per iteration, and a
-// direct (devirtualized, inlinable) fetch when the text map is a *Segment.
-func (c *CPU) runFast(budget uint64, seg *Segment) RunResult {
+// runFast is the untraced hot loop over the semantics table: no PreStep
+// check per iteration, and a direct (inlinable) fetch from the Segment.
+func (c *CPU) runFast(budget uint64) RunResult {
+	seg := c.Text
 	var steps uint64
 	for steps < budget {
 		pc := c.Regs[isa.RIP]
-		var in *isa.Instr
-		var fr FetchResult
-		if seg != nil {
-			in, fr = seg.FetchPtr(pc)
-		} else {
-			c.fetchBuf, fr = c.Text.FetchInstr(pc)
-			in = &c.fetchBuf
-		}
+		in, fr := seg.FetchPtr(pc)
 		if fr != FetchOK {
 			return fetchStop(fr, pc, steps)
 		}
@@ -425,7 +389,8 @@ func (c *CPU) runFast(budget uint64, seg *Segment) RunResult {
 // Run continues the remaining budget on the untraced loop. The disarm
 // check happens only while steps < budget, so the untraced loop always
 // receives a budget of at least one.
-func (c *CPU) runTraced(steps, budget uint64, seg *Segment) (RunResult, bool) {
+func (c *CPU) runTraced(steps, budget uint64) (RunResult, bool) {
+	seg := c.Text
 	for steps < budget {
 		hook := c.PreStep
 		if hook == nil {
@@ -434,14 +399,7 @@ func (c *CPU) runTraced(steps, budget uint64, seg *Segment) (RunResult, bool) {
 		pc := c.Regs[isa.RIP]
 		hook(steps, pc)
 		pc = c.Regs[isa.RIP] // injection may have flipped RIP
-		var in *isa.Instr
-		var fr FetchResult
-		if seg != nil {
-			in, fr = seg.FetchPtr(pc)
-		} else {
-			c.fetchBuf, fr = c.Text.FetchInstr(pc)
-			in = &c.fetchBuf
-		}
+		in, fr := seg.FetchPtr(pc)
 		if fr != FetchOK {
 			return fetchStop(fr, pc, steps), true
 		}
@@ -452,35 +410,6 @@ func (c *CPU) runTraced(steps, budget uint64, seg *Segment) (RunResult, bool) {
 		}
 	}
 	return RunResult{Reason: StopBudget, Steps: steps}, true
-}
-
-// runSlow is the seed interpreter loop, preserved verbatim behind ForceSlow:
-// hook check inside the loop, fetch through the Text interface, and a PMU
-// flush after every instruction so counters advance exactly as the original
-// per-retire Count calls did. Differential tests run entire campaigns here
-// and assert outcomes identical to the fast path.
-func (c *CPU) runSlow(budget uint64) RunResult {
-	var steps uint64
-	for steps < budget {
-		pc := c.Regs[isa.RIP]
-		if c.PreStep != nil {
-			c.PreStep(steps, pc)
-			pc = c.Regs[isa.RIP] // injection may have flipped RIP
-		}
-		var fr FetchResult
-		c.fetchBuf, fr = c.Text.FetchInstr(pc)
-		if fr != FetchOK {
-			return fetchStop(fr, pc, steps)
-		}
-		retired, err := c.step(pc, &c.fetchBuf, budget-steps)
-		c.pend[perf.InstRetired] += retired
-		c.flushPMU()
-		steps += retired
-		if err != nil {
-			return stepStop(err, steps, pc)
-		}
-	}
-	return RunResult{Reason: StopBudget, Steps: steps}
 }
 
 // retire charges one retired instruction with the given event profile. The

@@ -184,7 +184,7 @@ func (c *CPU) storeFault(addr, val, pc uint64, stack bool) error {
 // error on stop.
 //
 // The table is the single home of per-op behaviour: step (and through it
-// the traced and forced-slow loops) dispatches every instruction here, and
+// the traced loop and runFast) dispatches every instruction here, and
 // the threaded translator compiles its generic closures over the very same
 // entries — so an opcode's semantics cannot drift between dispatchers. The
 // translator's specialized closures (threaded.go) restate the hot forms

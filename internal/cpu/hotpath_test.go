@@ -50,13 +50,14 @@ func TestRunHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunFastSlowRegisterEquivalence spot-checks the two run loops against
-// each other instruction-for-instruction on the hot mix (the campaign-level
-// differential test covers the full system).
+// TestRunFastSlowRegisterEquivalence spot-checks the untraced run loop
+// against the slowest one instruction-for-instruction on the hot mix: the
+// traced loop under a hook that never disarms and drops the D-TLB before
+// every instruction, so every access takes the region search.
+// FuzzThreadedVsSwitch holds the same pair on random programs.
 func TestRunFastSlowRegisterEquivalence(t *testing.T) {
 	fast, slow := hotCPU(t), hotCPU(t)
-	slow.ForceSlow = true
-	slow.Mem.DisableTLB = true
+	slow.PreStep = func(step, pc uint64) { slow.Mem.InvalidateTLB() }
 	for _, budget := range []uint64{1, 2, 3, 7, 100, 4096} {
 		rf, rs := fast.Run(budget), slow.Run(budget)
 		if rf != rs {
@@ -105,21 +106,19 @@ func TestSegmentSharedAcrossCPUs(t *testing.T) {
 }
 
 // BenchmarkCPURunHot measures the interpreter's per-instruction cost on
-// the handler-shaped loop across the three dispatchers: fast (direct-
-// threaded translation), switch (the devirtualized semantics-table loop
-// with threading disabled — the pre-threading fast path), and slow (the
-// seed-equivalent differential loop). The fast path must not allocate.
+// the handler-shaped loop under both untraced dispatchers: fast (direct-
+// threaded translation) and switch (the semantics-table loop with
+// threading disabled, the translator's oracle). The fast path must not
+// allocate.
 func BenchmarkCPURunHot(b *testing.B) {
 	const budget = 4096
 	for _, bc := range []struct {
-		name             string
-		slow, noThreaded bool
-	}{{"fast", false, false}, {"switch", false, true}, {"slow", true, false}} {
+		name       string
+		noThreaded bool
+	}{{"fast", false}, {"switch", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := hotCPU(b)
-			c.ForceSlow = bc.slow
 			c.DisableThreaded = bc.noThreaded
-			c.Mem.DisableTLB = bc.slow
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -7,9 +7,10 @@ import (
 	"xentry/internal/isa"
 )
 
-// Segment is a contiguous text segment implementing TextMap. The hypervisor
-// loader concatenates every handler program into one segment so that a
-// corrupted RIP can land on *another* handler's valid instruction — the
+// Segment is a contiguous linked text segment, the only instruction memory
+// a CPU fetches from. The hypervisor loader concatenates every handler
+// program into one segment so that a corrupted RIP can land on *another*
+// handler's valid instruction — the
 // valid-but-incorrect control flow the paper's VM transition detection
 // targets — as well as off-boundary (#UD) or outside text entirely (#PF).
 type Segment struct {
@@ -36,7 +37,8 @@ func (s *Segment) End() uint64 {
 // Len returns the number of instructions in the segment.
 func (s *Segment) Len() int { return len(s.instrs) }
 
-// FetchInstr implements TextMap.
+// FetchInstr returns a copy of the instruction at addr, classifying a
+// fetch outside the segment or off an instruction boundary.
 func (s *Segment) FetchInstr(addr uint64) (isa.Instr, FetchResult) {
 	if addr < s.Base || addr >= s.End() {
 		return isa.Instr{}, FetchUnmapped

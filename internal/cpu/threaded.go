@@ -45,10 +45,10 @@ import (
 // Threaded execution is a pure dispatch-layer change: same retirement
 // totals, same flag/register write order, same exception identity and
 // RIP-on-stop placement, same budget semantics as the semantics table in
-// exec.go — and FuzzThreadedVsSwitch plus the dual-dispatch differentials
-// in internal/inject hold it to that. The traced and forced-slow loops
-// keep dispatching through semTable, so PreStep hooks and ForceSlow
-// differentials observe the seed interpreter bit-for-bit.
+// exec.go — and FuzzThreadedVsSwitch plus the dispatch column of the
+// equivalence matrix in internal/inject hold it to that. The traced loop
+// keeps dispatching through semTable, so PreStep hooks observe the
+// one-instruction-at-a-time interpreter bit for bit.
 
 // opFn executes one translated instruction (or fused pair). budget is the
 // remaining instruction budget, always ≥ 1; only the rep-string body and
@@ -124,7 +124,8 @@ func translate(s *Segment) []opFn {
 // the dispatch load. RIP is materialized at the two places the loop makes
 // it observable: budget exhaustion and fetch faults; closures handle their
 // own stop paths.
-func (c *CPU) runThreaded(budget uint64, seg *Segment) RunResult {
+func (c *CPU) runThreaded(budget uint64) RunResult {
+	seg := c.Text
 	code := seg.threadedCode()
 	base := seg.Base
 	limit := uint64(len(code)) * isa.InstrBytes

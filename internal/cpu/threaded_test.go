@@ -10,12 +10,14 @@ import (
 	"xentry/internal/perf"
 )
 
-// This file is the dual-dispatch differential harness for the direct-
-// threaded translator: every program must produce bit-identical
+// This file is the run-loop differential harness for the direct-threaded
+// translator and the traced loop: every program must produce bit-identical
 // architectural state — registers, RIP, RFLAGS, TSC, PMU counters, memory
-// image, and the RunResult itself — no matter which of the three
-// dispatchers executes it (threaded closures, the devirtualized
-// semantics-table loop, or the seed-equivalent slow loop).
+// image, and the RunResult itself — no matter which of the three run
+// loops executes it (threaded closures, the semantics-table loop, or the
+// traced loop every injection runs, here under a hook that never disarms
+// and drops the D-TLB at every step so each access takes the region
+// search).
 
 const (
 	fuzzBase     = 0x4000  // text segment base
@@ -99,8 +101,10 @@ type archState struct {
 
 // execVariant runs instrs from identical initial state under one
 // dispatcher configuration and returns the final architectural state.
-// arm, when non-nil, is called on the ready CPU just before Run.
-func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDispatch, slow bool, arm func(*CPU)) archState {
+// traced arms a PreStep hook that never disarms and invalidates the D-TLB
+// before every instruction. arm, when non-nil, is called on the ready CPU
+// just before Run.
+func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDispatch, traced bool, arm func(*CPU)) archState {
 	seg := &Segment{Base: fuzzBase, instrs: instrs}
 	m := mem.New()
 	m.MustMap("data", fuzzData, fuzzDataSize, mem.PermRW)
@@ -108,8 +112,9 @@ func execVariant(instrs []isa.Instr, seed byte, budget uint64, asserts, switchDi
 	c := New(m, seg, perf.New())
 	c.AssertsEnabled = asserts
 	c.DisableThreaded = switchDispatch
-	c.ForceSlow = slow
-	c.Mem.DisableTLB = slow // slow variant also takes the uncached memory path
+	if traced {
+		c.PreStep = func(step, pc uint64) { c.Mem.InvalidateTLB() }
+	}
 	c.CpuidTable[0] = [4]uint64{0x1234, 0x5678, 0x9abc, 0xdef0}
 
 	// Deterministic register mix: in-region aligned pointers, maybe-
@@ -167,17 +172,17 @@ func diffStates(t *testing.T, label string, got, want archState) {
 	}
 }
 
-// checkAllDispatchers runs one program under all three dispatchers and
-// a spread of budgets (including every seam of the fused bodies) and
+// checkAllDispatchers runs one program under all three run loops and a
+// spread of budgets (including every seam of the fused bodies) and
 // demands bit-identical outcomes.
 func checkAllDispatchers(t *testing.T, instrs []isa.Instr, seed byte, budgets []uint64, asserts bool) {
 	t.Helper()
 	for _, budget := range budgets {
 		ref := execVariant(instrs, seed, budget, asserts, true, false, nil)
 		thr := execVariant(instrs, seed, budget, asserts, false, false, nil)
-		slw := execVariant(instrs, seed, budget, asserts, false, true, nil)
+		trc := execVariant(instrs, seed, budget, asserts, false, true, nil)
 		diffStates(t, labelFor("threaded", budget), thr, ref)
-		diffStates(t, labelFor("slow", budget), slw, ref)
+		diffStates(t, labelFor("traced", budget), trc, ref)
 	}
 }
 
@@ -254,8 +259,9 @@ func uitoa(v uint64) string {
 
 // FuzzThreadedVsSwitch generates random programs and differentially
 // executes them under the threaded translator, the switch-dispatch fast
-// interpreter, and the slow loop. Any divergence in result, registers,
-// timing, PMU counts, or memory is a bug in the translator.
+// interpreter, and the traced loop with the D-TLB dropped at every step.
+// Any divergence in result, registers, timing, PMU counts, or memory is a
+// bug in the translator, the traced loop or the D-TLB.
 func FuzzThreadedVsSwitch(f *testing.F) {
 	// enc builds one instruction's fuzz encoding for seed corpora.
 	enc := func(op isa.Op, b1, b2, b3 byte) []byte {

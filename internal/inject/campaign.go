@@ -47,32 +47,21 @@ type CampaignConfig struct {
 	// benchmarks), e.g. for a live throughput display. It is called
 	// concurrently from worker goroutines and must be safe for that.
 	Progress func(done, total int)
-	// SlowPath forces the seed-equivalent interpreter slow path on every
-	// simulated machine. Outcomes are bit-identical either way (the
-	// differential tests prove it); the switch exists for them and for
-	// perf triage.
-	SlowPath bool
 	// SwitchDispatch disables the direct-threaded translator on every
 	// simulated machine, running the fast interpreter through the
 	// semantics-table switch instead. Outcomes are bit-identical either
-	// way (the dual-dispatch differential tests prove it).
+	// way (TestEquivalenceMatrix proves it).
 	SwitchDispatch bool
 	// Detectors builds plugin detectors on every campaign machine,
 	// appended behind the built-in pipeline (see sim.Config.Detectors).
 	// Their verdicts tally under their registered techniques with no
 	// changes to the aggregation or rendering layers.
 	Detectors []detect.Factory
-	// LegacyDetection routes every machine through the seed's
-	// hard-coded detection switch instead of the pipeline; for the
-	// built-in configuration outcomes are bit-identical either way (the
-	// differential tests prove it). Plugin detectors are ignored on the
-	// legacy path.
-	LegacyDetection bool
 	// DisablePrune forces every injection to execute its full activation
 	// budget instead of dead-value pre-pruning and convergence early exit
 	// (see Runner.DisablePrune). Like CheckpointEvery it is pure
 	// mechanism: aggregates are bit-identical either way apart from the
-	// Tally.Prune provenance counters (the differential tests prove it).
+	// Tally.Prune provenance counters (TestEquivalenceMatrix proves it).
 	// Pruning also disables itself whenever Detectors are configured.
 	DisablePrune bool
 	// VCPUs is the number of logical CPUs per simulated machine (0 or 1 =

@@ -2,7 +2,6 @@ package inject
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -48,45 +47,6 @@ func TestPlanStepInvariantHolds(t *testing.T) {
 	}
 }
 
-// TestCheckpointOutcomesMatchNoCheckpoint: the checkpoint interval is pure
-// mechanism. Every plan must classify identically with checkpointing on
-// (several K values) and off.
-func TestCheckpointOutcomesMatchNoCheckpoint(t *testing.T) {
-	newRunner := func(every int) *Runner {
-		r := testRunner(t, "canneal", nil)
-		r.CheckpointEvery = every
-		return r
-	}
-	rng := rand.New(rand.NewSource(77))
-	ref := newRunner(-1)
-	plans := make([]Plan, 40)
-	for i := range plans {
-		plans[i] = ref.RandomPlan(rng)
-	}
-	want := make([]Outcome, len(plans))
-	refWorker := ref.NewWorker()
-	for i, p := range plans {
-		var err error
-		if want[i], err = refWorker.RunOne(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, every := range []int{1, 16, 50} {
-		r := newRunner(every)
-		w := r.NewWorker()
-		for i, p := range plans {
-			got, err := w.RunOne(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("every=%d plan %v:\ncheckpointed: %+v\nfrom reset:   %+v",
-					every, p, got, want[i])
-			}
-		}
-	}
-}
-
 // TestCheckpointPoolSharedAcrossWorkers: many workers share one runner's
 // read-only pool concurrently (run under -race) and each reproduces the
 // reference outcome for its plans.
@@ -126,54 +86,6 @@ func TestCheckpointPoolSharedAcrossWorkers(t *testing.T) {
 			t.Fatalf("plan %v: concurrent outcome %+v != reference %+v",
 				plans[i], got[i], want[i])
 		}
-	}
-}
-
-// TestCampaignTallyIdenticalOnVsOff: campaign aggregates are bit-identical
-// with checkpointing on vs. off for the same seed — including the
-// per-technique latency lists, which Normalize sorts into canonical order.
-func TestCampaignTallyIdenticalOnVsOff(t *testing.T) {
-	run := func(every int) *CampaignResult {
-		cfg := DefaultCampaign(50, 11)
-		cfg.Benchmarks = []string{"mcf", "x264"}
-		cfg.Activations = 60
-		cfg.Workers = 4
-		cfg.CheckpointEvery = every
-		res, err := RunCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	on, off := run(16), run(-1)
-	if !reflect.DeepEqual(on.Total, off.Total) {
-		t.Errorf("total tally differs:\non:  %+v\noff: %+v", on.Total, off.Total)
-	}
-	if !reflect.DeepEqual(on.PerBenchmark, off.PerBenchmark) {
-		t.Errorf("per-benchmark tallies differ:\non:  %+v\noff: %+v",
-			on.PerBenchmark, off.PerBenchmark)
-	}
-}
-
-// TestCampaignRecoveryIdenticalOnVsOff repeats the bit-identity check with
-// the live-recovery mechanism enabled, since recovery snapshots interact
-// with the same memory pages the checkpoints share.
-func TestCampaignRecoveryIdenticalOnVsOff(t *testing.T) {
-	run := func(every int) *Tally {
-		cfg := DefaultCampaign(40, 23)
-		cfg.Benchmarks = []string{"postmark"}
-		cfg.Activations = 50
-		cfg.Workers = 3
-		cfg.Recover = true
-		cfg.CheckpointEvery = every
-		res, err := RunCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Total
-	}
-	if on, off := run(8), run(-1); !reflect.DeepEqual(on, off) {
-		t.Errorf("recovery-mode tally differs:\non:  %+v\noff: %+v", on, off)
 	}
 }
 

@@ -33,19 +33,12 @@ type DatasetConfig struct {
 	Seed int64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// SlowPath forces the seed-equivalent interpreter slow path; dataset
-	// bytes are bit-identical either way (the differential tests prove it).
-	SlowPath bool
 	// SwitchDispatch disables the direct-threaded translator; dataset
-	// bytes are bit-identical either way (the differential tests prove it).
+	// bytes are bit-identical either way (TestEquivalenceMatrix proves it).
 	SwitchDispatch bool
-	// LegacyDetection routes every machine through the seed's hard-coded
-	// detection switch; dataset bytes are bit-identical either way (the
-	// differential tests prove it).
-	LegacyDetection bool
 	// DisablePrune turns off dead-value pre-pruning, so every injection
 	// run executes its injected activation; dataset bytes are
-	// bit-identical either way (the differential tests prove it). Dataset
+	// bit-identical either way (TestEquivalenceMatrix proves it). Dataset
 	// runs never execute past the injected activation, pruned or not: the
 	// sample is its VM-entry signature.
 	DisablePrune bool
@@ -141,14 +134,12 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 // is also the injection runner's machine.
 func (cfg DatasetConfig) simConfig(bi, run int) sim.Config {
 	return sim.Config{
-		Benchmark:       cfg.Benchmarks[bi],
-		Mode:            cfg.Mode,
-		Domains:         3,
-		Seed:            cfg.Seed + int64(bi)*1543 + int64(run)*389,
-		Detection:       core.FullDetection(),
-		SlowPath:        cfg.SlowPath,
-		SwitchDispatch:  cfg.SwitchDispatch,
-		LegacyDetection: cfg.LegacyDetection,
+		Benchmark:      cfg.Benchmarks[bi],
+		Mode:           cfg.Mode,
+		Domains:        3,
+		Seed:           cfg.Seed + int64(bi)*1543 + int64(run)*389,
+		Detection:      core.FullDetection(),
+		SwitchDispatch: cfg.SwitchDispatch,
 	}
 }
 

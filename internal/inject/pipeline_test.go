@@ -2,7 +2,6 @@ package inject
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -13,10 +12,9 @@ import (
 	"xentry/internal/workload"
 )
 
-// diffModel trains a small transition model once per test binary so the
-// pipeline/legacy differentials exercise the vm-transition classify path
-// (the one detector whose cost accounting and signature plumbing moved)
-// on both sides.
+// diffModel trains a small transition model once per test binary, so the
+// equivalence matrix and the recovery tests exercise the vm-transition
+// classify path and the false positives it raises.
 var diffModel = sync.OnceValues(func() (*ml.Tree, error) {
 	ds, err := CollectDataset(DatasetConfig{
 		Benchmarks:             []string{"postmark"},
@@ -39,103 +37,6 @@ func testModel(t *testing.T) *ml.Tree {
 		t.Fatal(err)
 	}
 	return tree
-}
-
-// TestPipelineCampaignBitIdentical is the tentpole's proof obligation: the
-// detector pipeline produces the same campaign aggregates, bit for bit, as
-// the seed's hard-coded detection switch. The same campaign — full
-// detection, trained model installed — runs through the pipeline and
-// through the preserved legacy path; every tally must match exactly.
-func TestPipelineCampaignBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	model := testModel(t)
-	run := func(mutate func(*CampaignConfig)) *CampaignResult {
-		cfg := diffCampaign()
-		cfg.Model = model
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		res, err := RunCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Normalize()
-		return res
-	}
-	pipeline := run(nil)
-	legacy := run(func(c *CampaignConfig) { c.LegacyDetection = true })
-	if !reflect.DeepEqual(pipeline, legacy) {
-		t.Fatalf("pipeline and legacy campaigns diverge\npipeline total: %+v\nlegacy total: %+v",
-			pipeline.Total, legacy.Total)
-	}
-}
-
-// TestPipelineRecoveryBitIdentical repeats the differential with live
-// recovery enabled — recovery is now driven off the pipeline's verdict
-// instead of the outcome's technique field, and the legacy path must
-// synthesize an equivalent verdict.
-func TestPipelineRecoveryBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	cfg := diffCampaign()
-	cfg.Model = testModel(t)
-	cfg.Recover = true
-	cfg.InjectionsPerBenchmark = 25
-	pipeline, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LegacyDetection = true
-	legacy, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline.Normalize()
-	legacy.Normalize()
-	if !reflect.DeepEqual(pipeline, legacy) {
-		t.Fatalf("recovery campaigns diverge\npipeline total: %+v\nlegacy total: %+v",
-			pipeline.Total, legacy.Total)
-	}
-}
-
-// TestPipelineDatasetBitIdentical proves training-data collection — whose
-// machines run the pipeline with no model installed — emits byte-identical
-// samples on both detection paths.
-func TestPipelineDatasetBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full dataset differential")
-	}
-	cfg := DatasetConfig{
-		Benchmarks:             workload.Names(),
-		Mode:                   workload.PV,
-		FaultFreeRuns:          2,
-		Activations:            80,
-		InjectionsPerBenchmark: 30,
-		Seed:                   7,
-		Workers:                2,
-	}
-	pipeline, err := CollectDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LegacyDetection = true
-	legacy, err := CollectDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pipeline, legacy) {
-		if len(pipeline) != len(legacy) {
-			t.Fatalf("dataset sizes diverge: pipeline %d, legacy %d", len(pipeline), len(legacy))
-		}
-		for i := range pipeline {
-			if !reflect.DeepEqual(pipeline[i], legacy[i]) {
-				t.Fatalf("sample %d diverges:\npipeline %+v\nlegacy %+v", i, pipeline[i], legacy[i])
-			}
-		}
-	}
 }
 
 // TestRecoveredDetectionLatencyRecorded is the regression test for the

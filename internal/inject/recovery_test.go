@@ -21,32 +21,6 @@ func recoveryCampaign() CampaignConfig {
 	return cfg
 }
 
-// TestRecoveryOffBitIdentity proves arming no engine changes nothing: a
-// campaign with Recovery "off" (and "none") is bit-identical to one that
-// never heard of the field.
-func TestRecoveryOffBitIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	base, err := RunCampaign(diffCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Normalize()
-	for _, name := range []string{"off", "none"} {
-		cfg := diffCampaign()
-		cfg.Recovery = name
-		got, err := RunCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Normalize()
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("Recovery=%q diverged from the plain campaign", name)
-		}
-	}
-}
-
 // TestMicrorebootCampaignDeterministic is the determinism obligation:
 // same seed + same plans ⇒ identical RecoveryOutcome aggregates, under the
 // concurrent worker pool (the -race verify pass runs this too).
@@ -148,75 +122,6 @@ func TestMicrorebootClassMix(t *testing.T) {
 	// engine keeps pruning live: a pruned run provably never consults it.
 	if p := res.Total.Prune; p.Dead == 0 || p.Converged == 0 {
 		t.Errorf("pruning did not fire under the recovery engine: %+v", p)
-	}
-}
-
-// TestMicrorebootPruneBitIdentical is the engine-armed prune differential:
-// with a detection-free golden stream, the pruned microreboot campaign —
-// including its recovery attempt/class aggregates — must be bit-identical
-// to the -prune=off run.
-func TestMicrorebootPruneBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	pruned, err := RunCampaign(recoveryCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Total.Recovery.Attempts == 0 {
-		t.Fatal("pruned microreboot campaign attempted no recoveries")
-	}
-	cfg := recoveryCampaign()
-	cfg.DisablePrune = true
-	full, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned.Normalize()
-	full.Normalize()
-	stripPrune(pruned)
-	stripPrune(full)
-	if !reflect.DeepEqual(pruned, full) {
-		t.Fatalf("engine-armed pruning diverges\npruned: %+v\nfull:   %+v",
-			pruned.Total, full.Total)
-	}
-}
-
-// TestMicrorebootModelPruneBitIdentical pins the second stage of the
-// engine-armed pruning gate: with a trained model installed, false
-// positives surface in the reference replay (the golden stream is
-// recorded detector-free), and a folded suffix would skip the recovery
-// attempt a live run performs on one — recovery aggregates drifted before
-// buildCheckpoints learned to drop the prune tables on any reference
-// detection. Pruned and -prune=off runs must stay bit-identical,
-// recovery attempts included.
-func TestMicrorebootModelPruneBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	cfg := recoveryCampaign()
-	cfg.Model = testModel(t)
-	pruned, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Total.Recovery.Attempts == 0 {
-		t.Fatal("model-armed microreboot campaign attempted no recoveries")
-	}
-	cfg = recoveryCampaign()
-	cfg.Model = testModel(t)
-	cfg.DisablePrune = true
-	full, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned.Normalize()
-	full.Normalize()
-	stripPrune(pruned)
-	stripPrune(full)
-	if !reflect.DeepEqual(pruned, full) {
-		t.Fatalf("engine-armed pruning diverges under a model\npruned: %+v\nfull:   %+v",
-			pruned.Total.Recovery, full.Total.Recovery)
 	}
 }
 

@@ -39,16 +39,14 @@ type BenchmarkRun struct {
 func (cfg CampaignConfig) BenchmarkSim(bi int) sim.Config {
 	cfg = cfg.Normalized()
 	return sim.Config{
-		Benchmark:       cfg.Benchmarks[bi],
-		Mode:            cfg.Mode,
-		Domains:         3,
-		Seed:            cfg.Seed + int64(bi)*7919,
-		VCPUs:           cfg.VCPUs,
-		Detection:       cfg.Detection,
-		Detectors:       cfg.Detectors,
-		SlowPath:        cfg.SlowPath,
-		SwitchDispatch:  cfg.SwitchDispatch,
-		LegacyDetection: cfg.LegacyDetection,
+		Benchmark:      cfg.Benchmarks[bi],
+		Mode:           cfg.Mode,
+		Domains:        3,
+		Seed:           cfg.Seed + int64(bi)*7919,
+		VCPUs:          cfg.VCPUs,
+		Detection:      cfg.Detection,
+		Detectors:      cfg.Detectors,
+		SwitchDispatch: cfg.SwitchDispatch,
 	}
 }
 

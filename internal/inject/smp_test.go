@@ -1,12 +1,10 @@
 package inject
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"xentry/internal/core"
-	"xentry/internal/sim"
 	"xentry/internal/workload"
 )
 
@@ -23,33 +21,6 @@ func smpCampaign() CampaignConfig {
 		Detection:              core.FullDetection(),
 		VCPUs:                  4,
 		Targets:                []string{"gpr", "dtlb", "apic", "pmu", "pgtable"},
-	}
-}
-
-// TestLegacyCampaignBitIdenticalToExplicitDefaults is the tentpole's
-// backward-compatibility proof: a zero-value config (no VCPUs, no Targets)
-// and the spelled-out legacy machine (VCPUs=1, Targets=["gpr"]) run the
-// byte-for-byte same campaign — the SMP refactor left the seed path alone.
-func TestLegacyCampaignBitIdenticalToExplicitDefaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	cfg := diffCampaign()
-	implicit, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.VCPUs = 1
-	cfg.Targets = []string{"gpr"}
-	explicit, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	implicit.Normalize()
-	explicit.Normalize()
-	if !reflect.DeepEqual(implicit, explicit) {
-		t.Fatalf("explicit VCPUs=1/Targets=gpr diverges from zero-value config\nimplicit: %+v\nexplicit: %+v",
-			implicit.Total, explicit.Total)
 	}
 }
 
@@ -150,100 +121,6 @@ func TestPruneFiresForUncoreTargets(t *testing.T) {
 					target, pruned.Total, full.Total)
 			}
 		})
-	}
-}
-
-// TestPruneUncoreRecoveryBitIdentical repeats the uncore differential with
-// live recovery armed (RecoverOnDetection): reference-run false positives
-// restore and re-execute, the path where recorded verdicts diverge most
-// from the golden run's, and the per-step snapshots exercise the dirty-set
-// delta restore underneath.
-func TestPruneUncoreRecoveryBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign differential")
-	}
-	cfg := smpCampaign()
-	cfg.Benchmarks = []string{"mcf"}
-	cfg.InjectionsPerBenchmark = 20
-	cfg.Recover = true
-	cfg.Model = testModel(t)
-	pruned, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := pruned.Total.Prune; p.Dead+p.Converged == 0 {
-		t.Fatalf("pruning never fired for recovery-armed uncore campaign: %+v", p)
-	}
-	cfg.DisablePrune = true
-	full, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned.Normalize()
-	full.Normalize()
-	stripPrune(pruned)
-	stripPrune(full)
-	if !reflect.DeepEqual(pruned, full) {
-		t.Fatalf("recovery-armed uncore campaigns diverge\npruned total: %+v\nfull total: %+v",
-			pruned.Total, full.Total)
-	}
-}
-
-// TestPruneUncoreOutcomesBitIdenticalPerPlan is the per-outcome uncore
-// differential: for every plan in a random multi-site population on a
-// 4-vCPU machine, the pruned engine's Outcome must equal the full engine's
-// in every field but Pruned. It also pins that each uncore class actually
-// exercises its pruning mechanism — dead synthesis for apic/pmu/pgtable,
-// convergence for dtlb.
-func TestPruneUncoreOutcomesBitIdenticalPerPlan(t *testing.T) {
-	cfg := sim.DefaultConfig("postmark", 5)
-	cfg.VCPUs = 4
-	targets := NormalizeTargets([]string{"gpr", "dtlb", "apic", "pmu", "pgtable"})
-	pruned, err := NewRunner(cfg, 60, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned.Targets = targets
-	full, err := NewRunner(cfg, 60, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Targets = targets
-	full.DisablePrune = true
-	rng := rand.New(rand.NewSource(31))
-	pw, fw := pruned.NewWorker(), full.NewWorker()
-	var dead, converged [NumSites]int
-	for i := 0; i < 400; i++ {
-		plan := pruned.RandomPlan(rng)
-		po, err := pw.RunOne(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fo, err := fw.RunOne(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fo.Pruned != PruneNone {
-			t.Fatalf("disabled runner pruned plan %v: %v", plan, fo.Pruned)
-		}
-		switch po.Pruned {
-		case PruneDead:
-			dead[plan.Site]++
-		case PruneConverged:
-			converged[plan.Site]++
-		}
-		po.Pruned = PruneNone
-		if !reflect.DeepEqual(po, fo) {
-			t.Fatalf("plan %v diverges:\npruned %+v\nfull   %+v", plan, po, fo)
-		}
-	}
-	for _, s := range []Site{SiteAPIC, SitePMU, SitePT} {
-		if dead[s] == 0 {
-			t.Errorf("dead synthesis never fired for %v: dead=%v converged=%v", s, dead, converged)
-		}
-	}
-	if converged[SiteTLB] == 0 {
-		t.Errorf("convergence never fired for dtlb: dead=%v converged=%v", dead, converged)
 	}
 }
 

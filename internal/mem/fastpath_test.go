@@ -51,34 +51,64 @@ func TestLoadStoreMatchRead64Write64(t *testing.T) {
 	}
 }
 
-// TestTLBDisabledEquivalence replays an access mix against two identically
-// mapped memories, one with the D-TLB disabled, and requires identical
-// values and fault kinds.
-func TestTLBDisabledEquivalence(t *testing.T) {
-	build := func(disable bool) *Memory {
+// TestTLBMatchesRegionSearch replays an access mix against two identically
+// mapped memories and requires identical values and fault kinds. The
+// reference drops its D-TLB before every access, so it answers each one
+// from the region search, the D-TLB's oracle. One region is read-only with
+// poked (so private) pages: the page fast path must never arm them, or a
+// store after a load would skip its protection fault.
+func TestTLBMatchesRegionSearch(t *testing.T) {
+	const roStart, roSize = 0x70000, 0x2000
+	build := func() *Memory {
 		m := New()
-		m.DisableTLB = disable
 		for i := uint64(0); i < 6; i++ {
 			m.MustMap(string(rune('a'+i)), 0x10000*(i+1), 0x2000, PermRW)
 		}
+		m.MustMap("ro", roStart, roSize, PermRead)
+		for a := uint64(roStart); a < roStart+roSize; a += 8 {
+			if err := m.Poke(a, a^0x5a5a5a5a); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return m
 	}
-	tlb, lin := build(false), build(true)
+	tlb, ref := build(), build()
+	load := func(addr uint64) FaultKind {
+		t.Helper()
+		ref.InvalidateTLB()
+		va, fa := tlb.Load(addr)
+		vb, fb := ref.Load(addr)
+		if va != vb || fa != fb {
+			t.Fatalf("load %#x: tlb=(%#x,%v) region search=(%#x,%v)", addr, va, fa, vb, fb)
+		}
+		return fa
+	}
+	store := func(addr, val uint64) FaultKind {
+		t.Helper()
+		ref.InvalidateTLB()
+		a, b := tlb.Store(addr, val), ref.Store(addr, val)
+		if a != b {
+			t.Fatalf("store %#x: tlb=%v region search=%v", addr, a, b)
+		}
+		return a
+	}
+	for _, addr := range []uint64{roStart, roStart + 0x208, roStart + roSize - 8} {
+		if fk := load(addr); fk != FaultNone {
+			t.Fatalf("load %#x from the read-only region: %v", addr, fk)
+		}
+		if fk := store(addr, 1); fk != FaultProtection {
+			t.Fatalf("store %#x after a load: %v, want %v", addr, fk, FaultProtection)
+		}
+	}
 	state := uint64(0x243F6A8885A308D3)
 	for i := 0; i < 5000; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		addr := state % 0x80000 // mapped and unmapped alike
+		addr := state % 0x80000 // mapped, read-only and unmapped alike
 		addr &^= 7
 		if i%3 == 0 {
-			if a, b := tlb.Store(addr, state), lin.Store(addr, state); a != b {
-				t.Fatalf("store %#x: tlb=%v linear=%v", addr, a, b)
-			}
-			continue
-		}
-		va, fa := tlb.Load(addr)
-		vb, fb := lin.Load(addr)
-		if va != vb || fa != fb {
-			t.Fatalf("load %#x: tlb=(%#x,%v) linear=(%#x,%v)", addr, va, fa, vb, fb)
+			store(addr, state)
+		} else {
+			load(addr)
 		}
 	}
 }
@@ -171,30 +201,38 @@ func TestPokeRangeMatchesPoke(t *testing.T) {
 	}
 }
 
-// BenchmarkMemAccess measures one mapped load with the software D-TLB
-// against the binary-search-only path.
+// BenchmarkMemAccess measures one mapped load through the software D-TLB
+// against the region search (Find) it caches. The loaded page is written
+// first: a fresh region shares the zero page, which the page fast path
+// never arms.
 func BenchmarkMemAccess(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"tlb-hit", false}, {"search", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			m := New()
-			m.DisableTLB = bc.disable
-			for i := uint64(0); i < 8; i++ {
-				m.MustMap(string(rune('a'+i)), 0x10000*(i+1), 0x1000, PermRW)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				v, fk := m.Load(0x30000 + uint64(i%64)*8)
-				if fk != FaultNone {
-					b.Fatal(fk)
-				}
-				sink += v
-			}
-			_ = sink
-		})
+	m := New()
+	for i := uint64(0); i < 8; i++ {
+		m.MustMap(string(rune('a'+i)), 0x10000*(i+1), 0x1000, PermRW)
 	}
+	for i := uint64(0); i < 64; i++ {
+		if fk := m.Store(0x30000+i*8, i); fk != FaultNone {
+			b.Fatal(fk)
+		}
+	}
+	b.Run("tlb-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			v, fk := m.Load(0x30000 + uint64(i%64)*8)
+			if fk != FaultNone {
+				b.Fatal(fk)
+			}
+			sink += v
+		}
+		_ = sink
+	})
+	b.Run("search", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m.Find(0x30000+uint64(i%64)*8) == nil {
+				b.Fatal("unmapped")
+			}
+		}
+	})
 }

@@ -339,13 +339,6 @@ type Memory struct {
 	// invariant auditable.
 	tlb [tlbSize]tlbEntry
 
-	// DisableTLB forces every access through the binary search — the
-	// pre-TLB slow path. The fast/slow differential tests flip it to prove
-	// the cache is observationally invisible. Call InvalidateTLB when
-	// setting it after accesses have already warmed the cache: the hot
-	// probe in Load/Store does not re-check the flag on a hit.
-	DisableTLB bool
-
 	// lastCP is the checkpoint this memory's pages currently derive from:
 	// set by Checkpoint and RestoreCheckpoint, cleared by any structural
 	// change (Map, the deprecated Restore), and untouched by undo epochs.
@@ -362,9 +355,12 @@ type Memory struct {
 // New returns an empty memory map.
 func New() *Memory { return &Memory{} }
 
-// InvalidateTLB drops every cached translation. Map and checkpoint
-// restore invalidate internally; callers only need this when flipping
-// DisableTLB on a memory that has already served accesses.
+// InvalidateTLB drops every cached translation, so the next access to
+// each slot takes the region search. Map and the checkpoint, restore and
+// undo-epoch operations invalidate internally. The D-TLB's oracle calls it
+// before every access: TestTLBMatchesRegionSearch against a memory that
+// keeps its cache, and the cpu package's traced differential variant at
+// every step.
 func (m *Memory) InvalidateTLB() {
 	m.tlb = [tlbSize]tlbEntry{}
 }
@@ -373,8 +369,7 @@ func (m *Memory) InvalidateTLB() {
 // (and refilling from) the binary search.
 func (m *Memory) lookup(addr uint64) *Region {
 	slot := (addr >> tlbByteShift) & tlbMask
-	if r := m.tlb[slot].region; r != nil && !m.DisableTLB &&
-		addr-r.Start < r.Size {
+	if r := m.tlb[slot].region; r != nil && addr-r.Start < r.Size {
 		return r
 	}
 	return m.lookupSlow(addr, slot)
@@ -386,9 +381,6 @@ func (m *Memory) lookup(addr uint64) *Region {
 // to the entry's own region. (The fast path never needed that — a hit is
 // decided by the tag alone — but the TLB coherence audit in TLBHash does.)
 func (m *Memory) lookupSlow(addr, slot uint64) *Region {
-	if m.DisableTLB {
-		return m.Find(addr)
-	}
 	r := m.Find(addr)
 	if r != nil {
 		if e := &m.tlb[slot]; e.region != r {
@@ -403,7 +395,7 @@ func (m *Memory) lookupSlow(addr, slot uint64) *Region {
 // from the Load/Store miss paths after the access has been fully
 // validated (and any COW copy performed), so the page is known private.
 func (m *Memory) installPage(e *tlbEntry, r *Region, addr uint64) {
-	if m.DisableTLB || r.Perm&PermRW != PermRW || r.Start%(pageWords*8) != 0 {
+	if r.Perm&PermRW != PermRW || r.Start%(pageWords*8) != 0 {
 		return
 	}
 	p := (addr - r.Start) / 8 >> pageShift

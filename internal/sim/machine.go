@@ -46,22 +46,12 @@ type Config struct {
 	// pipeline on every machine constructed from this config (one fresh
 	// instance per machine, so detectors may hold per-machine state).
 	Detectors []detect.Factory
-	// SlowPath forces the seed-equivalent interpreter slow path (interface
-	// fetch, per-step hook check and PMU flush, no memory TLB). Campaign
-	// outcomes must be bit-identical either way; the differential tests
-	// enforce that by running whole campaigns with SlowPath set.
-	SlowPath bool
-	// SwitchDispatch disables the direct-threaded translator and runs the
-	// fast interpreter through the devirtualized semantics-table switch
-	// instead (cpu.CPU.DisableThreaded). Outcomes are bit-identical either
-	// way; the dual-dispatch differential tests run whole campaigns with
+	// SwitchDispatch disables the direct-threaded translator on every CPU
+	// and runs untraced code through the semantics-table loop instead
+	// (cpu.CPU.DisableThreaded). Outcomes are bit-identical either way;
+	// the equivalence matrix's dispatch column runs whole campaigns with
 	// this set to prove it.
 	SwitchDispatch bool
-	// LegacyDetection routes the sentry through the seed's hard-coded
-	// detection switch instead of the pipeline (see core.Sentry.
-	// ForceLegacy). Like SlowPath it exists for the differential tests
-	// that prove the refactor is bit-identical, and for triage.
-	LegacyDetection bool
 }
 
 // DefaultConfig mirrors the paper's injection setup.
@@ -161,16 +151,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.CPU.ForceSlow = cfg.SlowPath
-	h.CPU.DisableThreaded = cfg.SwitchDispatch
-	h.Mem.DisableTLB = cfg.SlowPath
-	if cfg.SlowPath {
-		// Construction-time pokes warmed the TLB; purge so the forced
-		// slow path really takes the binary search on every access.
-		h.Mem.InvalidateTLB()
+	for _, c := range h.CPUs {
+		c.DisableThreaded = cfg.SwitchDispatch
 	}
 	sentry := core.New(h, cfg.Detection)
-	sentry.ForceLegacy = cfg.LegacyDetection
 	for _, f := range cfg.Detectors {
 		sentry.AddDetector(f())
 	}

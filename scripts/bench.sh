@@ -15,12 +15,12 @@
 #   results  — live numbers from this tree: end-to-end campaign
 #              throughput (inj/s) per checkpoint-interval variant, K=1
 #              throughput per fault-site class on a 4-vCPU machine, the
-#              interpreter's per-instruction cost (ns/instr) on the fast
-#              and forced-slow paths, the per-activation cost of an
-#              injection worker's machine stepping a 160-activation run
-#              at 1 and 4 vCPUs (ns/step, allocs/op), the D-TLB hit/miss
-#              cost, the wire codec's encode/decode cost (must stay 0
-#              allocs/op), and
+#              interpreter's per-instruction cost (ns/instr) under the
+#              threaded and switch dispatchers, the per-activation cost
+#              of an injection worker's machine stepping a 160-activation
+#              run at 1 and 4 vCPUs (ns/step, allocs/op), a D-TLB hit
+#              against the region search it caches, the wire codec's
+#              encode/decode cost (must stay 0 allocs/op), and
 #              fleet ingest throughput (inj/s through one coordinator
 #              from 10 loopback workers), one loopback fleet campaign
 #              end to end at the fixed 64-plan and the derived lease

@@ -12,6 +12,38 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# focused PATTERN [FLAG|PACKAGE]...: go test -v -run PATTERN, failing also
+# when an alternative of PATTERN runs no test. go test -run passes a
+# pattern that selects nothing, and go test -list cannot see subtests, so
+# a renamed test would drop out of its pass unnoticed. Alternatives are
+# split on | and their elements on /, so write them without parentheses.
+focused() {
+	pattern=$1
+	shift
+	go test -v -run "$pattern" "$@" 2>&1 | awk -v pattern="$pattern" '
+		/^=== / { next }
+		/^ *--- PASS: / { passed[$3]; next }
+		/^FAIL/ { bad = 1 }
+		{ print }
+		END {
+			for (n = split(pattern, alt, "|"); n > 0; n--) {
+				k = split(alt[n], want, "/")
+				hit = 0
+				for (name in passed)
+					if (split(name, got, "/") == k) {
+						for (j = 1; j <= k && got[j] ~ want[j]; j++)
+							;
+						hit = hit || j > k
+					}
+				if (!hit) {
+					print "verify: no test ran for " alt[n]
+					bad = 1
+				}
+			}
+			exit bad
+		}'
+}
+
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on:" "$fmt" >&2
@@ -26,64 +58,66 @@ go test ./...
 # two recovery-armed SMP campaigns, the default-K gpr campaign and the
 # quick training dataset) must stay byte-identical. Uncached, so this run
 # recomputes them.
-go test -count=1 -run TestGoldenDigests .
+focused TestGoldenDigests -count=1 .
 go test -run '^$' -bench . -benchtime 1x ./...
-# Dual-dispatch differential fuzzing: a short deterministic-corpus run
-# plus a brief live-fuzz burst over the threaded-vs-switch harness, so
-# translator changes cannot land without surviving randomized programs.
-go test -run FuzzThreadedVsSwitch ./internal/cpu/
+# Run-loop differential fuzzing: a short deterministic-corpus run plus a
+# brief live-fuzz burst holding the threaded translator and the traced
+# loop (with the D-TLB dropped at every step) to the switch loop, so
+# translator, run-loop and D-TLB changes cannot land without surviving
+# randomized programs.
+focused FuzzThreadedVsSwitch ./internal/cpu/
 go test -run '^$' -fuzz FuzzThreadedVsSwitch -fuzztime 15s ./internal/cpu/
 # Wire-protocol fuzzing: the deterministic corpus plus a live burst over
 # the frame splitter / record decoder / message decoder, so codec changes
 # cannot land without surviving adversarial bytes (the fleet coordinator
 # feeds these decoders straight off the network).
-go test -run FuzzWireDecode ./internal/wire/
+focused FuzzWireDecode ./internal/wire/
 go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
 # Site-codec fuzzing: the record codec's trailing site block must
 # round-trip every in-range {vcpu, site-class, index} triple and reject
 # out-of-range or truncated blocks without panicking.
-go test -run FuzzSiteCodec ./internal/wire/
+focused FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
 # Undo-epoch fuzzing: random interleavings of writes, TLB tag flips,
 # checkpoints, restores, Mark and Rollback must match the flat
 # Snapshot/Restore oracle and leave every checkpoint untouched, because
 # live recovery snapshots every VM exit through this path.
-go test -run 'FuzzUndoEpoch|TestUndoEpochDifferential' ./internal/mem/
+focused 'FuzzUndoEpoch|TestUndoEpochDifferential' ./internal/mem/
 go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s ./internal/mem/
 # Tree-induction fuzzing: the presorted builder must grow exactly the
 # reference sort-per-node builder's tree on tie-heavy random datasets,
 # over decision and random configurations, because every trained model
 # and every report number downstream depends on it.
-go test -run FuzzTrainMatchesReference ./internal/ml/
+focused FuzzTrainMatchesReference ./internal/ml/
 go test -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/ml/
 # Fingerprint soundness fuzzing: a single-bit flip anywhere in the state
 # the convergence fingerprint covers (registers, TSC, memory, D-TLB tags,
 # PMU banks) must change it, and reverting the flip must restore it,
 # because convergence pruning treats fingerprint equality as state
 # equality.
-go test -run FuzzFingerprintSoundness ./internal/sim/
+focused FuzzFingerprintSoundness ./internal/sim/
 go test -run '^$' -fuzz FuzzFingerprintSoundness -fuzztime 15s ./internal/sim/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Campaign lifecycle burst: the server's fleet sessions, tombstones and
 # settle-then-terminal-event ordering are timing-sensitive, so one race
 # pass would catch a regression only now and then; ten catch it reliably.
 go test -race -count=10 ./internal/server/
-# Recovery differential pass: recover=off campaigns must stay
-# bit-identical to the engine-less baseline, microreboot campaigns must
-# be deterministic (including under the race detector's schedule
-# perturbation), the outcome-class mix must stay honest (nonzero full
-# AND failed), and runs rolled back to their VM-exit snapshot must
-# converge under pruning with outcomes equal to -prune=off. Focused runs
-# so a recovery regression names itself.
-go test -run 'Recovery|Microreboot|Reinit|Snapshot|Rollback' ./internal/inject/ ./internal/hv/ ./internal/sim/ ./internal/store/
+# Recovery pass: the Section VI and microreboot rows of the equivalence
+# matrix must hold in every mechanism cell, microreboot campaigns must be
+# deterministic (including under the race detector's schedule
+# perturbation), the outcome-class mix must stay honest (nonzero full AND
+# failed), and runs rolled back to their VM-exit snapshot must converge
+# under pruning with outcomes equal to -prune=off. Focused runs so a
+# recovery regression names itself.
+focused 'Recovery|Microreboot|Reinit|Snapshot|TestEquivalenceMatrix/sec6-recover|TestEquivalenceMatrix/microreboot' ./internal/inject/ ./internal/hv/ ./internal/sim/ ./internal/store/
 go test ./internal/recovery/
-go test -race -run 'Microreboot' ./internal/inject/
-# SMP bit-identity burst: the legacy single-CPU register campaign must
-# stay byte-identical to the explicit VCPUs=1/Targets=gpr spelling, the
-# 4-vCPU multi-site campaign and the schedule trace must be deterministic
+focused Microreboot -race ./internal/inject/
+# SMP burst: the single-CPU register campaign must match its explicit
+# VCPUs=1/Targets=gpr spelling, the 4-vCPU multi-site campaign must hold
+# in every mechanism cell and, with the schedule trace, be deterministic
 # (including under the race detector's schedule perturbation), and
 # kill/resume must reproduce the per-site coverage rows exactly.
-go test -run 'TestLegacyCampaignBitIdenticalToExplicitDefaults|TestSMPMultiSiteCampaignDeterministic|TestPruneFiresForUncoreTargets|TestPruneUncoreRecoveryBitIdentical' ./internal/inject/
-go test -run 'TestScheduleTrace|TestSMPGoldenRunDeterministic' ./internal/sim/
-go test -run 'TestResumeSMPMultiSiteCampaignBitIdentical' ./internal/store/
-go test -race -run 'TestSMPMultiSiteCampaignDeterministic' ./internal/inject/
+focused 'TestSMPMultiSiteCampaignDeterministic|TestPruneFiresForUncoreTargets|TestEquivalenceMatrix/campaign/vcpus=1|TestEquivalenceMatrix/smp4|TestEquivalencePerPlan/smp4' ./internal/inject/
+focused 'TestScheduleTrace|TestSMPGoldenRunDeterministic' ./internal/sim/
+focused TestResumeSMPMultiSiteCampaignBitIdentical ./internal/store/
+focused TestSMPMultiSiteCampaignDeterministic -race ./internal/inject/
