@@ -441,38 +441,48 @@ func BenchmarkInjectionRun(b *testing.B) {
 // draw table is live), restored from the reset checkpoint and stepped
 // through a 160-activation fault-free suffix, at 1 and 4 vCPUs. It reports
 // ns/step (restore included, 1/160 of it per step) and allocs/op per
-// 160-activation pass.
+// 160-activation pass; TestStepAllocFree holds the latter at 0.
 func BenchmarkStep(b *testing.B) {
-	const n = 160
 	for _, vcpus := range []int{1, 4} {
 		b.Run(fmt.Sprintf("vcpus=%d", vcpus), func(b *testing.B) {
-			cfg := sim.DefaultConfig("postmark", 3)
-			cfg.VCPUs = vcpus
-			runner, err := inject.NewRunner(cfg, n, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := runner.NewWorker()
-			var act sim.Activation
-			pass := func() {
-				m, err := w.MachineAt(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < n; j++ {
-					if err := m.StepInto(&act); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			pass := stepPass(b, vcpus)
 			pass() // build the pool and the worker's machine untimed
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pass()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stepActivations), "ns/step")
 		})
+	}
+}
+
+// stepActivations is the length of BenchmarkStep's fault-free run.
+const stepActivations = 160
+
+// stepPass returns one pass of BenchmarkStep: a postmark (seed 3) worker
+// machine at vcpus, restored to activation 0 and stepped through
+// stepActivations activations.
+func stepPass(tb testing.TB, vcpus int) func() {
+	tb.Helper()
+	cfg := sim.DefaultConfig("postmark", 3)
+	cfg.VCPUs = vcpus
+	runner, err := inject.NewRunner(cfg, stepActivations, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := runner.NewWorker()
+	var act sim.Activation
+	return func() {
+		m, err := w.MachineAt(0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for j := 0; j < stepActivations; j++ {
+			if err := m.StepInto(&act); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -485,49 +495,10 @@ func BenchmarkStep(b *testing.B) {
 // microreboot never reads the VM-exit snapshot, so only K=1+restore, with
 // the restore engine armed, and K=1+sec6, with the paper's Section VI
 // recovery (Runner.Recover), take it at every step.
-// The pool is built outside the timer, as RunCampaign builds it eagerly
-// before dispatching workers; plans replay the same seed in activation
-// order, matching the campaign claim loop.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		every   int
-		recover string
-	}{
-		{"K=1", 1, ""},
-		{"K=16", 16, ""},
-		{"K=off", -1, ""},
-		{"K=1+recover", 1, "microreboot"},
-		{"K=1+restore", 1, "restore"},
-		{"K=1+sec6", 1, "sec6"},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			runner, err := inject.NewRunner(sim.DefaultConfig("postmark", 3), 160, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runner.CheckpointEvery = bc.every
-			if bc.recover == "sec6" {
-				runner.Recover = true
-			} else if bc.recover != "" {
-				engine, err := recovery.EngineFor(bc.recover)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runner.Recovery = engine
-			}
-			if err := runner.EnsureCheckpoints(); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(17))
-			plans := make([]inject.Plan, 256)
-			for i := range plans {
-				plans[i] = runner.RandomPlan(rng)
-			}
-			sort.Slice(plans, func(i, j int) bool {
-				return plans[i].Activation < plans[j].Activation
-			})
-			worker := runner.NewWorker()
+	for _, v := range campaignVariants {
+		b.Run(v.name, func(b *testing.B) {
+			worker, plans := engineWorker(b, v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := worker.RunOne(plans[i%len(plans)]); err != nil {
@@ -535,13 +506,92 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "inj/s")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
+			reportInjections(b)
 		})
 	}
+}
+
+// engineVariant is one shape of the injection engine that
+// BenchmarkCampaignThroughput, BenchmarkSiteThroughput and
+// TestInjectionPassAllocs drive.
+type engineVariant struct {
+	name    string
+	vcpus   int    // 0 keeps the default single vCPU
+	every   int    // checkpoint interval K; -1 disables checkpointing
+	recover string // "sec6" (Runner.Recover), a recovery.EngineFor name, or "" for none
+	target  string // the only fault-site class; "" keeps the default
+}
+
+// campaignVariants are BenchmarkCampaignThroughput's variants.
+var campaignVariants = []engineVariant{
+	{name: "K=1", every: 1},
+	{name: "K=16", every: 16},
+	{name: "K=off", every: -1},
+	{name: "K=1+recover", every: 1, recover: "microreboot"},
+	{name: "K=1+restore", every: 1, recover: "restore"},
+	{name: "K=1+sec6", every: 1, recover: "sec6"},
+}
+
+// siteVariants are BenchmarkSiteThroughput's variants: K=1 on a 4-vCPU
+// machine, one per fault-site class.
+func siteVariants() []engineVariant {
+	var vs []engineVariant
+	for _, target := range inject.TargetNames() {
+		vs = append(vs, engineVariant{name: target, vcpus: 4, every: 1, target: target})
+	}
+	return vs
+}
+
+// engineWorker builds v's postmark runner (seed 3, 160 activations) with
+// its checkpoint pool, as RunCampaign builds it before dispatching
+// workers, and returns one worker and 256 plans drawn from seed 17 in
+// activation order, matching the campaign claim loop.
+func engineWorker(tb testing.TB, v engineVariant) (*inject.Worker, []inject.Plan) {
+	tb.Helper()
+	cfg := sim.DefaultConfig("postmark", 3)
+	if v.vcpus > 0 {
+		cfg.VCPUs = v.vcpus
+	}
+	runner, err := inject.NewRunner(cfg, 160, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runner.CheckpointEvery = v.every
+	if v.target != "" {
+		runner.Targets = inject.NormalizeTargets([]string{v.target})
+	}
+	switch v.recover {
+	case "":
+	case "sec6":
+		runner.Recover = true
+	default:
+		engine, err := recovery.EngineFor(v.recover)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		runner.Recovery = engine
+	}
+	if err := runner.EnsureCheckpoints(); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	plans := make([]inject.Plan, 256)
+	for i := range plans {
+		plans[i] = runner.RandomPlan(rng)
+	}
+	sort.Slice(plans, func(i, j int) bool {
+		return plans[i].Activation < plans[j].Activation
+	})
+	return runner.NewWorker(), plans
+}
+
+// reportInjections reports a stopped throughput bench's inj/s and ns/inj,
+// one injection per iteration.
+func reportInjections(b *testing.B) {
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "inj/s")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
 }
 
 // BenchmarkPrepareBenchmark measures the fixed cost a campaign pays per
@@ -621,28 +671,9 @@ func liveHeap() int64 {
 // APIC/PMU flips, page-table word flips) is tracked next to the register
 // baseline instead of hiding inside a mixed campaign.
 func BenchmarkSiteThroughput(b *testing.B) {
-	for _, target := range inject.TargetNames() {
-		b.Run(target, func(b *testing.B) {
-			cfg := sim.DefaultConfig("postmark", 3)
-			cfg.VCPUs = 4
-			runner, err := inject.NewRunner(cfg, 160, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runner.CheckpointEvery = 1
-			runner.Targets = inject.NormalizeTargets([]string{target})
-			if err := runner.EnsureCheckpoints(); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(17))
-			plans := make([]inject.Plan, 256)
-			for i := range plans {
-				plans[i] = runner.RandomPlan(rng)
-			}
-			sort.Slice(plans, func(i, j int) bool {
-				return plans[i].Activation < plans[j].Activation
-			})
-			worker := runner.NewWorker()
+	for _, v := range siteVariants() {
+		b.Run(v.name, func(b *testing.B) {
+			worker, plans := engineWorker(b, v)
 			// Warm pass: run the whole plan population once untimed so the
 			// translation cache, the worker's machine, and the checkpoint
 			// pool's page-hash tables are all hot before the clock starts —
@@ -660,11 +691,7 @@ func BenchmarkSiteThroughput(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "inj/s")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
+			reportInjections(b)
 		})
 	}
 }

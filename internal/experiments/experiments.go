@@ -437,20 +437,10 @@ func parallel(workers, n int, f func(i int) error) error {
 // Campaign runs the detection-effectiveness fault-injection campaign with
 // the trained model installed.
 func Campaign(sc Scale, model *ml.Tree) (*inject.CampaignResult, error) {
-	return CampaignWith(sc, model, 0, nil)
+	return CampaignSink(sc, model, 0, nil, nil)
 }
 
-// CampaignWith is Campaign with the campaign engine's knobs exposed:
-// checkpointEvery is the golden-checkpoint interval K (0 = default,
-// negative disables checkpointing) and progress, when non-nil, receives
-// cumulative (done, total) after every completed injection — it is called
-// concurrently from worker goroutines. The aggregates are bit-identical for
-// every checkpointEvery value; only wall-clock changes.
-func CampaignWith(sc Scale, model *ml.Tree, checkpointEvery int, progress func(done, total int)) (*inject.CampaignResult, error) {
-	return CampaignSink(sc, model, checkpointEvery, progress, nil)
-}
-
-// CampaignConfigFor is the campaign configuration CampaignWith runs —
+// CampaignConfigFor is the campaign configuration Campaign runs —
 // exposed so durable (store-backed) runs describe the identical campaign.
 // It fails when sc.Detectors names a factory the detect registry does not
 // hold.
@@ -484,12 +474,17 @@ func CampaignConfigFor(sc Scale, model *ml.Tree, checkpointEvery int) (inject.Ca
 	}, nil
 }
 
-// CampaignSink is CampaignWith with every outcome recorded through sink
-// (e.g. a durable result store): outcomes the sink already holds are
-// skipped, the rest are recorded as they complete, and the folded result
-// comes from the sink — so an interrupted campaign resumes where it left
-// off and still ends bit-identical to an uninterrupted run. A nil sink
-// folds in memory.
+// CampaignSink is Campaign with the campaign engine's knobs exposed and
+// every outcome recorded through sink (e.g. a durable result store).
+// checkpointEvery is the golden-checkpoint interval K (0 = default,
+// negative disables checkpointing) and progress, when non-nil, receives
+// cumulative (done, total) after every completed injection — it is called
+// concurrently from worker goroutines. The aggregates are bit-identical for
+// every checkpointEvery value; only wall-clock changes. Outcomes the sink
+// already holds are skipped, the rest are recorded as they complete, and
+// the folded result comes from the sink — so an interrupted campaign
+// resumes where it left off and still ends bit-identical to an
+// uninterrupted run. A nil sink folds in memory.
 func CampaignSink(sc Scale, model *ml.Tree, checkpointEvery int, progress func(done, total int), sink inject.ResultSink) (*inject.CampaignResult, error) {
 	cfg, err := CampaignConfigFor(sc, model, checkpointEvery)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"xentry/internal/isa"
+	"xentry/internal/rng"
 )
 
 // Template-generated handlers for the exit reasons whose Xen counterparts
@@ -15,43 +16,33 @@ import (
 // differ across exit reasons but are stable across builds, which is what
 // the VM transition detector learns.
 
-// splitmix64 is a small deterministic PRNG for structural choices.
-type splitmix64 uint64
-
-func (s *splitmix64) next() uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// seedFor derives a stable seed from a handler name.
-func seedFor(name string) splitmix64 {
+// seedFor returns the generator for a handler's structural choices,
+// seeded with the FNV-1a hash of its name.
+func seedFor(name string) *rng.RNG {
 	var h uint64 = 1469598103934665603 // FNV offset basis
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	return splitmix64(h)
+	return rng.New(int64(h))
 }
 
 // makeBounceHandler generates an exception handler that inspects the fault,
 // does vector-specific bookkeeping, and bounces the exception to the guest.
 // nmi-class handlers (bounce=false) only account the event.
 func makeBounceHandler(name string, vector int64, bounce bool) *isa.Program {
-	rng := seedFor(name)
+	r := seedFor(name)
 	b := isa.NewBuilder(name).
 		Push(isa.RBX)
 	// Vector-specific bookkeeping: 1-4 loads/stores over scratch slots.
-	n := int(rng.next()%4) + 1
+	n := int(r.Uint64()%4) + 1
 	for i := 0; i < n; i++ {
-		slot := int64(rng.next()%32)*8 + 0x700
+		slot := int64(r.Uint64()%32)*8 + 0x700
 		b.Load(isa.RDX, isa.R13, slot).
 			AddImm(isa.RDX, 1).
 			Store(isa.RDX, isa.R13, slot)
 	}
-	if rng.next()%2 == 0 {
+	if r.Uint64()%2 == 0 {
 		b.CallSym("update_runstate")
 	}
 	if bounce {
@@ -67,15 +58,15 @@ func makeBounceHandler(name string, vector int64, bounce bool) *isa.Program {
 // makeAPICHandler generates an APIC interrupt handler: EOI over MMIO, then
 // a seeded amount of per-vector work (counter updates, scan loops).
 func makeAPICHandler(name string, vector int64) *isa.Program {
-	rng := seedFor(name)
+	r := seedFor(name)
 	b := isa.NewBuilder(name).
 		Push(isa.RBX).
 		MovImm(isa.RBX, MMIOBase).
 		MovImm(isa.RDX, vector).
 		Store(isa.RDX, isa.RBX, 0) // EOI
 	// Fixed-trip scan loop (2-6 iterations) over a per-handler table.
-	trips := int64(rng.next()%5) + 2
-	slot := int64(rng.next()%16)*8 + 0x800
+	trips := int64(r.Uint64()%5) + 2
+	slot := int64(r.Uint64()%16)*8 + 0x800
 	b.MovImm(isa.RCX, trips).
 		MovImm(isa.R9, int64(ScratchAddr())+slot).
 		Label("scan").
@@ -84,12 +75,12 @@ func makeAPICHandler(name string, vector int64) *isa.Program {
 		Store(isa.RDX, isa.R9, 0).
 		AddImm(isa.R9, 8).
 		Loop("scan")
-	if rng.next()%2 == 0 {
+	if r.Uint64()%2 == 0 {
 		b.CallSym("update_runstate")
 	}
-	if rng.next()%3 == 0 {
+	if r.Uint64()%3 == 0 {
 		// Kick an event channel.
-		b.MovImm(isa.RDI, int64(rng.next()%MaxEvtchnPorts)).
+		b.MovImm(isa.RDI, int64(r.Uint64()%MaxEvtchnPorts)).
 			CallSym("evtchn_set_pending")
 	}
 	return b.MovImm(isa.RAX, errOK).
@@ -121,7 +112,7 @@ type genericHypercallProfile struct {
 //
 //	rdi = arg0 (validated), rsi = arg1 (size/count), rdx = arg2 (guest offset)
 func makeGenericHypercall(name string, p genericHypercallProfile) *isa.Program {
-	rng := seedFor(name)
+	r := seedFor(name)
 	b := isa.NewBuilder(name).
 		Push(isa.RBX).
 		Push(isa.R14)
@@ -134,7 +125,7 @@ func makeGenericHypercall(name string, p genericHypercallProfile) *isa.Program {
 			AddImm(isa.RCX, 1).
 			Mov(isa.R14, isa.RCX).
 			Mov(isa.RSI, isa.RDX).
-			MovImm(isa.RDI, int64(ScratchAddr())+0x900+int64(rng.next()%8)*128).
+			MovImm(isa.RDI, int64(ScratchAddr())+0x900+int64(r.Uint64()%8)*128).
 			CallSym("copy_from_user").
 			CmpImm(isa.RAX, 0).
 			Jne("out")
@@ -142,7 +133,7 @@ func makeGenericHypercall(name string, p genericHypercallProfile) *isa.Program {
 	// Body loop. Each iteration chases a pointer computed from loaded
 	// data, like Xen's list walks — so a corrupted register is very likely
 	// to produce a wild dereference (#PF) rather than silent corruption.
-	slot := int64(ScratchAddr()) + 0xC00 + int64(rng.next()%16)*64
+	slot := int64(ScratchAddr()) + 0xC00 + int64(r.Uint64()%16)*64
 	b.Mov(isa.RCX, isa.RSI).
 		AndImm(isa.RCX, p.loopMod-1).
 		AddImm(isa.RCX, 1).
@@ -166,7 +157,7 @@ func makeGenericHypercall(name string, p genericHypercallProfile) *isa.Program {
 		b.CallSym("update_runstate")
 	}
 	if p.callEvtchn {
-		b.MovImm(isa.RDI, int64(rng.next()%MaxEvtchnPorts)).
+		b.MovImm(isa.RDI, int64(r.Uint64()%MaxEvtchnPorts)).
 			CallSym("evtchn_set_pending")
 	}
 	if p.writeVCPU {

@@ -123,21 +123,31 @@ func TestAppendBatchEquivalence(t *testing.T) {
 
 // TestAppendBatchBytesIdentical: a batch of wire frames writes exactly
 // the concatenation of the frames that per-entry AppendBatch calls would
-// write — group commit changes syscall count, never bytes.
+// write — group commit changes syscall count, never bytes — and Record
+// and a batch without frames write those same wire frames.
 func TestAppendBatchBytesIdentical(t *testing.T) {
 	meta := store.Meta{CampaignID: "bytes", Benchmarks: []string{"mcf"}, Injections: 32}
-	dirOne, dirMany := t.TempDir(), t.TempDir()
-	one, err := store.Open(dirOne, meta, store.Options{})
-	if err != nil {
-		t.Fatal(err)
+	open := func() (*store.Store, string) {
+		dir := t.TempDir()
+		s, err := store.Open(dir, meta, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, dir
 	}
-	many, err := store.Open(dirMany, meta, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []store.BatchEntry
+	one, dirOne := open()
+	many, dirMany := open()
+	rec, dirRec := open()
+	bare, dirBare := open()
+	var entries, unframed []store.BatchEntry
 	for i := 0; i < 20; i++ {
-		entries = append(entries, wireEntry("mcf", i, genOutcome(i)))
+		e := wireEntry("mcf", i, genOutcome(i))
+		entries = append(entries, e)
+		e.Frame = nil
+		unframed = append(unframed, e)
+		if err := rec.Record(e.Bench, e.Index, e.Outcome); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := one.AppendBatch(entries); err != nil {
 		t.Fatal(err)
@@ -147,10 +157,17 @@ func TestAppendBatchBytesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	one.Close()
-	many.Close()
-	if !reflect.DeepEqual(readSegments(t, dirOne), readSegments(t, dirMany)) {
-		t.Fatal("batched WAL bytes differ from per-record WAL bytes")
+	if _, err := bare.AppendBatch(unframed); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*store.Store{one, many, rec, bare} {
+		s.Close()
+	}
+	want := readSegments(t, dirOne)
+	for name, dir := range map[string]string{"per-record batch": dirMany, "Record": dirRec, "unframed batch": dirBare} {
+		if !reflect.DeepEqual(readSegments(t, dir), want) {
+			t.Errorf("%s WAL bytes differ from the batched wire frames", name)
+		}
 	}
 }
 
@@ -252,9 +269,9 @@ func TestAppendBatchTruncationRecovery(t *testing.T) {
 	}
 }
 
-// TestBinaryAndJSONRecordsInterleave: one WAL holding both encodings (a
-// coordinator that mixes HTTP-path Records with fleet batches) replays
-// every record.
+// TestBinaryAndJSONRecordsInterleave: a segment written by an earlier
+// release holds both encodings (JSON records from Record, binary frames
+// from fleet batches); replay folds every record.
 func TestBinaryAndJSONRecordsInterleave(t *testing.T) {
 	meta := store.Meta{CampaignID: "mix", Benchmarks: []string{"mcf"}, Injections: 32}
 	dir := t.TempDir()
@@ -262,24 +279,27 @@ func TestBinaryAndJSONRecordsInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	want := inject.NewTally()
+	var seg []byte
 	for i := 0; i < 20; i++ {
 		o := genOutcome(i)
 		want.Add(o)
 		if i%2 == 0 {
-			if err := s.Record("mcf", i, o); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := s.AppendBatch([]store.BatchEntry{wireEntry("mcf", i, o)}); err != nil {
-			t.Fatal(err)
+			seg = append(seg, encodeFrame(t, "mcf", i, o)...)
+		} else {
+			seg = append(seg, wireEntry("mcf", i, o).Frame...)
 		}
 	}
-	s.Close()
+	appendFrame(t, filepath.Join(dir, "wal-000001.log"), seg)
 	re, err := store.Open(dir, store.Meta{}, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if re.Dropped() != 0 {
+		t.Fatalf("dropped = %d, want 0", re.Dropped())
+	}
 	res, err := re.Result()
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,12 @@ import (
 
 	"xentry/internal/inject"
 	"xentry/internal/store"
+	"xentry/internal/wire"
 )
 
-// encodeFrame builds one WAL frame exactly as Store.Record writes it:
-// uint32 payload length, uint32 CRC32-IEEE, JSON payload — all
-// little-endian.
+// encodeFrame builds one WAL frame with the JSON record payload earlier
+// releases wrote (Store.Record writes binary records): uint32 payload
+// length, uint32 CRC32-IEEE, JSON payload — all little-endian.
 func encodeFrame(tb testing.TB, bench string, index int, o inject.Outcome) []byte {
 	tb.Helper()
 	payload, err := json.Marshal(struct {
@@ -54,6 +55,9 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(encodeFrame(f, "mcf", 1<<40, genOutcome(2))) // index outside the plan range
 	f.Add(encodeFrame(f, "mcf", -7, genOutcome(2)))
 	f.Add(encodeFrame(f, "zzz", 2, genOutcome(5))) // benchmark the meta never named
+	o := genOutcome(3)
+	binFrame, _ := wire.AppendRecordFrame(nil, nil, "x264", 3, &o)
+	f.Add(binFrame) // a binary record, as Record and the fleet write them
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()

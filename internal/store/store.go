@@ -69,7 +69,8 @@ const (
 	maxRecordBytes = 1 << 24
 )
 
-// walRecord is the JSON payload of one WAL frame.
+// walRecord is the JSON record payload earlier releases wrote. The store
+// writes binary records (wire.AppendRecordFrame) and only decodes these.
 type walRecord struct {
 	Bench   string         `json:"b"`
 	Index   int            `json:"i"`
@@ -109,10 +110,12 @@ type Store struct {
 	segBytes int64
 	unsynced int64
 
-	// batchBuf and freshIdx are AppendBatch's reusable scratch; wdec is
-	// the lazily built binary-record decoder shared by replay and batch
-	// appends (both run under mu).
+	// batchBuf holds the frames of the append in progress, recBuf the
+	// record payload being framed, freshIdx AppendBatch's fresh entries;
+	// wdec is the lazily built binary-record decoder replay uses. All are
+	// reused under mu.
 	batchBuf []byte
+	recBuf   []byte
 	freshIdx []int
 	wdec     *wire.Decoder
 }
@@ -340,10 +343,10 @@ func (s *Store) replaySegment(n int) error {
 	return nil
 }
 
-// decodeRecord decodes one intact record payload. Segments mix two
-// encodings — the historical JSON records (payloads start with '{') and
-// the fleet's binary records (wire.RecFormat leading byte, appended
-// verbatim from worker batches) — distinguished by a one-byte sniff.
+// decodeRecord decodes one intact record payload. The store writes binary
+// records (wire.RecFormat leading byte); segments written by earlier
+// releases also hold JSON records (payloads start with '{'). A one-byte
+// sniff tells them apart.
 func (s *Store) decodeRecord(payload []byte) (bench string, index int, o inject.Outcome, err error) {
 	if len(payload) > 0 && payload[0] == wire.RecFormat {
 		if s.wdec == nil {
@@ -432,18 +435,12 @@ func (s *Store) Record(bench string, index int, o inject.Outcome) error {
 	if index >= 0 && index/64 < len(bits) && bits[index/64]&(1<<(index%64)) != 0 {
 		return nil
 	}
-	payload, err := json.Marshal(walRecord{Bench: bench, Index: index, Outcome: o})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := s.seg.Write(append(hdr[:], payload...)); err != nil {
+	s.batchBuf, s.recBuf = wire.AppendRecordFrame(s.batchBuf[:0], s.recBuf, bench, index, &o)
+	if _, err := s.seg.Write(s.batchBuf); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.segBytes += int64(frameHeader + len(payload))
-	s.unsynced += int64(frameHeader + len(payload))
+	s.segBytes += int64(len(s.batchBuf))
+	s.unsynced += int64(len(s.batchBuf))
 	s.fold(bench, index, o)
 	return s.commitLocked()
 }
@@ -473,8 +470,8 @@ type BatchEntry struct {
 	// (Bench, Index, Outcome) with a valid CRC — the fleet ingest path
 	// satisfies this by construction, having decoded Outcome from the
 	// frame after verifying it — and is appended to the WAL verbatim, so
-	// the hot path never re-encodes. A nil Frame falls back to the JSON
-	// encoding Record uses.
+	// the hot path never re-encodes. A nil Frame is encoded as Record
+	// encodes it.
 	Frame []byte
 	// Fresh is an out-field: AppendBatch sets it to whether this entry was
 	// newly folded (not a duplicate of the store or of an earlier entry in
@@ -511,20 +508,9 @@ func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 		fresh = append(fresh, i)
 		if e.Frame != nil {
 			buf = append(buf, e.Frame...)
-			continue
+		} else {
+			buf, s.recBuf = wire.AppendRecordFrame(buf, s.recBuf, e.Bench, e.Index, &e.Outcome)
 		}
-		payload, err := json.Marshal(walRecord{Bench: e.Bench, Index: e.Index, Outcome: e.Outcome})
-		if err != nil {
-			for _, j := range fresh {
-				s.unmarkLocked(entries[j].Bench, entries[j].Index)
-				entries[j].Fresh = false
-			}
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		var hdr [frameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		buf = append(append(buf, hdr[:]...), payload...)
 	}
 	s.batchBuf, s.freshIdx = buf, fresh[:0]
 	if len(fresh) == 0 {

@@ -218,11 +218,10 @@ func TestStoreCorruptSnapshotFallsBackToFullReplay(t *testing.T) {
 	}
 }
 
-// frame encodes one WAL record the way the store does.
+// frame encodes one WAL record with the JSON payload earlier releases
+// wrote, which replay still decodes.
 func frame(t *testing.T, bench string, index int) []byte {
 	t.Helper()
-	// Re-recording through a scratch store would be circular; build the
-	// frame directly from the same JSON payload shape.
 	payload := []byte(`{"b":"` + bench + `","i":` + itoa(index) + `,"o":` + outcomeJSON(t, index) + `}`)
 	buf := make([]byte, 8, 8+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))

@@ -139,3 +139,28 @@ func TestAttachChainsExistingHook(t *testing.T) {
 		t.Error("detach removed the original hook")
 	}
 }
+
+// TestCaptureActivationSMP: on a 4-vCPU machine the scheduler runs
+// activations on every CPU. Each must still be traced, and a RIP flip
+// must land on the CPU that executes it.
+func TestCaptureActivationSMP(t *testing.T) {
+	cfg := sim.DefaultConfig("postmark", 5)
+	cfg.VCPUs = 4
+	for a := 0; a < 8; a++ {
+		golden, _, err := CaptureActivation(cfg, a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(golden) == 0 {
+			t.Errorf("activation %d: traced 0 entries", a)
+			continue
+		}
+		injected, _, err := CaptureActivation(cfg, a, &Flip{Step: 3, Reg: isa.RIP, Bit: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx := Diff(golden, injected); len(golden) > 4 && (idx < 0 || idx > 4) {
+			t.Errorf("activation %d: injected trace diverges at %d, want near step 3", a, idx)
+		}
+	}
+}

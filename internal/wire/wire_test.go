@@ -109,6 +109,35 @@ func TestRecordFrameMatchesSplit(t *testing.T) {
 	}
 }
 
+// TestRecordCodecAllocFree: once the frame and payload buffers and the
+// decoder's intern tables are warm, encoding a record frame and splitting
+// and decoding it again allocates nothing, for every field class
+// genOutcome covers. BenchmarkWireCodec times the same two directions.
+func TestRecordCodecAllocFree(t *testing.T) {
+	outcomes := make([]inject.Outcome, 64)
+	for i := range outcomes {
+		outcomes[i] = genOutcome(i)
+	}
+	var frame, scratch []byte
+	d := wire.NewDecoder()
+	pass := func() {
+		for i := range outcomes {
+			frame, scratch = wire.AppendRecordFrame(frame[:0], scratch, "canneal", i, &outcomes[i])
+			payload, _, err := wire.SplitFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := d.DecodeRecord(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Errorf("a round trip of %d records allocates %.0f times, want 0", len(outcomes), n)
+	}
+}
+
 func TestTallyRoundTrip(t *testing.T) {
 	tally := inject.NewTally()
 	for i := 0; i < 400; i++ {
