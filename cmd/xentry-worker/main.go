@@ -1,10 +1,10 @@
 // Command xentry-worker is the remote execution half of a fleet-mode
 // campaign: it dials a coordinator's fleet listener (xentry-serve -fleet),
 // derives the exact campaign configuration from the spec the coordinator
-// hands back — including deterministic transition-model training, so every
-// worker holds the same model an in-process run would — then leases
-// activation-sorted shards and streams their outcomes back as batched
-// binary record frames.
+// hands back and installs the transition model the coordinator trained
+// and shipped with it — workers never train, so every worker holds the
+// model an in-process run would — then leases activation-sorted shards
+// and streams their outcomes back as batched binary record frames.
 //
 // Usage:
 //

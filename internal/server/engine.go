@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/store"
 )
 
@@ -109,8 +110,10 @@ type Engine struct {
 	Fleet *Fleet
 	// Spec is the canonical campaign spec JSON served to fleet workers in
 	// the Welcome message; each worker derives its CampaignConfig (plans,
-	// detectors, trained model) from it. Required in fleet mode, and it
-	// must describe exactly the config passed to Run.
+	// detectors) from it. Required in fleet mode, and it must describe
+	// exactly the config passed to Run. The transition model is not
+	// derived from it: the Welcome ships the config's Model, encoded, and
+	// workers install that tree instead of training one.
 	Spec []byte
 }
 
@@ -123,14 +126,27 @@ func (e *Engine) emit(ev Event) {
 // Run executes the campaign to completion — every plan index the store
 // does not already hold — and returns the normalized aggregates from the
 // store. The context cancels the whole run; a cancelled or failed run
-// resumes later from whatever the store persisted.
+// resumes later from whatever the store persisted. Fleet workers receive
+// cfg.Model in their Welcome.
 func (e *Engine) Run(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
+	return e.run(ctx, cfg, func() (*ml.Tree, error) { return cfg.Model, nil })
+}
+
+// run is Run with the model still to train: train yields cfg.Model. In
+// process it trains before the first injection; on the fleet the run
+// registers and queues its plans while train runs, and worker Hellos wait
+// for the model.
+func (e *Engine) run(ctx context.Context, cfg inject.CampaignConfig, train func() (*ml.Tree, error)) (*inject.CampaignResult, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("server: engine needs a store")
 	}
 	cfg = cfg.Normalized()
 	if e.Fleet != nil {
-		return e.runFleet(ctx, cfg)
+		return e.runFleet(ctx, cfg, train)
+	}
+	var err error
+	if cfg.Model, err = train(); err != nil {
+		return nil, err
 	}
 	total := len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark
 	return inject.ResumeCampaign(ctx, cfg, eventSink{Store: e.Store, e: e, total: total})

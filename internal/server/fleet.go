@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/store"
 	"xentry/internal/wire"
 )
@@ -25,11 +26,12 @@ import (
 //
 // The hot path is deliberately narrow: the per-connection goroutine
 // verifies and decodes each record (interning strings, so steady state is
-// allocation-light), then hands the batch to the campaign's single ingest
+// allocation-free), then hands the batch to the campaign's single ingest
 // goroutine over a bounded channel. The ingest goroutine group-commits via
 // store.AppendBatch — appending the already-framed bytes verbatim — and
 // does every piece of lease accounting, so shard settlement is naturally
-// ordered after the batches that preceded it on the same connection.
+// ordered after the batches that preceded it on the same connection. It
+// then hands the batch's buffers back for the next batch to reuse.
 // Nothing on this path touches the HTTP/JSON control plane.
 //
 // Backpressure is layered: the protocol itself is stop-and-wait per
@@ -84,6 +86,8 @@ type Fleet struct {
 	finished []string
 	closed   bool
 	workSeq  int
+	// quit is closed by Close; it releases sessions held for a model.
+	quit chan struct{}
 
 	workers   atomic.Int64
 	batches   atomic.Int64
@@ -107,6 +111,7 @@ func NewFleet(addr string) (*Fleet, error) {
 		ln:    ln,
 		runs:  map[string]*fleetRun{},
 		conns: map[net.Conn]struct{}{},
+		quit:  make(chan struct{}),
 	}
 	f.wg.Add(1)
 	go f.accept()
@@ -138,6 +143,7 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
+	close(f.quit)
 	conns := make([]net.Conn, 0, len(f.conns))
 	for c := range f.conns {
 		conns = append(conns, c)
@@ -291,8 +297,19 @@ func (f *Fleet) serveConn(conn net.Conn, wid int) {
 	// sees the Welcome, so no lease is sized without it once it has.
 	run.join(1)
 	defer run.join(-1)
+	// A Hello that arrives while the coordinator trains the model waits
+	// for it: no lease exists before the first Welcome, so the first one
+	// goes out as soon as training ends.
+	select {
+	case <-run.ready:
+	case <-run.done:
+		refuse(conn, "fleet: campaign %s is not running", run.id)
+		return
+	case <-f.quit:
+		return
+	}
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.spec})); err != nil {
+	if _, err := conn.Write(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: run.spec, Model: run.model})); err != nil {
 		return
 	}
 
@@ -373,9 +390,11 @@ func (s *fleetSession) leaseReq(out []byte) ([]byte, error) {
 // will requeue the remainder); framing corruption is a protocol error that
 // ends the session.
 func (s *fleetSession) batch(out []byte, b *wire.Batch) ([]byte, error) {
-	// One copy per batch: entries and their Frame slices must outlive the
-	// connection reader's buffer, which the next frame reuses.
-	block := append([]byte(nil), b.Block...)
+	// One copy per batch, into a recycled buffer: entries and their Frame
+	// slices must outlive the connection reader's buffer, which the next
+	// frame reuses.
+	buf := s.run.batchBuf()
+	block := append(buf.block[:0], b.Block...)
 	// Records is sender-controlled: cap the capacity hint at what the
 	// block could physically hold (one header per record, minimum) so a
 	// hostile count can't drive a giant or panicking allocation.
@@ -383,7 +402,10 @@ func (s *fleetSession) batch(out []byte, b *wire.Batch) ([]byte, error) {
 	if b.Records < hint {
 		hint = b.Records
 	}
-	entries := make([]store.BatchEntry, 0, hint)
+	entries := buf.entries[:0]
+	if uint64(cap(entries)) < hint {
+		entries = make([]store.BatchEntry, 0, hint)
+	}
 	damaged := 0
 	rest := block
 	for len(rest) > 0 {
@@ -406,7 +428,8 @@ func (s *fleetSession) batch(out []byte, b *wire.Batch) ([]byte, error) {
 		entries = append(entries, store.BatchEntry{Bench: bench, Index: index, Outcome: o, Frame: frame})
 		rest = next
 	}
-	if err := s.run.submit(ingestItem{kind: itemBatch, lease: b.Lease, wid: s.wid, entries: entries, damaged: damaged}); err != nil {
+	buf.block, buf.entries = block, entries
+	if err := s.run.submit(ingestItem{kind: itemBatch, lease: b.Lease, wid: s.wid, batch: buf, damaged: damaged}); err != nil {
 		return nil, err
 	}
 	s.run.renewLease(b.Lease, s.wid)
@@ -452,11 +475,20 @@ type ingestItem struct {
 	kind    byte
 	lease   uint64
 	wid     int
-	entries []store.BatchEntry
+	batch   *ingestBatch
 	damaged int
 	claimed uint64
 	tally   []byte
 	errMsg  string
+}
+
+// ingestBatch is one batch's decoded entries and the block copy their
+// Frame slices alias. Neither the store nor the lease tally keeps them
+// past the fold, so the ingest goroutine hands the pair back to the run's
+// free list for the next batch.
+type ingestBatch struct {
+	block   []byte
+	entries []store.BatchEntry
 }
 
 const (
@@ -523,10 +555,18 @@ type fleetRun struct {
 	leaseTimeout time.Duration
 	retryMillis  uint64
 
+	// model is the encoded transition model served in every Welcome. It
+	// is written once, before ready is closed, and read only after.
+	model []byte
+	ready chan struct{}
+
 	ingest     chan ingestItem
 	done       chan struct{}
 	ingestDone chan struct{} // closed when the ingest goroutine exits
 	dec        *wire.Decoder // ingest-goroutine only
+	// free holds folded batches' buffers for reuse, as many as a full
+	// ingest queue holds.
+	free chan *ingestBatch
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -559,7 +599,9 @@ func newFleetRun(e *Engine, cfg inject.CampaignConfig, leaseTimeout time.Duratio
 		leaseTimeout: leaseTimeout,
 		retryMillis:  100,
 		carved:       make([]int, len(cfg.Benchmarks)),
+		ready:        make(chan struct{}),
 		ingest:       make(chan ingestItem, fleetIngestDepth),
+		free:         make(chan *ingestBatch, fleetIngestDepth),
 		done:         make(chan struct{}),
 		ingestDone:   make(chan struct{}),
 		dec:          wire.NewDecoder(),
@@ -570,6 +612,23 @@ func newFleetRun(e *Engine, cfg inject.CampaignConfig, leaseTimeout time.Duratio
 	}
 	run.cond = sync.NewCond(&run.mu)
 	return run
+}
+
+// serveModel encodes the campaign's model (nil: none) for the Welcome and
+// releases the sessions waiting for it. It is called once per run.
+func (run *fleetRun) serveModel(t *ml.Tree) {
+	run.model = wire.AppendModel(nil, t)
+	close(run.ready)
+}
+
+// batchBuf returns a folded batch's buffers for reuse, or fresh ones.
+func (run *fleetRun) batchBuf() *ingestBatch {
+	select {
+	case b := <-run.free:
+		return b
+	default:
+		return &ingestBatch{}
+	}
 }
 
 // validRecord bounds what a batch may fold: a benchmark of this campaign
@@ -805,10 +864,17 @@ func (run *fleetRun) finish() {
 // ingestLoop is the campaign's single ingest goroutine: it folds batches
 // into the store (group-committed, frames appended verbatim), does all
 // lease accounting, and settles or requeues shards. One consumer means
-// per-connection FIFO order is preserved end to end.
+// per-connection FIFO order is preserved end to end. A released run
+// folds nothing more, even with items still queued: its store is about
+// to close.
 func (run *fleetRun) ingestLoop() {
 	defer close(run.ingestDone)
 	for {
+		select {
+		case <-run.done:
+			return
+		default:
+		}
 		select {
 		case item := <-run.ingest:
 			run.process(item)
@@ -856,6 +922,10 @@ func (run *fleetRun) process(item ingestItem) {
 	switch item.kind {
 	case itemBatch:
 		run.processBatch(item)
+		select {
+		case run.free <- item.batch:
+		default:
+		}
 	case itemDone:
 		run.processDone(item)
 	case itemFail:
@@ -905,8 +975,9 @@ func (run *fleetRun) takeLease(id uint64, wid int) *fleetLease {
 }
 
 func (run *fleetRun) processBatch(item ingestItem) {
-	if len(item.entries) > 0 {
-		if _, err := run.store.AppendBatch(item.entries); err != nil {
+	entries := item.batch.entries
+	if len(entries) > 0 {
+		if _, err := run.store.AppendBatch(entries); err != nil {
 			run.fail(fmt.Errorf("server: fleet ingest: %w", err))
 			return
 		}
@@ -918,8 +989,8 @@ func (run *fleetRun) processBatch(item ingestItem) {
 			shard = l.shard.shard
 		}
 		run.mu.Unlock()
-		for i := range item.entries {
-			e := &item.entries[i]
+		for i := range entries {
+			e := &entries[i]
 			if !e.Fresh {
 				continue
 			}
@@ -937,10 +1008,10 @@ func (run *fleetRun) processBatch(item ingestItem) {
 	if l == nil || l.wid != item.wid {
 		return // stale lease: records folded (dedup absorbed them), no accounting
 	}
-	l.accepted += len(item.entries)
+	l.accepted += len(entries)
 	l.damaged += item.damaged
-	for i := range item.entries {
-		l.tally.Add(item.entries[i].Outcome)
+	for i := range entries {
+		l.tally.Add(entries[i].Outcome)
 	}
 }
 
@@ -980,8 +1051,10 @@ func (run *fleetRun) processDone(item ingestItem) {
 // no checkpoint pool) only to compute its activation order. Every
 // unfinished benchmark's todo list joins one queue, in benchmark order,
 // before the single wait: workers lease across benchmark boundaries, and
-// NoWork means every remaining plan is leased.
-func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inject.CampaignResult, error) {
+// NoWork means every remaining plan is leased. train runs beside all of
+// that and yields the model every Welcome ships; Hellos wait for it, and
+// a training error fails the campaign.
+func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig, train func() (*ml.Tree, error)) (*inject.CampaignResult, error) {
 	if len(e.Spec) == 0 {
 		return nil, fmt.Errorf("server: fleet mode needs Engine.Spec (the campaign spec JSON workers derive their config from)")
 	}
@@ -998,7 +1071,20 @@ func (e *Engine) runFleet(ctx context.Context, cfg inject.CampaignConfig) (*inje
 	if err := e.Fleet.start(run); err != nil {
 		return nil, err
 	}
+	// Training outlives a cancelled run's wait: runFleet returns once it
+	// ends, after release has refused the sessions held for it.
+	trained := make(chan struct{})
+	defer func() { <-trained }()
 	defer e.Fleet.release(run)
+	go func() {
+		defer close(trained)
+		model, err := train()
+		if err != nil {
+			run.fail(err)
+			return
+		}
+		run.serveModel(model)
+	}()
 	// Wake the coordinator's wait when the run context dies.
 	go func() {
 		select {

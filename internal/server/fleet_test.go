@@ -235,20 +235,27 @@ func testFleetKillAndResume(t *testing.T, shardSize int) {
 	}
 
 	// Run 1: kill worker process 0 after the 6th outcome, cancel the
-	// coordinator after the 14th.
+	// coordinator at the 14th. Outcome events come from the run's ingest
+	// goroutine, so the 14th holds it until the run is released: no later
+	// batch folds, however fast the lease holder streams, and the first
+	// run stops mid-campaign (after 14 to 17 records, batches hold 4).
 	st1 := openStore()
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	e1 := &Engine{Store: st1, Fleet: f, Spec: specJSON, ShardSize: shardSize, ShardTimeout: 10 * time.Second}
 	var outcomes atomic.Int64
-	var killOnce, cancelOnce sync.Once
 	e1.OnEvent = func(ev Event) {
-		if ev.Type == EventOutcome {
-			switch outcomes.Add(1) {
-			case 6:
-				killOnce.Do(func() { procs[0].Process.Kill() })
-			case 14:
-				cancelOnce.Do(cancel1)
+		if ev.Type != EventOutcome {
+			return
+		}
+		switch outcomes.Add(1) {
+		case 6:
+			procs[0].Process.Kill()
+		case 14:
+			run, _ := f.lookup(spec.ID)
+			cancel1()
+			if run != nil {
+				<-run.done
 			}
 		}
 	}
@@ -688,6 +695,7 @@ func TestFleetHostileRecordsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.release(run)
+	run.serveModel(nil)
 
 	c := dialRaw(t, f.Addr())
 	if got := c.replyType(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: "fleet-hostile"})); got != wire.MsgWelcome {
@@ -776,6 +784,7 @@ func TestFleetCampaignStates(t *testing.T) {
 				if err := f.start(run); err != nil {
 					t.Fatal(err)
 				}
+				run.serveModel(nil)
 			}
 			session := dialRaw(t, f.Addr())
 			if got := session.replyType(hello); (got == wire.MsgWelcome) != (tc.state != "unknown") {
@@ -895,6 +904,66 @@ func TestFleetShardFailExhaustsAttempts(t *testing.T) {
 	}
 	if n := f.Stats().Leases; n != 2 {
 		t.Errorf("granted %d leases, want 2 (one per attempt)", n)
+	}
+}
+
+// TestFleetIngestAllocFree: once warm, a batch's trip through its session
+// (CRC walk, decode, queue, ack) and the ingest goroutine's fold (group
+// commit, lease accounting) allocates nothing, because the ingest side
+// hands each batch's block copy and entries back for the next batch.
+// BenchmarkFleetIngest prices the same path over TCP.
+func TestFleetIngestAllocFree(t *testing.T) {
+	const perBatch = 16
+	cfg := inject.CampaignConfig{Benchmarks: []string{"canneal"}, InjectionsPerBenchmark: 64 * perBatch}
+	f, err := NewFleet("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// No pass rotates the segment or syncs it, as in BenchmarkFleetIngest:
+	// both are per segment or per SyncEveryBytes, not per batch.
+	st, err := store.Open(t.TempDir(), store.Meta{CampaignID: "ingest-alloc", Benchmarks: cfg.Benchmarks,
+		Injections: cfg.InjectionsPerBenchmark}, store.Options{MaxSegmentBytes: 1 << 30, SyncEveryBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// The run is not started: the test is its ingest goroutine.
+	run := newFleetRun(&Engine{Store: st, Fleet: f, Spec: []byte("{}"), ShardSize: cfg.InjectionsPerBenchmark}, cfg, time.Minute, 3)
+	order := make([]int, cfg.InjectionsPerBenchmark)
+	for i := range order {
+		order[i] = i
+	}
+	run.enqueueBench(0, "canneal", order)
+	l := run.grantLease(1)
+	sess := &fleetSession{fleet: f, run: run, wid: 1, dec: wire.NewDecoder()}
+	// One batch frame per pass, each of fresh records, so every pass
+	// writes the WAL.
+	var batches []wire.Batch
+	var scratch []byte
+	for i := 0; i < len(l.Indices); i += perBatch {
+		var block []byte
+		for _, idx := range l.Indices[i : i+perBatch] {
+			o := synthOutcome(idx)
+			block, scratch = wire.AppendRecordFrame(block, scratch, "canneal", idx, &o)
+		}
+		batches = append(batches, wire.Batch{Lease: l.ID, Records: perBatch, Block: block})
+	}
+	var out []byte
+	pass := func() {
+		var err error
+		if out, err = sess.batch(out[:0], &batches[0]); err != nil {
+			t.Fatal(err)
+		}
+		run.process(<-run.ingest)
+		batches = batches[1:]
+	}
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Errorf("a warm ingest pass allocates %.0f times, want 0", n)
+	}
+	if got, want := st.TotalCount(), 22*perBatch; got != want {
+		t.Errorf("store holds %d records after 22 passes, want %d", got, want)
 	}
 }
 
@@ -1081,6 +1150,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 		if err := f.start(run); err != nil {
 			b.Fatal(err)
 		}
+		run.serveModel(nil)
 		run.enqueueBench(0, bench, slices.Clone(order))
 
 		b.StartTimer()

@@ -19,6 +19,7 @@ import (
 	"xentry/internal/experiments"
 	"xentry/internal/hv"
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/recovery"
 	"xentry/internal/store"
 	"xentry/internal/workload"
@@ -43,7 +44,9 @@ type CampaignSpec struct {
 	CheckpointEvery int  `json:"checkpoint_every,omitempty"`
 	Recover         bool `json:"recover,omitempty"`
 	// TrainInjections > 0 trains the VM-transition model first (same
-	// deterministic training a local run performs); 0 runs without one.
+	// deterministic training a local run performs; a fleet campaign's
+	// coordinator trains it once and ships it to every worker); 0 runs
+	// without one.
 	TrainInjections int `json:"train_injections,omitempty"`
 	// ShardSize overrides the server's fleet lease size for this campaign
 	// (0 keeps the server's; see Engine.ShardSize); PoolWorkers overrides
@@ -460,22 +463,26 @@ func (s *Server) runCampaign(c *campaign) {
 		if cfg.Workers <= 0 {
 			cfg.Workers = s.cfg.Workers
 		}
-		// In fleet mode the coordinator never executes an injection and the
-		// plan lists are model-independent, so training happens only on the
-		// workers (each derives the identical model from the spec).
-		if c.spec.TrainInjections > 0 && c.engine.Fleet == nil {
+		// The campaign's one training site, for both executions: in
+		// process the engine trains before its first injection; on the
+		// fleet it trains while the run queues its plans, and every
+		// worker's Welcome ships the tree.
+		train := func() (*ml.Tree, error) {
+			if c.spec.TrainInjections <= 0 {
+				return nil, nil
+			}
 			sc := experiments.DefaultScale()
 			sc.Seed = c.spec.Seed
 			sc.Activations = c.spec.Activations
 			sc.TrainInjections = c.spec.TrainInjections
 			sc.TestInjections = c.spec.TrainInjections / 2
-			train, err := experiments.Train(sc)
+			trained, err := experiments.Train(sc)
 			if err != nil {
 				return nil, fmt.Errorf("server: training: %w", err)
 			}
-			cfg.Model = train.Best()
+			return trained.Best(), nil
 		}
-		return c.engine.Run(s.ctx, cfg)
+		return c.engine.run(s.ctx, cfg, train)
 	}()
 	if cerr := c.store.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("server: closing store: %w", cerr)

@@ -8,7 +8,6 @@ import (
 	"net"
 	"time"
 
-	"xentry/internal/experiments"
 	"xentry/internal/inject"
 	"xentry/internal/wire"
 )
@@ -16,12 +15,12 @@ import (
 // This file is the worker side of the fleet data plane, shared by
 // cmd/xentry-worker and the multi-process tests. A worker is a loop:
 // dial the coordinator, Hello, derive the exact CampaignConfig from the
-// Welcome spec (including deterministic model training, so every worker
-// and an in-process reference run hold identical models), then lease
-// shards and execute them, streaming outcomes back in size/time-flushed
-// batches of WAL-ready record frames. Everything is deterministic given
-// the spec, which is what makes the coordinator's tally cross-check and
-// the differential tests possible.
+// Welcome spec and install the transition model the Welcome ships (the
+// coordinator trained it once; workers never train), then lease shards
+// and execute them, streaming outcomes back in size/time-flushed batches
+// of WAL-ready record frames. Everything is deterministic given the spec
+// and the model, which is what makes the coordinator's tally cross-check
+// and the differential tests possible.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
@@ -108,46 +107,37 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 // config and the prepared benchmark (checkpoint pool included), so a
 // redial does not repeat the expensive setup.
 type workerState struct {
-	opts    *WorkerOptions
-	specRaw []byte
-	cfg     inject.CampaignConfig
+	opts     *WorkerOptions
+	specRaw  []byte
+	modelRaw []byte
+	cfg      inject.CampaignConfig
 
 	benchAt int
 	br      *inject.BenchmarkRun
 	worker  *inject.Worker
 }
 
-// configure derives the campaign config from the Welcome spec: the same
-// withDefaults + campaignConfig + deterministic training path the
-// coordinator's runCampaign uses, so every worker reproduces the exact
-// plans and model of an in-process run.
-func (st *workerState) configure(spec []byte) error {
-	if bytes.Equal(spec, st.specRaw) {
+// configure derives the campaign config from the Welcome: the spec through
+// the same withDefaults + campaignConfig path the coordinator's
+// runCampaign uses, so every worker reproduces the exact plans of an
+// in-process run, and the model the coordinator trained, decoded.
+func (st *workerState) configure(w *wire.Welcome) error {
+	if bytes.Equal(w.Spec, st.specRaw) && bytes.Equal(w.Model, st.modelRaw) {
 		return nil
 	}
 	var sp CampaignSpec
-	if err := json.Unmarshal(spec, &sp); err != nil {
+	if err := json.Unmarshal(w.Spec, &sp); err != nil {
 		return fmt.Errorf("worker: campaign spec: %w", err)
 	}
-	sp = sp.withDefaults()
-	cfg, err := sp.campaignConfig()
+	cfg, err := sp.withDefaults().campaignConfig()
 	if err != nil {
 		return err
 	}
-	if sp.TrainInjections > 0 {
-		sc := experiments.DefaultScale()
-		sc.Seed = sp.Seed
-		sc.Activations = sp.Activations
-		sc.TrainInjections = sp.TrainInjections
-		sc.TestInjections = sp.TrainInjections / 2
-		st.opts.Logf("worker: training transition model (%d injections)", sp.TrainInjections)
-		train, err := experiments.Train(sc)
-		if err != nil {
-			return fmt.Errorf("worker: training: %w", err)
-		}
-		cfg.Model = train.Best()
+	if cfg.Model, err = wire.DecodeModel(w.Model); err != nil {
+		return fmt.Errorf("worker: %w", err)
 	}
-	st.specRaw = append([]byte(nil), spec...)
+	st.specRaw = append([]byte(nil), w.Spec...)
+	st.modelRaw = append([]byte(nil), w.Model...)
 	st.cfg = cfg.Normalized()
 	st.benchAt, st.br, st.worker = -1, nil, nil
 	return nil
@@ -228,7 +218,7 @@ func (st *workerState) runSession(ctx context.Context) error {
 	if m.Welcome.Version != wire.ProtoVersion {
 		return fmt.Errorf("worker: coordinator speaks protocol %d, want %d", m.Welcome.Version, wire.ProtoVersion)
 	}
-	if err := st.configure(m.Welcome.Spec); err != nil {
+	if err := st.configure(m.Welcome); err != nil {
 		return err
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xentry/internal/inject"
+	"xentry/internal/ml"
 	"xentry/internal/wire"
 )
 
@@ -16,7 +17,8 @@ import (
 // The seed corpus covers the same damage classes — payload bit rot under
 // an intact header, torn tails, torn headers, absurd length fields — plus
 // protocol-message garbage, so a plain `go test` run exercises them all
-// deterministically.
+// deterministically. Welcome frames carry a model, which is decoded too,
+// so hostile trees are fuzzed as well.
 func FuzzWireDecode(f *testing.F) {
 	o0, o1 := genOutcome(2), genOutcome(4)
 	var intact []byte
@@ -40,6 +42,15 @@ func FuzzWireDecode(f *testing.F) {
 	// Protocol-message garbage for DecodeMsg.
 	f.Add(wire.AppendFrame(nil, []byte{byte(wire.MsgLease), 0x80}))
 	f.Add(wire.AppendShardDone(nil, wire.ShardDone{Lease: 1, Claimed: 2, Tally: []byte{0xff}}))
+	// Welcomes with a model: intact, torn inside the tree, and with a
+	// feature out of range.
+	model := wire.AppendModel(nil, testTree())
+	f.Add(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: []byte("{}"), Model: model}))
+	f.Add(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Model: model[:len(model)-4]}))
+	badFeature := append([]byte(nil), model...)
+	badFeature[6] = ml.NumFeatures
+	f.Add(wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Model: badFeature}))
+	f.Add(model)
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		block := append(append([]byte{}, intact...), tail...)
@@ -81,8 +92,10 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil {
 				break
 			}
-			wire.DecodeMsg(payload) // must not panic
-			d.DecodeTally(payload)  // must not panic
+			if m, err := wire.DecodeMsg(payload); err == nil && m.Type == wire.MsgWelcome {
+				checkModel(t, m.Welcome.Model)
+			}
+			d.DecodeTally(payload) // must not panic
 			rest = r
 		}
 
@@ -90,5 +103,21 @@ func FuzzWireDecode(f *testing.F) {
 		wire.DecodeMsg(tail)
 		d.DecodeRecord(tail)
 		d.DecodeTally(tail)
+		checkModel(t, tail)
 	})
+}
+
+// checkModel decodes a model blob, which must not panic. A tree it
+// accepts must be whole: it classifies, and it survives a re-encode with
+// the same rules and Config.
+func checkModel(t *testing.T, blob []byte) {
+	tree, err := wire.DecodeModel(blob)
+	if err != nil || tree == nil {
+		return
+	}
+	tree.Classify([ml.NumFeatures]uint64{})
+	again, err := wire.DecodeModel(wire.AppendModel(nil, tree))
+	if err != nil || again.String() != tree.String() || again.Cfg != tree.Cfg {
+		t.Fatalf("accepted model does not survive a re-encode: %v", err)
+	}
 }

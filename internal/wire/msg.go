@@ -14,8 +14,10 @@ import (
 // request/response driven by the worker (stop-and-wait), which is also
 // the backpressure mechanism — a coordinator that cannot keep up simply
 // acks slowly, and sets AckSlowdown to ask the worker to pause before its
-// next batch. Done answers a Hello for a campaign the coordinator has
-// recently completed; older workers treat it as a refusal and redial.
+// next batch. A Hello that arrives while the coordinator still trains the
+// campaign's model is answered once the model exists. Done answers a
+// Hello for a campaign the coordinator has recently completed; older
+// workers treat it as a refusal and redial.
 //
 //	worker → Hello            coordinator → Welcome | Done | Error
 //	worker → LeaseReq         coordinator → Lease | NoWork | Done
@@ -34,7 +36,7 @@ type MsgType byte
 // Protocol message types.
 const (
 	MsgHello     MsgType = 1  // worker → coordinator: version, campaign, name
-	MsgWelcome   MsgType = 2  // coordinator → worker: version, campaign spec JSON
+	MsgWelcome   MsgType = 2  // coordinator → worker: version, campaign spec JSON, model
 	MsgLeaseReq  MsgType = 3  // worker → coordinator: give me a shard
 	MsgLease     MsgType = 4  // coordinator → worker: one shard lease
 	MsgNoWork    MsgType = 5  // coordinator → worker: nothing leasable now, retry
@@ -55,7 +57,8 @@ const AckSlowdown = 1
 // below this, so a larger claim is corruption.
 const maxIndices = 1 << 24
 
-// maxBlob bounds embedded byte blobs (spec JSON, batch blocks, tallies).
+// maxBlob bounds embedded byte blobs (spec JSON, models, batch blocks,
+// tallies).
 const maxBlob = MaxFrame
 
 // Hello opens a worker session.
@@ -67,10 +70,14 @@ type Hello struct {
 
 // Welcome answers a Hello: the campaign spec as canonical JSON, from
 // which the worker derives the exact CampaignConfig (and therefore the
-// exact plans) the coordinator uses.
+// exact plans) the coordinator uses, and the campaign's transition model
+// as the coordinator trained it (AppendModel; empty when the campaign
+// runs without one). The worker installs the decoded tree as is and never
+// trains, so every worker holds the coordinator's model bit for bit.
 type Welcome struct {
 	Version uint64
 	Spec    []byte
+	Model   []byte
 }
 
 // Lease hands one shard to a worker. Indices are positions into the
@@ -140,93 +147,104 @@ func consumeBlob(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
+// openMsg starts a framed message of type t at the end of dst: the
+// appenders write the payload straight after the reserved frame header,
+// and closeFrame fills the header in, so no message is built in a
+// separate payload buffer and copied.
+func openMsg(dst []byte, t MsgType) ([]byte, int) {
+	dst, start := openFrame(dst)
+	return append(dst, byte(t)), start
+}
+
 // AppendHello appends a framed Hello message.
 func AppendHello(dst []byte, m Hello) []byte {
-	p := []byte{byte(MsgHello)}
-	p = appendUvarint(p, m.Version)
-	p = appendString(p, m.Campaign)
-	p = appendString(p, m.Worker)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgHello)
+	dst = appendUvarint(dst, m.Version)
+	dst = appendString(dst, m.Campaign)
+	dst = appendString(dst, m.Worker)
+	return closeFrame(dst, start)
 }
 
 // AppendWelcome appends a framed Welcome message.
 func AppendWelcome(dst []byte, m Welcome) []byte {
-	p := []byte{byte(MsgWelcome)}
-	p = appendUvarint(p, m.Version)
-	p = appendBlob(p, m.Spec)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgWelcome)
+	dst = appendUvarint(dst, m.Version)
+	dst = appendBlob(dst, m.Spec)
+	dst = appendBlob(dst, m.Model)
+	return closeFrame(dst, start)
 }
 
 // AppendLeaseReq appends a framed LeaseReq message.
 func AppendLeaseReq(dst []byte) []byte {
-	return AppendFrame(dst, []byte{byte(MsgLeaseReq)})
+	dst, start := openMsg(dst, MsgLeaseReq)
+	return closeFrame(dst, start)
 }
 
 // AppendLease appends a framed Lease message.
 func AppendLease(dst []byte, m Lease) []byte {
-	p := []byte{byte(MsgLease)}
-	p = appendUvarint(p, m.ID)
-	p = appendString(p, m.Bench)
-	p = appendUvarint(p, uint64(m.BenchAt))
-	p = appendUvarint(p, uint64(m.Shard))
-	p = appendUvarint(p, uint64(len(m.Indices)))
+	dst, start := openMsg(dst, MsgLease)
+	dst = appendUvarint(dst, m.ID)
+	dst = appendString(dst, m.Bench)
+	dst = appendUvarint(dst, uint64(m.BenchAt))
+	dst = appendUvarint(dst, uint64(m.Shard))
+	dst = appendUvarint(dst, uint64(len(m.Indices)))
 	for _, i := range m.Indices {
-		p = appendUvarint(p, uint64(i))
+		dst = appendUvarint(dst, uint64(i))
 	}
-	return AppendFrame(dst, p)
+	return closeFrame(dst, start)
 }
 
 // AppendNoWork appends a framed NoWork message.
 func AppendNoWork(dst []byte, m NoWork) []byte {
-	p := []byte{byte(MsgNoWork)}
-	p = appendUvarint(p, m.RetryMillis)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgNoWork)
+	dst = appendUvarint(dst, m.RetryMillis)
+	return closeFrame(dst, start)
 }
 
 // AppendDone appends a framed Done message.
 func AppendDone(dst []byte) []byte {
-	return AppendFrame(dst, []byte{byte(MsgDone)})
+	dst, start := openMsg(dst, MsgDone)
+	return closeFrame(dst, start)
 }
 
 // AppendBatch appends a framed Batch message.
 func AppendBatch(dst []byte, m Batch) []byte {
-	p := make([]byte, 0, 1+3*10+len(m.Block))
-	p = append(p, byte(MsgBatch))
-	p = appendUvarint(p, m.Lease)
-	p = appendUvarint(p, m.Records)
-	p = appendBlob(p, m.Block)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgBatch)
+	dst = appendUvarint(dst, m.Lease)
+	dst = appendUvarint(dst, m.Records)
+	dst = appendBlob(dst, m.Block)
+	return closeFrame(dst, start)
 }
 
 // AppendBatchAck appends a framed BatchAck message.
 func AppendBatchAck(dst []byte, m BatchAck) []byte {
-	p := []byte{byte(MsgBatchAck)}
-	p = appendUvarint(p, m.Flags)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgBatchAck)
+	dst = appendUvarint(dst, m.Flags)
+	return closeFrame(dst, start)
 }
 
 // AppendShardDone appends a framed ShardDone message.
 func AppendShardDone(dst []byte, m ShardDone) []byte {
-	p := []byte{byte(MsgShardDone)}
-	p = appendUvarint(p, m.Lease)
-	p = appendUvarint(p, m.Claimed)
-	p = appendBlob(p, m.Tally)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgShardDone)
+	dst = appendUvarint(dst, m.Lease)
+	dst = appendUvarint(dst, m.Claimed)
+	dst = appendBlob(dst, m.Tally)
+	return closeFrame(dst, start)
 }
 
 // AppendShardFail appends a framed ShardFail message.
 func AppendShardFail(dst []byte, m ShardFail) []byte {
-	p := []byte{byte(MsgShardFail)}
-	p = appendUvarint(p, m.Lease)
-	p = appendString(p, m.Err)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgShardFail)
+	dst = appendUvarint(dst, m.Lease)
+	dst = appendString(dst, m.Err)
+	return closeFrame(dst, start)
 }
 
 // AppendError appends a framed ErrorMsg message.
 func AppendError(dst []byte, m ErrorMsg) []byte {
-	p := []byte{byte(MsgError)}
-	p = appendString(p, m.Err)
-	return AppendFrame(dst, p)
+	dst, start := openMsg(dst, MsgError)
+	dst = appendString(dst, m.Err)
+	return closeFrame(dst, start)
 }
 
 // Msg is a decoded protocol message: Type plus exactly one non-nil body.
@@ -245,7 +263,7 @@ type Msg struct {
 
 // DecodeMsg decodes one message payload (one frame's payload, as handed
 // out by Reader.Next or SplitFrame). Byte-slice fields (Batch.Block,
-// Welcome.Spec, ShardDone.Tally) alias the payload and are valid only as
+// Welcome.Spec, Welcome.Model, ShardDone.Tally) alias the payload and are valid only as
 // long as it is.
 func DecodeMsg(payload []byte) (Msg, error) {
 	t, b, err := consumeByte(payload)
@@ -275,6 +293,9 @@ func DecodeMsg(payload []byte) (Msg, error) {
 			return bad(err)
 		}
 		if w.Spec, b, err = consumeBlob(b); err != nil {
+			return bad(err)
+		}
+		if w.Model, b, err = consumeBlob(b); err != nil {
 			return bad(err)
 		}
 		m.Welcome = w

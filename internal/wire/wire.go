@@ -28,8 +28,10 @@ const (
 	// sections on tallies. Version 3 added the trailing per-site prune
 	// rows on tallies (the coordinator cross-checks worker tallies with
 	// DeepEqual, so the per-site provenance counters must ride the wire
-	// bit-exact).
-	ProtoVersion = 3
+	// bit-exact). Version 4 added Welcome.Model: the coordinator trains
+	// the campaign's transition model once and ships it, and workers no
+	// longer train.
+	ProtoVersion = 4
 	// FrameHeader is the frame prefix: uint32 payload length + uint32
 	// CRC32 (IEEE) of the payload, both little-endian — the same framing
 	// the result store's WAL uses, so a record frame produced here can be
@@ -52,10 +54,25 @@ var ErrChecksum = fmt.Errorf("wire: checksum mismatch")
 
 // AppendFrame appends one CRC frame (header + payload) to dst.
 func AppendFrame(dst, payload []byte) []byte {
+	dst, start := openFrame(dst)
+	return closeFrame(append(dst, payload...), start)
+}
+
+// openFrame reserves a frame header at the end of dst and returns where
+// it starts; the caller appends the payload after it and closeFrame
+// fills the header in.
+func openFrame(dst []byte) ([]byte, int) {
 	var hdr [FrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	return append(append(dst, hdr[:]...), payload...)
+	return append(dst, hdr[:]...), len(dst)
+}
+
+// closeFrame writes the length and CRC of everything appended after the
+// header openFrame reserved at start.
+func closeFrame(dst []byte, start int) []byte {
+	payload := dst[start+FrameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // SplitFrame slices one frame off the front of b, verifying length and

@@ -262,7 +262,7 @@ func TestMsgRoundTrip(t *testing.T) {
 	tallyBlob := wire.AppendTally(nil, inject.NewTally())
 	msgs := [][]byte{
 		wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Campaign: "c1", Worker: "w0"}),
-		wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: spec}),
+		wire.AppendWelcome(nil, wire.Welcome{Version: wire.ProtoVersion, Spec: spec, Model: wire.AppendModel(nil, testTree())}),
 		wire.AppendLeaseReq(nil),
 		wire.AppendLease(nil, wire.Lease{ID: 42, Bench: "mcf", BenchAt: 1, Shard: 3, Indices: []int{5, 1, 9, 700}}),
 		wire.AppendNoWork(nil, wire.NoWork{RetryMillis: 250}),
@@ -305,6 +305,44 @@ func TestMsgRoundTrip(t *testing.T) {
 	payload, _, _ = wire.SplitFrame(msgs[6])
 	if m, err = wire.DecodeMsg(payload); err != nil || m.Batch.Lease != 42 || !bytes.Equal(m.Batch.Block, []byte{1, 2, 3}) {
 		t.Fatalf("batch round-trip: %+v err=%v", m.Batch, err)
+	}
+
+	payload, _, _ = wire.SplitFrame(msgs[1])
+	if m, err = wire.DecodeMsg(payload); err != nil || !bytes.Equal(m.Welcome.Spec, spec) {
+		t.Fatalf("welcome round-trip: %+v err=%v", m.Welcome, err)
+	}
+	if tree, err := wire.DecodeModel(m.Welcome.Model); err != nil || tree.String() != testTree().String() {
+		t.Fatalf("welcome model round-trip: %v", err)
+	}
+}
+
+// TestMsgAppendAllocFree: every message is framed in place in its
+// destination buffer, so a warm buffer takes a Batch — the worker's hot
+// message — or any other message without allocating.
+func TestMsgAppendAllocFree(t *testing.T) {
+	block := make([]byte, 64<<10)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	tally := wire.AppendTally(nil, inject.NewTally())
+	var msg []byte
+	pass := func() {
+		msg = wire.AppendBatch(msg[:0], wire.Batch{Lease: 7, Records: 256, Block: block})
+		msg = wire.AppendLeaseReq(msg)
+		msg = wire.AppendBatchAck(msg, wire.BatchAck{Flags: wire.AckSlowdown})
+		msg = wire.AppendShardDone(msg, wire.ShardDone{Lease: 7, Claimed: 256, Tally: tally})
+		msg = wire.AppendLease(msg, wire.Lease{ID: 7, Bench: "mcf", Indices: []int{1, 2, 3}})
+	}
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Errorf("appending five messages to a warm buffer allocates %.0f times, want 0", n)
+	}
+	payload, _, err := wire.SplitFrame(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := wire.DecodeMsg(payload); err != nil || m.Batch.Records != 256 || !bytes.Equal(m.Batch.Block, block) {
+		t.Fatalf("batch framed in place does not decode: %v", err)
 	}
 }
 

@@ -5,8 +5,10 @@
 # of them mid-flight (its lease requeues to the survivors), and require the
 # fleet campaign's final report to be byte-identical to the same campaign
 # executed in process on the coordinator (inject.ResumeCampaign writing
-# into the store). This is the end-to-end proof that the binary data plane
-# changes where injections run, never what they produce. The verdict line
+# into the store). Both train a transition model: the fleet's workers run
+# the tree their coordinator trained and shipped in the Welcome. This is
+# the end-to-end proof that the binary data plane changes where
+# injections run, never what they produce. The verdict line
 # carries the coordinator's lease and requeue counts from /metrics.
 set -eu
 
@@ -68,7 +70,7 @@ await() {
     return 1
 }
 
-spec='{"id":"smoke","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"recovery":"microreboot","execution":"fleet"}'
+spec='{"id":"smoke","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"train_injections":600,"recovery":"microreboot","execution":"fleet"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$spec" "http://$api/campaigns" >/dev/null
 
 # Kill one worker once outcomes are flowing — its lease must requeue to
@@ -85,7 +87,7 @@ await smoke
 curl -fsS "http://$api/campaigns/smoke/result" >"$bin/fleet-report.json"
 
 # Reference: the identical campaign run in process.
-poolspec='{"id":"smoke-pool","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"recovery":"microreboot"}'
+poolspec='{"id":"smoke-pool","benchmarks":["canneal","bzip2"],"injections_per_benchmark":1500,"activations":48,"seed":29,"train_injections":600,"recovery":"microreboot"}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$poolspec" "http://$api/campaigns" >/dev/null
 await smoke-pool
 curl -fsS "http://$api/campaigns/smoke-pool/result" >"$bin/pool-report.json"
