@@ -55,10 +55,17 @@ func TestInjectionPassAllocs(t *testing.T) {
 
 // passAllocs returns the objects and bytes one warm call of pass
 // allocates, averaged over runs calls, counted as testing.AllocsPerRun
-// counts objects.
+// counts objects. The counters are process-wide, and the runtime's own
+// goroutines allocate a few small objects after a GC cycle (the unique
+// package's map cleanup, the scavenger re-arming its timer); a cycle
+// that the setup's garbage started could land them inside the window.
+// So the window opens only after a full GC and a yield, which let those
+// goroutines run first.
 func passAllocs(runs int, pass func()) (objects, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pass()
+	runtime.GC()
+	runtime.Gosched()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -697,11 +697,12 @@ func BenchmarkSiteThroughput(b *testing.B) {
 }
 
 // BenchmarkFleetCampaign runs one campaign end to end over a loopback
-// fleet: an in-process Server and Fleet, two RunWorker goroutines, each
-// training a small model from the spec, and six 1,000-plan benchmarks.
-// shard=64 pins the old fixed lease size and shard=auto derives each
-// lease's size from the work left; both report inj/s (submit to report)
-// and leases/op, the per-lease cost the derived size cuts.
+// fleet: an in-process Server and Fleet, two RunWorker goroutines, and six
+// 1,000-plan benchmarks under a small model the coordinator trains from
+// the spec and ships in each worker's Welcome. shard=64 pins the old fixed
+// lease size (the server's ShardSize) and shard=auto derives each lease's
+// size from the work left; both report inj/s (submit to report) and
+// leases/op, the per-lease cost the derived size cuts.
 func BenchmarkFleetCampaign(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -732,7 +733,7 @@ func fleetCampaign(b *testing.B, shardSize int) (int, server.FleetStats) {
 		b.Fatal(err)
 	}
 	defer fleet.Close()
-	srv, err := server.NewServer(server.Config{DataDir: b.TempDir(), Fleet: fleet})
+	srv, err := server.NewServer(server.Config{DataDir: b.TempDir(), Fleet: fleet, ShardSize: shardSize})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -747,7 +748,6 @@ func fleetCampaign(b *testing.B, shardSize int) (int, server.FleetStats) {
 		InjectionsPerBenchmark: 1000,
 		Seed:                   20140901,
 		TrainInjections:        60,
-		ShardSize:              shardSize,
 		Execution:              "fleet",
 	}
 

@@ -22,9 +22,14 @@
 // (internal/recovery): on detection the machine is microrebooted (or
 // restored, or routed through the policy table) and the attempt is
 // classified against the golden reference; the report then carries the
-// recovery-rate × detection-latency table. -recover=study instead runs
-// the paired Section VI restore-and-reexecute study after the campaign
+// recovery-rate × detection-latency table. -recover=study instead reruns
+// the campaign with the Section VI restore-and-reexecute recovery on and
+// prints the paired study, the campaign itself as its baseline
 // (local-only).
+//
+// The flags build one experiments.Spec. A local run trains and runs it in
+// process; -server submits it as it is, so both draw the same plans from
+// -seed, train the same model, and print the same report.
 package main
 
 import (
@@ -39,12 +44,10 @@ import (
 
 	"xentry/internal/detect"
 	"xentry/internal/experiments"
-	"xentry/internal/hv"
 	"xentry/internal/inject"
 	"xentry/internal/progress"
 	"xentry/internal/server"
 	"xentry/internal/store"
-	"xentry/internal/workload"
 )
 
 func main() {
@@ -55,8 +58,8 @@ func main() {
 	seed := flag.Int64("seed", 20140901, "deterministic seed")
 	recover := flag.String("recover", "off",
 		"recovery on detection: off, microreboot, restore, or policy arms the "+
-			"recovery engine; study runs the paired Section VI restore-and-reexecute "+
-			"study after the campaign (local-only)")
+			"recovery engine; study reruns the campaign with Section VI restore-and-reexecute "+
+			"recovery and prints the paired study (local-only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
 		"golden-checkpoint interval K: every Kth activation is checkpointed and each run "+
 			"replays up to K-1 fault-free activations (0 = default K=1, no replay; a larger K "+
@@ -85,57 +88,27 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	sc := experiments.DefaultScale()
-	sc.CampaignInjections = *injections
-	sc.Activations = *activations
-	sc.Seed = *seed
-	switch *prune {
-	case "on":
-	case "off":
-		sc.DisablePrune = true
-	default:
-		log.Fatalf("-prune must be on or off, got %q", *prune)
+	spec := experiments.Spec{
+		ID:                     *campaignID,
+		InjectionsPerBenchmark: *injections,
+		Activations:            *activations,
+		Seed:                   *seed,
+		CheckpointEvery:        *checkpointEvery,
+		TrainInjections:        experiments.DefaultScale().TrainInjections,
+		Detectors:              names(*detectors),
+		Prune:                  *prune,
+		Execution:              *execution,
+		VCPUs:                  *vcpus,
+		Targets:                names(*targets),
 	}
-	recoverStudy := false
-	switch *recover {
-	case "", "off", "none":
-	case "microreboot", "restore", "policy":
-		sc.Recovery = *recover
-	case "study":
-		recoverStudy = true
-	default:
-		log.Fatalf("-recover must be off, microreboot, restore, policy, or study, got %q", *recover)
+	study := *recover == "study"
+	if !study {
+		spec.Recovery = *recover
 	}
-	if *vcpus < 1 || *vcpus > hv.MaxVCPUs {
-		log.Fatalf("-vcpus must be in [1,%d], got %d", hv.MaxVCPUs, *vcpus)
-	}
-	sc.VCPUs = *vcpus
-	if *targets != "" {
-		for _, name := range strings.Split(*targets, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			sc.Targets = append(sc.Targets, name)
-		}
-	}
-	// Validation here mirrors the server's 400 path, so a typo'd class name
-	// fails before training rather than after.
-	if err := inject.ValidateTargets(sc.Targets, *vcpus); err != nil {
+	// The spec's own validation, the server's 400 path, so a typo fails
+	// before training rather than after.
+	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
-	}
-	if *detectors != "" {
-		for _, name := range strings.Split(*detectors, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !detect.HasFactory(name) {
-				log.Fatalf("unknown detector %q (registered: %s)", name,
-					strings.Join(detect.FactoryNames(), ", "))
-			}
-			sc.Detectors = append(sc.Detectors, name)
-		}
 	}
 
 	if *cpuProfile != "" {
@@ -149,8 +122,7 @@ func main() {
 	}
 	// Profiles must land even when the run fails, so the dispatch below
 	// funnels through one exit point instead of log.Fatal-ing mid-flight.
-	runErr := dispatch(serverURL, campaignID, storeDir, *execution, sc,
-		*checkpointEvery, *jsonOut, recoverStudy)
+	runErr := dispatch(*serverURL, *storeDir, spec, *jsonOut, study)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -170,28 +142,43 @@ func main() {
 	}
 }
 
-// dispatch routes the campaign to the coordinator or the local engine.
-func dispatch(serverURL, campaignID, storeDir *string, execution string, sc experiments.Scale,
-	checkpointEvery int, jsonOut, recoverStudy bool) error {
-
-	if *serverURL != "" {
-		if recoverStudy {
-			return fmt.Errorf("-recover=study is local-only; run it without -server")
+// names splits a comma-separated flag value, dropping empty names.
+func names(list string) []string {
+	var out []string
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
 		}
-		if *storeDir != "" {
-			return fmt.Errorf("-store is local-only; the server keeps its own store per campaign")
-		}
-		return runRemote(*serverURL, *campaignID, execution, sc, checkpointEvery, jsonOut)
 	}
-	if execution != "" {
-		return fmt.Errorf("-execution applies to -server mode only")
-	}
-	return runLocal(sc, checkpointEvery, *storeDir, jsonOut, recoverStudy)
+	return out
 }
 
-// runLocal trains and runs the campaign in-process, optionally recording
-// every outcome durably under storeDir.
-func runLocal(sc experiments.Scale, checkpointEvery int, storeDir string, jsonOut, recoverStudy bool) error {
+// dispatch routes the campaign to the coordinator or the local engine.
+func dispatch(serverURL, storeDir string, spec experiments.Spec, jsonOut, study bool) error {
+	if serverURL != "" {
+		if study {
+			return fmt.Errorf("-recover=study is local-only; run it without -server")
+		}
+		if storeDir != "" {
+			return fmt.Errorf("-store is local-only; the server keeps its own store per campaign")
+		}
+		return runRemote(serverURL, spec, jsonOut)
+	}
+	if spec.Execution != "" {
+		return fmt.Errorf("-execution applies to -server mode only")
+	}
+	return runLocal(spec, storeDir, jsonOut, study)
+}
+
+// runLocal trains and runs the spec's campaign in process, optionally
+// recording every outcome durably under storeDir, and with study reruns
+// it with Section VI recovery on.
+func runLocal(spec experiments.Spec, storeDir string, jsonOut, study bool) error {
+	cfg, err := spec.CampaignConfig()
+	if err != nil {
+		return err
+	}
+	sc := spec.TrainScale()
 	log.Printf("training transition detector (%d injections)...", sc.TrainInjections)
 	train, err := experiments.Train(sc)
 	if err != nil {
@@ -201,15 +188,11 @@ func runLocal(sc experiments.Scale, checkpointEvery int, storeDir string, jsonOu
 		fmt.Print(train.Render())
 		fmt.Println()
 	}
+	cfg.Model = train.Best()
 
-	printer := progress.New(os.Stderr, "campaign", "injections")
-	var sink *store.Store
+	var sink inject.ResultSink
 	if storeDir != "" {
-		cfg, err := experiments.CampaignConfigFor(sc, train.Best(), checkpointEvery)
-		if err != nil {
-			return err
-		}
-		sink, err = store.Open(storeDir, store.Meta{
+		st, err := store.Open(storeDir, store.Meta{
 			CampaignID:  "local",
 			Benchmarks:  cfg.Benchmarks,
 			Injections:  cfg.InjectionsPerBenchmark,
@@ -219,65 +202,40 @@ func runLocal(sc experiments.Scale, checkpointEvery int, storeDir string, jsonOu
 		if err != nil {
 			return err
 		}
-		defer sink.Close()
-		if n := sink.TotalCount(); n > 0 {
+		defer st.Close()
+		if n := st.TotalCount(); n > 0 {
 			log.Printf("resuming: %d outcomes already in %s", n, storeDir)
 		}
+		sink = st
 	}
 
-	log.Printf("running campaign (%d injections per benchmark)...", sc.CampaignInjections)
-	var storeSink inject.ResultSink
-	if sink != nil {
-		storeSink = sink
-	}
-	res, err := experiments.CampaignSink(sc, train.Best(), checkpointEvery, printer.Report, storeSink)
+	log.Printf("running campaign (%d injections per benchmark)...", cfg.InjectionsPerBenchmark)
+	run := cfg
+	run.Progress = progress.New(os.Stderr, "campaign", "injections").Report
+	res, err := inject.ResumeCampaign(context.Background(), run, sink)
 	if err != nil {
 		return err
 	}
-
-	if jsonOut {
-		rep := experiments.NewCampaignReport(res, workload.Names())
-		data, err := rep.EncodeJSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	} else {
-		fmt.Println(experiments.RenderCampaign(res))
+	if err := printReport(experiments.NewCampaignReport(res, cfg.Benchmarks), jsonOut); err != nil {
+		return err
 	}
 
-	if recoverStudy {
-		log.Print("running paired recovery campaign...")
-		study, err := experiments.Recovery(sc, train.Best())
+	if study {
+		log.Print("rerunning the campaign with Section VI recovery...")
+		st, err := experiments.RecoveryAgainst(cfg, res)
 		if err != nil {
 			return err
 		}
-		fmt.Println(study.Render())
+		fmt.Println(st.Render())
 	}
 	return nil
 }
 
-// runRemote submits the campaign to an xentry-serve coordinator, follows
-// its event stream with a live progress line, and renders the returned
+// runRemote submits the spec to an xentry-serve coordinator, follows its
+// event stream with a live progress line, and renders the returned
 // report.
-func runRemote(base, id, execution string, sc experiments.Scale, checkpointEvery int, jsonOut bool) error {
+func runRemote(base string, spec experiments.Spec, jsonOut bool) error {
 	client := &server.Client{Base: base}
-	spec := server.CampaignSpec{
-		ID:                     id,
-		InjectionsPerBenchmark: sc.CampaignInjections,
-		Activations:            sc.Activations,
-		Seed:                   sc.Seed,
-		CheckpointEvery:        checkpointEvery,
-		TrainInjections:        sc.TrainInjections,
-		Detectors:              sc.Detectors,
-		Recovery:               sc.Recovery,
-		VCPUs:                  sc.VCPUs,
-		Targets:                sc.Targets,
-		Execution:              execution,
-	}
-	if sc.DisablePrune {
-		spec.Prune = "off"
-	}
 	st, err := client.Submit(spec)
 	if err != nil {
 		return err
@@ -301,13 +259,18 @@ func runRemote(base, id, execution string, sc experiments.Scale, checkpointEvery
 	if err != nil {
 		return err
 	}
+	return printReport(rep, jsonOut)
+}
+
+// printReport writes the report as JSON or as the rendered figures.
+func printReport(rep *experiments.CampaignReport, jsonOut bool) error {
 	if jsonOut {
 		data, err := rep.EncodeJSON()
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(data)
-		return nil
+		_, err = os.Stdout.Write(data)
+		return err
 	}
 	fmt.Println(experiments.RenderCampaign(rep.Result))
 	return nil

@@ -45,17 +45,23 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The campaign goldens run the report's campaign identity (plans from
+	// seed+13, CampaignConfigFor) on other machines and engines.
 	campaign := func(vcpus int, targets []string, recovery string, every int) func() ([]byte, error) {
 		return func() ([]byte, error) {
-			s := sc
-			s.CampaignInjections = 50
-			s.VCPUs = vcpus
-			s.Targets = targets
-			s.Recovery = recovery
-			cfg, err := experiments.CampaignConfigFor(s, train.Best(), every)
+			cfg, err := experiments.Spec{
+				InjectionsPerBenchmark: 50,
+				Activations:            sc.Activations,
+				Seed:                   sc.Seed + 13,
+				CheckpointEvery:        every,
+				Recovery:               recovery,
+				VCPUs:                  vcpus,
+				Targets:                targets,
+			}.CampaignConfig()
 			if err != nil {
 				return nil, err
 			}
+			cfg.Model = train.Best()
 			res, err := inject.RunCampaign(cfg)
 			if err != nil {
 				return nil, err

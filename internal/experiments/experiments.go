@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"xentry/internal/core"
-	"xentry/internal/detect"
 	"xentry/internal/guest"
 	"xentry/internal/inject"
 	"xentry/internal/ml"
@@ -62,33 +60,11 @@ type Scale struct {
 	RecoveryActivations int
 	RecoveryReps        int
 
-	// Detectors names plugin detector factories (detect.RegisterFactory)
-	// to run behind the built-in pipeline on every campaign machine. Names
-	// with no registered factory fail CampaignConfigFor.
-	Detectors []string
-
-	// DisablePrune forces every injection run to its full activation
-	// budget instead of convergence pruning (xentry-campaign -prune=off).
-	// Aggregates are bit-identical either way apart from the provenance
-	// counters; only wall-clock changes.
-	DisablePrune bool
-
-	// Recovery names the recovery-engine strategy armed on every campaign
-	// machine (xentry-campaign -recover): ""/"off"/"none" = no engine,
+	// Recovery names the recovery-engine strategy armed on the report's
+	// campaigns (CampaignConfigFor): ""/"off"/"none" = no engine,
 	// "microreboot", "restore", or "policy". Unknown names fail
 	// CampaignConfigFor.
 	Recovery string
-
-	// VCPUs is the number of virtual CPUs on every campaign machine
-	// (xentry-campaign -vcpus). Zero means one — the legacy single-CPU
-	// machine, bit-identical to the pre-SMP engine.
-	VCPUs int
-
-	// Targets selects the fault-site classes the campaign draws plans
-	// from (xentry-campaign -targets): any of inject.TargetNames().
-	// Empty means ["gpr"], the legacy register-file campaign. Unknown
-	// names fail CampaignConfigFor.
-	Targets []string
 }
 
 // DefaultScale is a faithful reduction of the paper's sizes that completes
@@ -437,61 +413,32 @@ func parallel(workers, n int, f func(i int) error) error {
 // Campaign runs the detection-effectiveness fault-injection campaign with
 // the trained model installed.
 func Campaign(sc Scale, model *ml.Tree) (*inject.CampaignResult, error) {
-	return CampaignSink(sc, model, 0, nil, nil)
-}
-
-// CampaignConfigFor is the campaign configuration Campaign runs —
-// exposed so durable (store-backed) runs describe the identical campaign.
-// It fails when sc.Detectors names a factory the detect registry does not
-// hold.
-func CampaignConfigFor(sc Scale, model *ml.Tree, checkpointEvery int) (inject.CampaignConfig, error) {
-	detectors, err := detect.Factories(sc.Detectors)
-	if err != nil {
-		return inject.CampaignConfig{}, fmt.Errorf("experiments: %w", err)
-	}
-	vcpus := sc.VCPUs
-	if vcpus == 0 {
-		vcpus = 1
-	}
-	if err := inject.ValidateTargets(sc.Targets, vcpus); err != nil {
-		return inject.CampaignConfig{}, fmt.Errorf("experiments: %w", err)
-	}
-	return inject.CampaignConfig{
-		Benchmarks:             workload.Names(),
-		Mode:                   workload.PV,
-		InjectionsPerBenchmark: sc.CampaignInjections,
-		Activations:            sc.Activations,
-		Seed:                   sc.Seed + 13,
-		Workers:                sc.Workers,
-		Detection:              core.FullDetection(),
-		Model:                  model,
-		CheckpointEvery:        checkpointEvery,
-		Detectors:              detectors,
-		DisablePrune:           sc.DisablePrune,
-		Recovery:               sc.Recovery,
-		VCPUs:                  sc.VCPUs,
-		Targets:                sc.Targets,
-	}, nil
-}
-
-// CampaignSink is Campaign with the campaign engine's knobs exposed and
-// every outcome recorded through sink (e.g. a durable result store).
-// checkpointEvery is the golden-checkpoint interval K (0 = default,
-// negative disables checkpointing) and progress, when non-nil, receives
-// cumulative (done, total) after every completed injection — it is called
-// concurrently from worker goroutines. The aggregates are bit-identical for
-// every checkpointEvery value; only wall-clock changes. Outcomes the sink
-// already holds are skipped, the rest are recorded as they complete, and
-// the folded result comes from the sink — so an interrupted campaign
-// resumes where it left off and still ends bit-identical to an
-// uninterrupted run. A nil sink folds in memory.
-func CampaignSink(sc Scale, model *ml.Tree, checkpointEvery int, progress func(done, total int), sink inject.ResultSink) (*inject.CampaignResult, error) {
-	cfg, err := CampaignConfigFor(sc, model, checkpointEvery)
+	cfg, err := CampaignConfigFor(sc, model, 0)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Progress = progress
-	return inject.ResumeCampaign(context.Background(), cfg, sink)
+	return inject.RunCampaign(cfg)
+}
+
+// CampaignConfigFor is the configuration Campaign runs, with golden-
+// checkpoint interval checkpointEvery (0 = default): the Spec of sc's
+// campaign size, run length and recovery engine, with seed sc.Seed+13,
+// the report's campaign identity (Train collects at sc.Seed). The report's
+// other campaign-shaped studies run it too, so they inject exactly the
+// plans the figures report on.
+func CampaignConfigFor(sc Scale, model *ml.Tree, checkpointEvery int) (inject.CampaignConfig, error) {
+	cfg, err := Spec{
+		InjectionsPerBenchmark: sc.CampaignInjections,
+		Activations:            sc.Activations,
+		Seed:                   sc.Seed + 13,
+		CheckpointEvery:        checkpointEvery,
+		Recovery:               sc.Recovery,
+	}.CampaignConfig()
+	if err != nil {
+		return inject.CampaignConfig{}, fmt.Errorf("experiments: %w", err)
+	}
+	cfg.Model, cfg.Workers = model, sc.Workers
+	return cfg, nil
 }
 
 // RenderFig8 formats the overall-coverage figure: per benchmark, the share

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"xentry/internal/core"
 	"xentry/internal/inject"
 	"xentry/internal/ml"
 	"xentry/internal/stats"
-	"xentry/internal/workload"
 )
 
 // RecoveryStudy exercises the paper's Section VI recovery sketch *live*
@@ -23,26 +21,26 @@ type RecoveryStudy struct {
 	Baseline, WithRecovery *inject.CampaignResult
 }
 
-// Recovery runs the paired campaigns.
+// Recovery runs the paired campaigns over the report's campaign
+// (CampaignConfigFor).
 func Recovery(sc Scale, model *ml.Tree) (*RecoveryStudy, error) {
-	base := inject.CampaignConfig{
-		Benchmarks:             workload.Names(),
-		Mode:                   workload.PV,
-		InjectionsPerBenchmark: sc.CampaignInjections,
-		Activations:            sc.Activations,
-		Seed:                   sc.Seed + 13,
-		Workers:                sc.Workers,
-		Detection:              core.FullDetection(),
-		Model:                  model,
-		DisablePrune:           sc.DisablePrune,
-	}
-	baseline, err := inject.RunCampaign(base)
+	cfg, err := CampaignConfigFor(sc, model, 0)
 	if err != nil {
 		return nil, err
 	}
-	withRec := base
-	withRec.Recover = true
-	recovered, err := inject.RunCampaign(withRec)
+	baseline, err := inject.RunCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return RecoveryAgainst(cfg, baseline)
+}
+
+// RecoveryAgainst completes the study around a campaign that has already
+// run: baseline is cfg's result, and the recovery arm reruns cfg's plans
+// with Section VI recovery on.
+func RecoveryAgainst(cfg inject.CampaignConfig, baseline *inject.CampaignResult) (*RecoveryStudy, error) {
+	cfg.Recover = true
+	recovered, err := inject.RunCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"xentry/internal/core"
 	"xentry/internal/inject"
 	"xentry/internal/stats"
-	"xentry/internal/store"
 )
 
 // builtinTechniques are the paper's three techniques in figure order; they
@@ -228,19 +227,4 @@ func RenderCampaign(res *inject.CampaignResult) string {
 		b.WriteString(rec)
 	}
 	return b.String()
-}
-
-// StoredCampaign folds the campaign aggregates out of a result-store
-// directory (a finished — or partial — campaign run through
-// internal/store), so figures can be rendered without re-running anything.
-func StoredCampaign(dir string) (*inject.CampaignResult, store.Meta, error) {
-	s, err := store.Open(dir, store.Meta{}, store.Options{ReadOnly: true})
-	if err != nil {
-		return nil, store.Meta{}, err
-	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, store.Meta{}, err
-	}
-	return res, s.Meta(), nil
 }

@@ -78,19 +78,18 @@ func TestRenderSiteCoverageFigure(t *testing.T) {
 }
 
 // TestCampaignConfigForValidatesSites: bad targets fail before any machine
-// boots, with the apic/SMP interaction honoring the scale's vCPU count.
+// boots, with the apic/SMP interaction honoring the spec's vCPU count.
 func TestCampaignConfigForValidatesSites(t *testing.T) {
-	sc := QuickScale()
-	sc.Targets = []string{"bogus"}
-	if _, err := CampaignConfigFor(sc, nil, 0); err == nil {
+	sp := Spec{InjectionsPerBenchmark: 4, Targets: []string{"bogus"}}
+	if _, err := sp.CampaignConfig(); err == nil {
 		t.Error("unknown target accepted")
 	}
-	sc.Targets = []string{"apic"}
-	if _, err := CampaignConfigFor(sc, nil, 0); err == nil {
+	sp.Targets = []string{"apic"}
+	if _, err := sp.CampaignConfig(); err == nil {
 		t.Error("apic accepted on the default single-CPU machine")
 	}
-	sc.VCPUs = 4
-	cfg, err := CampaignConfigFor(sc, nil, 0)
+	sp.VCPUs = 4
+	cfg, err := sp.CampaignConfig()
 	if err != nil {
 		t.Fatalf("valid SMP targets rejected: %v", err)
 	}

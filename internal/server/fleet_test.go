@@ -91,8 +91,7 @@ func fleetSpec(t *testing.T, id string, benchmarks ...string) (CampaignSpec, inj
 		Recovery:               "microreboot",
 		Execution:              "fleet",
 	}
-	spec = spec.withDefaults()
-	cfg, err := spec.campaignConfig()
+	cfg, err := spec.CampaignConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +778,8 @@ func TestFleetCampaignStates(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			run := newFleetRun(&Engine{Store: testStore(t, cfg, "states"), Fleet: f, Spec: []byte("{}")}, cfg, time.Minute, 3)
+			spec := []byte(`{"benchmarks":["canneal"],"injections_per_benchmark":8}`)
+			run := newFleetRun(&Engine{Store: testStore(t, cfg, "states"), Fleet: f, Spec: spec}, cfg, time.Minute, 3)
 			if tc.state != "unknown" {
 				if err := f.start(run); err != nil {
 					t.Fatal(err)

@@ -225,7 +225,8 @@ func TestFleetRefusesOldProtocol(t *testing.T) {
 // TestWorkerConfigureTracksModel: a worker's cached config and prepared
 // benchmark survive a redial into the same Welcome, but not a new model
 // under the same spec (a coordinator on another host may grow another
-// tree), and a damaged model is an error.
+// tree), and a damaged model or a spec the coordinator would have
+// rejected is an error.
 func TestWorkerConfigureTracksModel(t *testing.T) {
 	_, _, specJSON := fleetSpec(t, "configure")
 	welcome := func(model []byte) *wire.Welcome {
@@ -247,5 +248,9 @@ func TestWorkerConfigureTracksModel(t *testing.T) {
 	}
 	if err := st.configure(welcome(model[:len(model)-1])); err == nil {
 		t.Fatal("a damaged model configured without error")
+	}
+	bad := &wire.Welcome{Version: wire.ProtoVersion, Spec: []byte(`{"injections_per_benchmark":5,"activations":-3}`)}
+	if err := st.configure(bad); err == nil || !strings.Contains(err.Error(), "activations") {
+		t.Fatalf("a spec with a negative run length: err %v, want its validation error", err)
 	}
 }

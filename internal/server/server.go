@@ -14,114 +14,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xentry/internal/core"
-	"xentry/internal/detect"
 	"xentry/internal/experiments"
-	"xentry/internal/hv"
 	"xentry/internal/inject"
 	"xentry/internal/ml"
-	"xentry/internal/recovery"
 	"xentry/internal/store"
-	"xentry/internal/workload"
 )
 
-// CampaignSpec is the JSON body of POST /campaigns: everything needed to
-// reproduce the campaign deterministically. Submitting the same spec (same
-// ID included) against a data directory that already holds part of the
-// campaign resumes it — stored plan indices are never re-executed.
-type CampaignSpec struct {
-	// ID names the campaign (and its store directory). Optional: the
-	// server generates one. Client-chosen IDs make resume-after-restart
-	// explicit.
-	ID string `json:"id,omitempty"`
-	// Benchmarks defaults to all six.
-	Benchmarks             []string `json:"benchmarks,omitempty"`
-	InjectionsPerBenchmark int      `json:"injections_per_benchmark"`
-	Activations            int      `json:"activations,omitempty"`
-	Seed                   int64    `json:"seed,omitempty"`
-	// CheckpointEvery is the campaign engine's golden-checkpoint interval
-	// K (0 = default, negative disables).
-	CheckpointEvery int  `json:"checkpoint_every,omitempty"`
-	Recover         bool `json:"recover,omitempty"`
-	// TrainInjections > 0 trains the VM-transition model first (same
-	// deterministic training a local run performs; a fleet campaign's
-	// coordinator trains it once and ships it to every worker); 0 runs
-	// without one.
-	TrainInjections int `json:"train_injections,omitempty"`
-	// ShardSize overrides the server's fleet lease size for this campaign
-	// (0 keeps the server's; see Engine.ShardSize); PoolWorkers overrides
-	// its worker count for an in-process campaign.
-	ShardSize   int `json:"shard_size,omitempty"`
-	PoolWorkers int `json:"pool_workers,omitempty"`
-	// Detectors names plugin detector factories (detect.RegisterFactory)
-	// to run behind the built-in pipeline on every campaign machine. Their
-	// verdicts land in the report, the WAL, and /metrics under their
-	// registered technique names.
-	Detectors []string `json:"detectors,omitempty"`
-	// Prune is the convergence-pruning switch: "" or "on" (the default)
-	// prunes, "off" forces every run to its full activation budget (the
-	// differential baseline). Anything else is a 400.
-	Prune string `json:"prune,omitempty"`
-	// Recovery names the recovery-engine strategy applied to detections
-	// ("off"/"none"/"" = no engine, "microreboot", "restore", "policy").
-	// An unknown name is a 400. Mutually exclusive with Recover.
-	Recovery string `json:"recovery,omitempty"`
-	// Execution picks the data plane: "" or "pool" runs the campaign in
-	// process, inject.ResumeCampaign writing into the store; "fleet"
-	// leases shards to remote xentry-worker processes over the binary
-	// shard protocol (requires a server started with a fleet listener).
-	// Anything else is a 400. The JSON API stays the control plane either
-	// way.
-	Execution string `json:"execution,omitempty"`
-	// VCPUs is the number of logical CPUs per simulated machine (0 or 1 =
-	// the seed's single-CPU machine; out-of-range values are a 400).
-	VCPUs int `json:"vcpus,omitempty"`
-	// Targets names the fault-site target classes plans are drawn from
-	// (see inject.TargetNames; empty = "gpr"). An unknown name is a 400,
-	// matching the detectors contract; "apic" needs vcpus >= 2.
-	Targets []string `json:"targets,omitempty"`
-}
-
-// withDefaults fills the deterministic defaults a local xentry-campaign
-// run would use.
-func (sp CampaignSpec) withDefaults() CampaignSpec {
-	if len(sp.Benchmarks) == 0 {
-		sp.Benchmarks = workload.Names()
-	}
-	if sp.Activations == 0 {
-		sp.Activations = 160
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 20140901
-	}
-	return sp
-}
-
-// campaignConfig builds the engine-facing config (model installed later).
-// It fails on detector names with no registered factory; handleCreate
-// validates those up front so submissions get a 400, not a failed campaign.
-func (sp CampaignSpec) campaignConfig() (inject.CampaignConfig, error) {
-	detectors, err := detect.Factories(sp.Detectors)
-	if err != nil {
-		return inject.CampaignConfig{}, fmt.Errorf("server: %w", err)
-	}
-	return inject.CampaignConfig{
-		Benchmarks:             sp.Benchmarks,
-		Mode:                   workload.PV,
-		InjectionsPerBenchmark: sp.InjectionsPerBenchmark,
-		Activations:            sp.Activations,
-		Seed:                   sp.Seed,
-		Workers:                sp.PoolWorkers,
-		Detection:              core.FullDetection(),
-		Recover:                sp.Recover,
-		CheckpointEvery:        sp.CheckpointEvery,
-		Detectors:              detectors,
-		DisablePrune:           sp.Prune == "off",
-		Recovery:               sp.Recovery,
-		VCPUs:                  sp.VCPUs,
-		Targets:                sp.Targets,
-	}, nil
-}
+// CampaignSpec is the JSON body of POST /campaigns. Submitting the same
+// spec (same ID included) against a data directory that already holds
+// part of the campaign resumes it — stored plan indices are never
+// re-executed.
+type CampaignSpec = experiments.Spec
 
 // CampaignStatus is the JSON body of GET /campaigns/{id}.
 type CampaignStatus struct {
@@ -144,13 +47,11 @@ type Config struct {
 	// DataDir is the root under which each campaign gets its store
 	// directory. Required.
 	DataDir string
-	// Workers sizes in-process campaigns (0 = GOMAXPROCS) unless the spec
-	// sets PoolWorkers.
+	// Workers sizes in-process campaigns (0 = GOMAXPROCS).
 	Workers int
 	// ShardSize, MaxAttempts and ShardTimeout apply to fleet campaigns
-	// only; see the Engine fields of the same names. ShardSize is the
-	// default for specs that do not set their own; 0 derives each lease's
-	// size from the work left.
+	// only; see the Engine fields of the same names. ShardSize 0 derives
+	// each lease's size from the work left.
 	ShardSize    int
 	MaxAttempts  int
 	ShardTimeout time.Duration
@@ -214,6 +115,7 @@ type Server struct {
 type campaign struct {
 	id     string
 	spec   CampaignSpec
+	cfg    inject.CampaignConfig // derived from spec; the run installs the model
 	total  int
 	store  *store.Store
 	engine *Engine
@@ -274,57 +176,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	spec = spec.withDefaults()
-	if spec.InjectionsPerBenchmark <= 0 {
-		httpError(w, http.StatusBadRequest, "injections_per_benchmark must be positive")
-		return
-	}
-	for _, bench := range spec.Benchmarks {
-		if _, err := workload.ByName(bench); err != nil {
-			httpError(w, http.StatusBadRequest, "unknown benchmark %q", bench)
-			return
-		}
-	}
-	for _, name := range spec.Detectors {
-		if !detect.HasFactory(name) {
-			httpError(w, http.StatusBadRequest, "unknown detector %q", name)
-			return
-		}
-	}
-	switch spec.Prune {
-	case "", "on", "off":
-	default:
-		httpError(w, http.StatusBadRequest, "prune must be \"on\" or \"off\", got %q", spec.Prune)
-		return
-	}
-	if engine, err := recovery.EngineFor(spec.Recovery); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	} else if engine != nil && spec.Recover {
-		httpError(w, http.StatusBadRequest, "recover and recovery=%q are mutually exclusive", spec.Recovery)
-		return
-	}
-	if spec.VCPUs < 0 || spec.VCPUs > hv.MaxVCPUs {
-		httpError(w, http.StatusBadRequest, "vcpus must be in [0,%d], got %d", hv.MaxVCPUs, spec.VCPUs)
-		return
-	}
-	vcpus := spec.VCPUs
-	if vcpus == 0 {
-		vcpus = 1
-	}
-	if err := inject.ValidateTargets(spec.Targets, vcpus); err != nil {
+	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	switch spec.Execution {
-	case "", "pool":
-	case "fleet":
-		if s.cfg.Fleet == nil {
-			httpError(w, http.StatusBadRequest, "execution \"fleet\" needs a server with a fleet listener")
-			return
-		}
-	default:
-		httpError(w, http.StatusBadRequest, "execution must be \"pool\" or \"fleet\", got %q", spec.Execution)
+	if spec.Execution == "fleet" && s.cfg.Fleet == nil {
+		httpError(w, http.StatusBadRequest, "execution \"fleet\" needs a server with a fleet listener")
 		return
 	}
 	if spec.ID != "" && !idPattern.MatchString(spec.ID) {
@@ -368,19 +225,24 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(c.status())
 }
 
-// startCampaign opens (or resumes) the store, registers the campaign, and
-// launches its run goroutine.
+// startCampaign derives the campaign's config, opens (or resumes) the
+// store, registers the campaign, and launches its run goroutine.
 func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
+	cfg, err := spec.CampaignConfig()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Workers = s.cfg.Workers
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	st, err := store.Open(filepath.Join(s.cfg.DataDir, spec.ID), store.Meta{
 		CampaignID:  spec.ID,
-		Benchmarks:  spec.Benchmarks,
-		Injections:  spec.InjectionsPerBenchmark,
-		Activations: spec.Activations,
-		Seed:        spec.Seed,
+		Benchmarks:  cfg.Benchmarks,
+		Injections:  cfg.InjectionsPerBenchmark,
+		Activations: cfg.Activations,
+		Seed:        cfg.Seed,
 		Extra:       specJSON,
 	}, store.Options{})
 	if err != nil {
@@ -389,19 +251,16 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 	c := &campaign{
 		id:     spec.ID,
 		spec:   spec,
-		total:  len(spec.Benchmarks) * spec.InjectionsPerBenchmark,
+		cfg:    cfg,
+		total:  len(cfg.Benchmarks) * cfg.InjectionsPerBenchmark,
 		store:  st,
 		events: newBroadcaster(),
 		state:  "running",
 	}
 	c.started = time.Now()
-	shardSize := spec.ShardSize
-	if shardSize <= 0 {
-		shardSize = s.cfg.ShardSize
-	}
 	c.engine = &Engine{
 		Store:        st,
-		ShardSize:    shardSize,
+		ShardSize:    s.cfg.ShardSize,
 		MaxAttempts:  s.cfg.MaxAttempts,
 		ShardTimeout: s.cfg.ShardTimeout,
 		OnEvent: func(ev Event) {
@@ -436,7 +295,7 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 	if spec.Execution == "fleet" {
 		// Fleet mode: the engine leases shards to remote workers; the spec
 		// JSON (also persisted in the store's meta) is what workers derive
-		// their config from.
+		// their config from, through the same Spec.CampaignConfig.
 		c.engine.Fleet = s.cfg.Fleet
 		c.engine.Spec = specJSON
 	}
@@ -455,35 +314,20 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 // terminal event built from that settled state — so a client that saw
 // campaign_done can fetch the report.
 func (s *Server) runCampaign(c *campaign) {
-	res, err := func() (*inject.CampaignResult, error) {
-		cfg, err := c.spec.campaignConfig()
+	// The campaign's one training site, for both executions: in process
+	// the engine trains before its first injection; on the fleet it trains
+	// while the run queues its plans, and every worker's Welcome ships the
+	// tree.
+	res, err := c.engine.run(s.ctx, c.cfg, func() (*ml.Tree, error) {
+		if c.spec.TrainInjections == 0 {
+			return nil, nil
+		}
+		trained, err := experiments.Train(c.spec.TrainScale())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: training: %w", err)
 		}
-		if cfg.Workers <= 0 {
-			cfg.Workers = s.cfg.Workers
-		}
-		// The campaign's one training site, for both executions: in
-		// process the engine trains before its first injection; on the
-		// fleet it trains while the run queues its plans, and every
-		// worker's Welcome ships the tree.
-		train := func() (*ml.Tree, error) {
-			if c.spec.TrainInjections <= 0 {
-				return nil, nil
-			}
-			sc := experiments.DefaultScale()
-			sc.Seed = c.spec.Seed
-			sc.Activations = c.spec.Activations
-			sc.TrainInjections = c.spec.TrainInjections
-			sc.TestInjections = c.spec.TrainInjections / 2
-			trained, err := experiments.Train(sc)
-			if err != nil {
-				return nil, fmt.Errorf("server: training: %w", err)
-			}
-			return trained.Best(), nil
-		}
-		return c.engine.run(s.ctx, cfg, train)
-	}()
+		return trained.Best(), nil
+	})
 	if cerr := c.store.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("server: closing store: %w", cerr)
 	}
@@ -494,7 +338,7 @@ func (s *Server) runCampaign(c *campaign) {
 		s.campaignsFailed.Add(1)
 	} else {
 		c.state = "done"
-		c.report = experiments.NewCampaignReport(res, c.spec.Benchmarks)
+		c.report = experiments.NewCampaignReport(res, c.cfg.Benchmarks)
 		s.campaignsDone.Add(1)
 	}
 	c.mu.Unlock()
@@ -523,7 +367,7 @@ func (c *campaign) status() CampaignStatus {
 		Dropped:      c.store.Dropped(),
 		StartedAt:    started,
 	}
-	for _, bench := range c.spec.Benchmarks {
+	for _, bench := range c.cfg.Benchmarks {
 		st.PerBenchmark[bench] = c.store.Count(bench)
 	}
 	end := finished

@@ -159,6 +159,72 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	_ = s
 }
 
+// TestServerRejectsBadSpecs: every field of a spec that describes no
+// campaign is a 400 at submission, naming what is wrong, and registers
+// nothing; the server then still runs a valid campaign. A negative run
+// length once passed submission and panicked the campaign goroutine,
+// taking the whole server down.
+func TestServerRejectsBadSpecs(t *testing.T) {
+	_, client := testServer(t)
+	for _, tc := range []struct {
+		name, body string
+		want       []string // substrings of the error
+	}{
+		{"malformed", `{"injections_per_benchmark":`, []string{"bad spec"}},
+		{"injections-zero", `{"injections_per_benchmark":0}`, []string{"injections_per_benchmark"}},
+		{"injections-negative", `{"injections_per_benchmark":-2}`, []string{"injections_per_benchmark"}},
+		{"activations-negative", `{"id":"neg","injections_per_benchmark":5,"activations":-3}`, []string{"activations"}},
+		{"train-negative", `{"injections_per_benchmark":5,"train_injections":-1}`, []string{"train_injections"}},
+		{"benchmark-unknown", `{"injections_per_benchmark":4,"benchmarks":["nope"]}`, []string{"nope"}},
+		{"benchmark-twice", `{"benchmarks":["mcf","mcf"],"injections_per_benchmark":3,"activations":20}`, []string{"mcf", "twice"}},
+		{"detector-unknown", `{"injections_per_benchmark":4,"detectors":["no-such"]}`, []string{"unknown detector"}},
+		{"prune", `{"injections_per_benchmark":4,"prune":"maybe"}`, []string{"prune"}},
+		{"recovery-unknown", `{"injections_per_benchmark":4,"recovery":"reboot-harder"}`, []string{"microreboot"}},
+		{"recover-and-recovery", `{"injections_per_benchmark":4,"recover":true,"recovery":"microreboot"}`, []string{"mutually exclusive"}},
+		{"execution-unknown", `{"injections_per_benchmark":4,"execution":"cloud"}`, []string{"execution"}},
+		{"execution-fleet-unlistened", `{"injections_per_benchmark":4,"execution":"fleet"}`, []string{"fleet listener"}},
+		{"vcpus-negative", `{"injections_per_benchmark":4,"vcpus":-1}`, []string{"vcpus"}},
+		{"vcpus-too-many", `{"injections_per_benchmark":4,"vcpus":99}`, []string{"vcpus"}},
+		{"target-unknown", `{"injections_per_benchmark":4,"targets":["cache"]}`, []string{"cache", "gpr"}},
+		{"target-apic-one-vcpu", `{"injections_per_benchmark":4,"targets":["apic"]}`, []string{"vcpus"}},
+		{"id", `{"injections_per_benchmark":4,"id":"bad/../id"}`, []string{"id"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(client.Base+"/campaigns", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %s, want 400 (body %s)", resp.Status, body)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(string(body), want) {
+					t.Errorf("error %s does not name %q", body, want)
+				}
+			}
+		})
+	}
+
+	// A negative checkpoint interval is valid: it disables the pool.
+	rep, err := client.RunToCompletion(context.Background(), CampaignSpec{
+		ID: "ok", Benchmarks: []string{"mcf"}, InjectionsPerBenchmark: 3, Activations: 20, CheckpointEvery: -1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Injections != 3 {
+		t.Errorf("valid campaign after the rejections tallied %d injections, want 3", rep.Injections)
+	}
+	if list, err := client.List(); err != nil || len(list) != 1 {
+		t.Errorf("registered campaigns = %+v (err %v), want only the valid one", list, err)
+	}
+}
+
 // metricsPage fetches the /metrics text.
 func metricsPage(t *testing.T, client *Client) string {
 	t.Helper()
@@ -187,7 +253,7 @@ func TestServerEventsCoalesceOutcomes(t *testing.T) {
 	const outcomes, lifecycle = 1000, 300
 	s, client := testServer(t)
 	cfg := testCampaignConfig()
-	c := &campaign{id: "burst", spec: CampaignSpec{Benchmarks: cfg.Benchmarks}, total: outcomes,
+	c := &campaign{id: "burst", cfg: cfg, total: outcomes,
 		store: testStore(t, cfg, "burst"), events: newBroadcaster(), state: "running", started: time.Now()}
 	s.mu.Lock()
 	s.campaigns[c.id] = c

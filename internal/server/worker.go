@@ -118,9 +118,10 @@ type workerState struct {
 }
 
 // configure derives the campaign config from the Welcome: the spec through
-// the same withDefaults + campaignConfig path the coordinator's
-// runCampaign uses, so every worker reproduces the exact plans of an
-// in-process run, and the model the coordinator trained, decoded.
+// the Spec.CampaignConfig the coordinator's startCampaign uses (which
+// validates it first, as handleCreate did), so every worker reproduces
+// the exact plans of an in-process run, and the model the coordinator
+// trained, decoded.
 func (st *workerState) configure(w *wire.Welcome) error {
 	if bytes.Equal(w.Spec, st.specRaw) && bytes.Equal(w.Model, st.modelRaw) {
 		return nil
@@ -129,9 +130,9 @@ func (st *workerState) configure(w *wire.Welcome) error {
 	if err := json.Unmarshal(w.Spec, &sp); err != nil {
 		return fmt.Errorf("worker: campaign spec: %w", err)
 	}
-	cfg, err := sp.withDefaults().campaignConfig()
+	cfg, err := sp.CampaignConfig()
 	if err != nil {
-		return err
+		return fmt.Errorf("worker: campaign spec: %w", err)
 	}
 	if cfg.Model, err = wire.DecodeModel(w.Model); err != nil {
 		return fmt.Errorf("worker: %w", err)

@@ -8,8 +8,11 @@
 # into the store). Both train a transition model: the fleet's workers run
 # the tree their coordinator trained and shipped in the Welcome. This is
 # the end-to-end proof that the binary data plane changes where
-# injections run, never what they produce. The verdict line
-# carries the coordinator's lease and requeue counts from /metrics.
+# injections run, never what they produce. Last, xentry-campaign -json
+# runs one small campaign locally and once more through the coordinator:
+# the flags build one spec, so the two reports must be byte-identical too.
+# The verdict line carries the coordinator's lease and requeue counts
+# from /metrics.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +31,7 @@ trap cleanup EXIT
 
 go build -o "$bin/xentry-serve" ./cmd/xentry-serve
 go build -o "$bin/xentry-worker" ./cmd/xentry-worker
+go build -o "$bin/xentry-campaign" ./cmd/xentry-campaign
 
 api=127.0.0.1:18044
 fleet=127.0.0.1:19044
@@ -106,4 +110,15 @@ wait "$w2"
 wait "$w3"
 w2="" w3=""
 
-echo "fleet-smoke: PASS (reports byte-identical, survivor workers exited cleanly; $counts)"
+# One campaign identity for the CLI: local and served runs of the same
+# flags print the same report.
+cli="-injections 20 -activations 48 -seed 29 -json"
+"$bin/xentry-campaign" $cli >"$bin/cli-local.json" 2>/dev/null
+"$bin/xentry-campaign" $cli -server "http://$api" >"$bin/cli-served.json" 2>/dev/null
+if ! cmp -s "$bin/cli-local.json" "$bin/cli-served.json"; then
+    echo "fleet-smoke: xentry-campaign -server report diverges from the local run" >&2
+    diff "$bin/cli-local.json" "$bin/cli-served.json" >&2 || true
+    exit 1
+fi
+
+echo "fleet-smoke: PASS (reports byte-identical, local and served CLI reports byte-identical, survivor workers exited cleanly; $counts)"

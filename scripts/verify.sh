@@ -60,43 +60,48 @@ go test ./...
 # recomputes them.
 focused TestGoldenDigests -count=1 .
 go test -run '^$' -bench . -benchtime 1x ./...
+# Every live burst below caps the minimization of each new input at 1 s.
+# At the default 60 s a worker that takes an input to minimize holds it
+# past the end of a 15-s burst, and once every worker is minimizing the
+# burst executes nothing for the rest of its time.
+#
 # Run-loop differential fuzzing: a short deterministic-corpus run plus a
 # brief live-fuzz burst holding the threaded translator and the traced
 # loop (with the D-TLB dropped at every step) to the switch loop, so
 # translator, run-loop and D-TLB changes cannot land without surviving
 # randomized programs.
 focused FuzzThreadedVsSwitch ./internal/cpu/
-go test -run '^$' -fuzz FuzzThreadedVsSwitch -fuzztime 15s ./internal/cpu/
+go test -run '^$' -fuzz FuzzThreadedVsSwitch -fuzztime 15s -fuzzminimizetime 1s ./internal/cpu/
 # Wire-protocol fuzzing: the deterministic corpus plus a live burst over
 # the frame splitter / record decoder / message decoder, so codec changes
 # cannot land without surviving adversarial bytes (the fleet coordinator
 # feeds these decoders straight off the network).
 focused FuzzWireDecode ./internal/wire/
-go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s ./internal/wire/
+go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/
 # Site-codec fuzzing: the record codec's trailing site block must
 # round-trip every in-range {vcpu, site-class, index} triple and reject
 # out-of-range or truncated blocks without panicking.
 focused FuzzSiteCodec ./internal/wire/
-go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s ./internal/wire/
+go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/
 # Undo-epoch fuzzing: random interleavings of writes, TLB tag flips,
 # checkpoints, restores, Mark and Rollback must match the flat
 # Snapshot/Restore oracle and leave every checkpoint untouched, because
 # live recovery snapshots every VM exit through this path.
 focused 'FuzzUndoEpoch|TestUndoEpochDifferential' ./internal/mem/
-go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s ./internal/mem/
+go test -run '^$' -fuzz FuzzUndoEpoch -fuzztime 15s -fuzzminimizetime 1s ./internal/mem/
 # Tree-induction fuzzing: the presorted builder must grow exactly the
 # reference sort-per-node builder's tree on tie-heavy random datasets,
 # over decision and random configurations, because every trained model
 # and every report number downstream depends on it.
 focused FuzzTrainMatchesReference ./internal/ml/
-go test -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s ./internal/ml/
+go test -run '^$' -fuzz FuzzTrainMatchesReference -fuzztime 15s -fuzzminimizetime 1s ./internal/ml/
 # Fingerprint soundness fuzzing: a single-bit flip anywhere in the state
 # the convergence fingerprint covers (registers, TSC, memory, D-TLB tags,
 # PMU banks) must change it, and reverting the flip must restore it,
 # because convergence pruning treats fingerprint equality as state
 # equality.
 focused FuzzFingerprintSoundness ./internal/sim/
-go test -run '^$' -fuzz FuzzFingerprintSoundness -fuzztime 15s ./internal/sim/
+go test -run '^$' -fuzz FuzzFingerprintSoundness -fuzztime 15s -fuzzminimizetime 1s ./internal/sim/
 go test -race ./internal/cpu/ ./internal/inject/ ./internal/mem/ ./internal/sim/ ./internal/store/ ./internal/server/ ./internal/progress/ ./internal/wire/
 # Campaign lifecycle burst: the server's fleet sessions, tombstones and
 # settle-then-terminal-event ordering are timing-sensitive, so one race
