@@ -25,6 +25,8 @@ import (
 //     which runs the Section VI live recovery study (snapshot at every VM
 //     exit, restore and re-execute on detection) and the microreboot
 //     classification;
+//   - report-default: `xentry-report` at DefaultScale, the same way (the
+//     paper-report workload of xbench pins a prefix of this digest);
 //   - campaign-policy-smp4: the `xentry-campaign -json` report of a 4-vCPU
 //     campaign over every fault-site class with the recovery policy armed;
 //   - campaign-restore-dtlb-k7: the same for a 2-vCPU dtlb+gpr campaign
@@ -76,6 +78,11 @@ func TestGoldenDigests(t *testing.T) {
 		{"report-quick", func() ([]byte, error) {
 			var b bytes.Buffer
 			err := experiments.WriteReport(&b, sc, nil)
+			return b.Bytes(), err
+		}},
+		{"report-default", func() ([]byte, error) {
+			var b bytes.Buffer
+			err := experiments.WriteReport(&b, experiments.DefaultScale(), nil)
 			return b.Bytes(), err
 		}},
 		{"campaign-policy-smp4", campaign(4, inject.TargetNames(), "policy", 0)},
