@@ -198,20 +198,32 @@ func DatasetConfigs(sc Scale) (train, test inject.DatasetConfig) {
 	return train, test
 }
 
+// collectDatasets collects the training and testing datasets of
+// DatasetConfigs(sc).
+func collectDatasets(sc Scale) (trainSet, testSet ml.Dataset, err error) {
+	trainCfg, testCfg := DatasetConfigs(sc)
+	if trainSet, err = inject.CollectDataset(trainCfg); err != nil {
+		return nil, nil, err
+	}
+	if testSet, err = inject.CollectDataset(testCfg); err != nil {
+		return nil, nil, err
+	}
+	return trainSet, testSet, nil
+}
+
 // Train collects a training and a held-out testing dataset from injection
 // and fault-free runs (DatasetConfigs), trains both tree algorithms, and
 // evaluates them on the testing set.
 func Train(sc Scale) (*TrainResult, error) {
-	trainCfg, testCfg := DatasetConfigs(sc)
-	trainSet, err := inject.CollectDataset(trainCfg)
+	trainSet, testSet, err := collectDatasets(sc)
 	if err != nil {
 		return nil, err
 	}
-	testSet, err := inject.CollectDataset(testCfg)
-	if err != nil {
-		return nil, err
-	}
+	return trainOn(sc, trainSet, testSet)
+}
 
+// trainOn is Train on datasets already collected.
+func trainOn(sc Scale, trainSet, testSet ml.Dataset) (*TrainResult, error) {
 	dt, err := ml.Train(trainSet, ml.DefaultDecisionTree())
 	if err != nil {
 		return nil, err

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"xentry/internal/inject"
 )
 
 // WriteReport writes xentry-report's text to w: Fig. 3, the Section III-B
@@ -12,6 +14,12 @@ import (
 // sc, so the text is byte-identical across runs; the CLI's closing timing
 // line is not part of it. progress, when non-nil, is called with a short
 // description before each stage.
+//
+// Each artifact is computed once: the classifier study and the sweeps
+// share one train/test split and the study's random tree, and the
+// Figs. 8–10 campaign is also the live recovery study's baseline. The
+// text equals what the public entry points print on their own (Train,
+// Fig7, Campaign, Recovery, RecoveryClassification, Sweeps, Fig11).
 func WriteReport(w io.Writer, sc Scale, progress func(stage string)) error {
 	note := func(stage string) {
 		if progress != nil {
@@ -30,7 +38,11 @@ func WriteReport(w io.Writer, sc Scale, progress func(stage string)) error {
 	fmt.Fprintln(w, fig3.Render())
 
 	note("Section III-B: classifier training...")
-	train, err := Train(sc)
+	trainSet, testSet, err := collectDatasets(sc)
+	if err != nil {
+		return err
+	}
+	train, err := trainOn(sc, trainSet, testSet)
 	if err != nil {
 		return err
 	}
@@ -38,16 +50,21 @@ func WriteReport(w io.Writer, sc Scale, progress func(stage string)) error {
 	fmt.Fprintln(w, "Fig. 6 — learned tree (random tree rules, truncated to 40 lines):")
 	writeHead(w, train.RandomTree.String(), 40)
 	fmt.Fprintln(w)
+	model := train.Best()
 
 	note("Fig. 7: fault-free overhead...")
-	fig7, err := Fig7(sc, train.Best())
+	fig7, err := Fig7(sc, model)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, fig7.Render())
 
 	note("Figs. 8-10, Table II: injection campaign...")
-	camp, err := Campaign(sc, train.Best())
+	cfg, err := CampaignConfigFor(sc, model, 0)
+	if err != nil {
+		return err
+	}
+	camp, err := inject.RunCampaign(cfg)
 	if err != nil {
 		return err
 	}
@@ -58,21 +75,21 @@ func WriteReport(w io.Writer, sc Scale, progress func(stage string)) error {
 	fmt.Fprintln(w, RenderTableII(camp))
 
 	note("Section VI (implemented): live recovery study...")
-	study, err := Recovery(sc, train.Best())
+	study, err := RecoveryAgainst(cfg, camp)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, study.Render())
 
 	note("recovery engine: microreboot outcome classification...")
-	rec, err := RecoveryClassification(sc, train.Best())
+	rec, err := RecoveryClassification(sc, model)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, RenderRecovery(rec))
 
 	note("model sweeps (features / depth / training size / naive Bayes)...")
-	sw, err := Sweeps(sc)
+	sw, err := sweepsOn(sc, trainSet, testSet, train.RandomTree)
 	if err != nil {
 		return err
 	}

@@ -49,9 +49,9 @@ func TestSweepsQuick(t *testing.T) {
 	}
 	// The discriminative tree matches or beats the generative baseline on
 	// balanced accuracy of the incorrect class.
-	if res.TreeEval.Coverage() < res.BayesEval.Coverage()-0.05 {
+	if tree := res.FeatureAblation[0].Eval; tree.Coverage() < res.BayesEval.Coverage()-0.05 {
 		t.Errorf("tree coverage %.3f well below bayes %.3f",
-			res.TreeEval.Coverage(), res.BayesEval.Coverage())
+			tree.Coverage(), res.BayesEval.Coverage())
 	}
 	if res.Render() == "" {
 		t.Error("empty render")
