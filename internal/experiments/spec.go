@@ -25,9 +25,14 @@ type Spec struct {
 	// resume-after-restart explicit.
 	ID string `json:"id,omitempty"`
 	// Benchmarks defaults to all six.
-	Benchmarks             []string `json:"benchmarks,omitempty"`
-	InjectionsPerBenchmark int      `json:"injections_per_benchmark"`
-	// Activations is the run length (0 = DefaultScale's 160).
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	// InjectionsPerBenchmark is in [1, 1,000,000]. A plan costs ~80
+	// bytes, so one benchmark at the maximum peaks near 90 MB.
+	InjectionsPerBenchmark int `json:"injections_per_benchmark"`
+	// Activations is the run length, at most 10,000 (0 = DefaultScale's
+	// 160). The golden run, its draw table and the checkpoints cost
+	// ~12 KB an activation, so a one-injection campaign peaks near 130 MB
+	// at the maximum.
 	Activations int `json:"activations,omitempty"`
 	// Seed draws the plans, the workload streams and the training
 	// collections (0 = DefaultScale's seed).
@@ -39,7 +44,8 @@ type Spec struct {
 	// run. Mutually exclusive with Recovery.
 	Recover bool `json:"recover,omitempty"`
 	// TrainInjections > 0 trains the VM-transition model first
-	// (TrainScale); 0 runs without one.
+	// (TrainScale); 0 runs without one. At most 1,000,000, where training
+	// peaks near 140 MB.
 	TrainInjections int `json:"train_injections,omitempty"`
 	// Detectors names plugin detector factories (detect.RegisterFactory)
 	// to run behind the built-in pipeline on every campaign machine. Their
@@ -67,6 +73,15 @@ type Spec struct {
 	Targets []string `json:"targets,omitempty"`
 }
 
+// The largest sizes a spec may ask for. Each caps one dimension of a
+// campaign's memory; the field docs give the peak RSS at each maximum,
+// measured with two workers.
+const (
+	maxInjectionsPerBenchmark = 1_000_000
+	maxActivations            = 10_000
+	maxTrainInjections        = 1_000_000
+)
+
 // withDefaults fills the fields whose zero value means a default.
 func (sp Spec) withDefaults() Spec {
 	def := DefaultScale()
@@ -86,8 +101,9 @@ func (sp Spec) withDefaults() Spec {
 // accepts derives a config every campaign entry point runs.
 func (sp Spec) Validate() error {
 	sp = sp.withDefaults()
-	if sp.InjectionsPerBenchmark <= 0 {
-		return fmt.Errorf("injections_per_benchmark must be positive, got %d", sp.InjectionsPerBenchmark)
+	if sp.InjectionsPerBenchmark < 1 || sp.InjectionsPerBenchmark > maxInjectionsPerBenchmark {
+		return fmt.Errorf("injections_per_benchmark must be in [1,%d], got %d",
+			maxInjectionsPerBenchmark, sp.InjectionsPerBenchmark)
 	}
 	seen := map[string]bool{}
 	for _, bench := range sp.Benchmarks {
@@ -99,11 +115,11 @@ func (sp Spec) Validate() error {
 		}
 		seen[bench] = true
 	}
-	if sp.Activations < 0 {
-		return fmt.Errorf("activations must not be negative, got %d", sp.Activations)
+	if sp.Activations < 0 || sp.Activations > maxActivations {
+		return fmt.Errorf("activations must be in [0,%d], got %d", maxActivations, sp.Activations)
 	}
-	if sp.TrainInjections < 0 {
-		return fmt.Errorf("train_injections must not be negative, got %d", sp.TrainInjections)
+	if sp.TrainInjections < 0 || sp.TrainInjections > maxTrainInjections {
+		return fmt.Errorf("train_injections must be in [0,%d], got %d", maxTrainInjections, sp.TrainInjections)
 	}
 	for _, name := range sp.Detectors {
 		if !detect.HasFactory(name) {

@@ -163,7 +163,8 @@ func TestServerValidationAndNotFound(t *testing.T) {
 // campaign is a 400 at submission, naming what is wrong, and registers
 // nothing; the server then still runs a valid campaign. A negative run
 // length once passed submission and panicked the campaign goroutine,
-// taking the whole server down.
+// taking the whole server down, and so did a run length of 2^50, whose
+// draw table no allocation could hold.
 func TestServerRejectsBadSpecs(t *testing.T) {
 	_, client := testServer(t)
 	for _, tc := range []struct {
@@ -175,6 +176,12 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{"injections-negative", `{"injections_per_benchmark":-2}`, []string{"injections_per_benchmark"}},
 		{"activations-negative", `{"id":"neg","injections_per_benchmark":5,"activations":-3}`, []string{"activations"}},
 		{"train-negative", `{"injections_per_benchmark":5,"train_injections":-1}`, []string{"train_injections"}},
+		{"injections-2^50", `{"injections_per_benchmark":1125899906842624}`, []string{"injections_per_benchmark"}},
+		{"injections-over-max", `{"injections_per_benchmark":1000001}`, []string{"injections_per_benchmark"}},
+		{"activations-2^50", `{"id":"huge","benchmarks":["mcf"],"injections_per_benchmark":1,"activations":1125899906842624}`, []string{"activations"}},
+		{"activations-over-max", `{"injections_per_benchmark":1,"activations":10001}`, []string{"activations"}},
+		{"train-2^50", `{"injections_per_benchmark":5,"train_injections":1125899906842624}`, []string{"train_injections"}},
+		{"train-over-max", `{"injections_per_benchmark":5,"train_injections":1000001}`, []string{"train_injections"}},
 		{"benchmark-unknown", `{"injections_per_benchmark":4,"benchmarks":["nope"]}`, []string{"nope"}},
 		{"benchmark-twice", `{"benchmarks":["mcf","mcf"],"injections_per_benchmark":3,"activations":20}`, []string{"mcf", "twice"}},
 		{"detector-unknown", `{"injections_per_benchmark":4,"detectors":["no-such"]}`, []string{"unknown detector"}},
