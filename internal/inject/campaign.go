@@ -66,14 +66,15 @@ type CampaignConfig struct {
 	DisablePrune bool
 	// VCPUs is the number of logical CPUs per simulated machine (0 or 1 =
 	// the seed's single-CPU machine, bit-identical to the pre-SMP engine;
-	// up to hv.MaxVCPUs-1). Multi-vCPU machines interleave domains over
+	// up to hv.MaxVCPUs). Multi-vCPU machines interleave domains over
 	// the CPUs under a deterministic seeded round-robin schedule and
 	// route cross-domain event kicks through per-CPU APIC words.
 	VCPUs int
 	// Targets are the fault-site target classes plans are drawn from (see
 	// TargetNames; empty = "gpr", the legacy register space). Normalized
-	// (sorted, deduplicated) as part of the campaign identity. Any
-	// non-register class disables pruning — conservatism per site class.
+	// (sorted, deduplicated) as part of the campaign identity. Pruning
+	// covers every class: each carries its own dead-flip argument, and the
+	// convergence fingerprint is machine-wide (Runner.pruneEnabled).
 	Targets []string
 }
 
