@@ -3,6 +3,8 @@ package xentry
 import (
 	"runtime"
 	"testing"
+
+	"xentry/internal/inject"
 )
 
 // TestInjectionPassAllocs holds a warm worker's pass over an engine
@@ -50,6 +52,25 @@ func TestInjectionPassAllocs(t *testing.T) {
 					len(plans), objects, bytes, limit.objects, limit.bytes)
 			}
 		})
+	}
+}
+
+// TestPrepareBenchmarkBytes holds PrepareBenchmark on
+// campaign-smp-recover's machine shape (prepareConfig), pruning off as its
+// runners run, to a bytes ceiling. Its 100 plans restore 76 of the 160
+// slots, slot 0 included, and the preparation allocates about 705 KB; a
+// pool of every slot reads about 1,052 KB. The ceiling sits between the
+// two, so a preparation that builds slots no plan restores fails.
+func TestPrepareBenchmarkBytes(t *testing.T) {
+	const ceiling = 880 << 10
+	cfg := prepareConfig(nil, false)
+	_, bytes := passAllocs(3, func() {
+		if _, err := inject.PrepareBenchmark(cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bytes > ceiling {
+		t.Errorf("PrepareBenchmark allocates %.0f bytes, ceiling %d", bytes, ceiling)
 	}
 }
 

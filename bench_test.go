@@ -594,32 +594,51 @@ func reportInjections(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inj")
 }
 
-// BenchmarkPrepareBenchmark measures the fixed cost a campaign pays per
-// benchmark on campaign-smp-recover's machine shape: PrepareBenchmark
-// (golden run, K=1 checkpoint pool, plans) of one 4-vCPU, all-targets
-// benchmark with the recovery policy armed and the QuickScale model
-// installed, plus one worker's first run (its machine build and first
-// restore) in claim order. The single-vCPU model flags fault-free SMP
-// activations, so the reference replay drops its pruning tables.
-func BenchmarkPrepareBenchmark(b *testing.B) {
+// prepareConfig is campaign-smp-recover's machine shape for one
+// benchmark: 100 plans over 160 activations of a 4-vCPU, all-targets
+// postmark run with the recovery policy armed and a K=1 pool.
+func prepareConfig(m *ml.Tree, prune bool) inject.CampaignConfig {
 	cfg := inject.DefaultCampaign(100, 42)
 	cfg.Benchmarks = []string{"postmark"}
 	cfg.VCPUs = 4
 	cfg.Targets = inject.TargetNames()
 	cfg.Recovery = "policy"
 	cfg.CheckpointEvery = 1
-	cfg.Model = model(b).Best()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br, err := inject.PrepareBenchmark(cfg, 0)
-		if err != nil {
-			b.Fatal(err)
+	cfg.DisablePrune = !prune
+	cfg.Model = m
+	return cfg
+}
+
+// BenchmarkPrepareBenchmark measures the fixed cost a campaign pays per
+// benchmark on prepareConfig's machine shape with the QuickScale model
+// installed: PrepareBenchmark (golden run, plans, the K=1 pool their
+// runs restore) plus one worker's first run (its machine build and first
+// restore) in claim order. With prune=on the reference replay keeps its
+// pruning tables, since this model raises no detection on the fault-free
+// stream. prune=off is the path campaign-smp-recover's runners take: the
+// DefaultScale model it trains does raise one, and the replay drops the
+// tables.
+func BenchmarkPrepareBenchmark(b *testing.B) {
+	for _, prune := range []bool{true, false} {
+		name := "prune=off"
+		if prune {
+			name = "prune=on"
 		}
-		first := br.Plans[inject.ActivationOrder(br.Plans)[0]]
-		if _, err := br.Runner.NewWorker().RunOne(first); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			cfg := prepareConfig(model(b).Best(), prune)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				br, err := inject.PrepareBenchmark(cfg, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				first := br.Plans[inject.ActivationOrder(br.Plans)[0]]
+				if _, err := br.Runner.NewWorker().RunOne(first); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

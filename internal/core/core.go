@@ -248,13 +248,7 @@ func (s *Sentry) ExecuteInto(ev *hv.ExitEvent, budget uint64, out *Outcome) erro
 	}
 
 	sp := &s.spine
-	*sp = detect.Event{
-		Kind:       detect.KindExit,
-		Activation: int(s.stats.Activations),
-		Reason:     ev.Reason,
-		Dom:        ev.Dom,
-		HV:         s.HV,
-	}
+	sp.Begin(int(s.stats.Activations), ev.Reason, ev.Dom, s.HV)
 	s.pipeline.Exit(sp)
 
 	res, err := s.HV.Dispatch(ev, budget)

@@ -3,6 +3,7 @@ package detect
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -379,4 +380,39 @@ func TestVerdictZeroValue(t *testing.T) {
 		t.Fatal("positive verdict not detected")
 	}
 	_ = fmt.Sprintf("%v", v) // verdicts must be printable
+}
+
+// TestEventBeginResetsEveryField: Begin leaves an event whose every field
+// was set equal to the Event literal it stands in for. The exported fields
+// are set by reflection, so a field added later is covered too.
+func TestEventBeginResetsEveryField(t *testing.T) {
+	h := &hv.Hypervisor{}
+	var e Event
+	v := reflect.ValueOf(&e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !f.CanSet() {
+			continue
+		}
+		switch {
+		case f.CanInt():
+			f.SetInt(7)
+		case f.CanUint():
+			f.SetUint(7)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.Array:
+			f.Index(0).SetUint(7)
+		case f.Kind() == reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("Event.%s: kind %v not set by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	e.AddCost(9)
+	e.Begin(3, hv.ExitReason(2), 1, h)
+	want := Event{Kind: KindExit, Activation: 3, Reason: hv.ExitReason(2), Dom: 1, HV: h}
+	if e != want {
+		t.Errorf("after Begin: %+v, want %+v", e, want)
+	}
 }

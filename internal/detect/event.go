@@ -99,6 +99,17 @@ type Event struct {
 	cost uint64
 }
 
+// Begin starts the event over as an activation's KindExit observation:
+// every field zero but the four given. It resets the event in place,
+// where assigning an Event literal through the pointer would build one on
+// the stack and copy it in, once per activation.
+func (e *Event) Begin(activation int, reason hv.ExitReason, dom int, h *hv.Hypervisor) {
+	e.Kind, e.Activation, e.Reason, e.Dom = KindExit, activation, reason, dom
+	e.Steps, e.Exc, e.Halt, e.AssertPC = 0, nil, false, 0
+	e.Signature, e.HasSignature = [ml.NumFeatures]uint64{}, false
+	e.HV, e.cost = h, 0
+}
+
 // AddCost charges detection work (in cycles) to the activation; the
 // sentry folds it into the outcome's shim cost.
 func (e *Event) AddCost(cycles uint64) { e.cost += cycles }

@@ -147,25 +147,27 @@ func Capture(h *hv.Hypervisor, ev *hv.ExitEvent) (rec Record) {
 // CaptureInto is Capture writing into rec, every field overwritten.
 func CaptureInto(h *hv.Hypervisor, ev *hv.ExitEvent, rec *Record) {
 	d := h.Domains[ev.Dom]
-	*rec = Record{
-		Reason:       ev.Reason,
-		TrapNr:       h.VCPUWord(d.VCPU, hv.VCPUTrapNr),
-		TrapErr:      h.VCPUWord(d.VCPU, hv.VCPUTrapErr),
-		Time:         h.SharedWord(ev.Dom, hv.SISystemTime),
-		Events:       h.SharedWord(ev.Dom, hv.SIEvtPending),
-		RunstateTime: h.VCPUWord(d.VCPU, hv.VCPURunstateTime),
-	}
-	saved := h.SavedRegs(d.VCPU)
+	// Field by field, not a Record literal: assigning a literal through
+	// rec builds it on the stack and copies it in, once per activation.
+	rec.Reason = ev.Reason
+	rec.TrapNr = h.VCPUWord(d.VCPU, hv.VCPUTrapNr)
+	rec.TrapErr = h.VCPUWord(d.VCPU, hv.VCPUTrapErr)
+	rec.Time = h.SharedWord(ev.Dom, hv.SISystemTime)
+	rec.Events = h.SharedWord(ev.Dom, hv.SIEvtPending)
+	rec.RunstateTime = h.VCPUWord(d.VCPU, hv.VCPURunstateTime)
+	var saved [16]uint64
+	h.SavedRegs(d.VCPU, &saved)
+	rec.RetVal = 0
 	if ev.Reason.Category() == hv.CatHypercall {
 		rec.RetVal = saved[0]
 	}
 	rec.SavedDigest = fnv(saved[:]...)
+	rec.Cpuid = [4]uint64{}
+	rec.BufDigest = 0
 
 	switch ev.Reason {
 	case hv.ExGeneralProtection:
-		for i := 0; i < 4; i++ {
-			rec.Cpuid[i] = saved[i]
-		}
+		copy(rec.Cpuid[:], saved[:])
 	case hv.HCGrantTableOp:
 		ref, words := ev.Args[1], ev.Args[2]
 		if words > 64 {
@@ -211,8 +213,8 @@ func timeDelta(a, b uint64) uint64 {
 // ClassifyRecord compares one activation's delivered state against the
 // golden run and returns the consequence for the guest plus the value
 // class that diverged. privileged marks Dom0, whose kernel failures take
-// the whole system down.
-func ClassifyRecord(golden, got Record, privileged bool) (Consequence, DiffKind) {
+// the whole system down. The records are only read.
+func ClassifyRecord(golden, got *Record, privileged bool) (Consequence, DiffKind) {
 	escalate := func(c Consequence) Consequence {
 		if privileged && (c == OneVMFailure || c == AppCrash) {
 			return AllVMFailure
@@ -298,7 +300,7 @@ func CompareStreams(golden, got []Record, privileged bool) (Consequence, DiffKin
 	worstKind := DiffNone
 	first := -1
 	for i := 0; i < n; i++ {
-		c, k := ClassifyRecord(golden[i], got[i], privileged)
+		c, k := ClassifyRecord(&golden[i], &got[i], privileged)
 		if c != Benign && first < 0 {
 			first = i
 		}

@@ -652,17 +652,16 @@ func (h *Hypervisor) SavedReg(vcpu, idx int) uint64 {
 	return h.VCPUWord(vcpu, VCPUSavedRegs+uint64(idx)*8)
 }
 
-// SavedRegs reads a VCPU's whole saved-register file in one ranged read
-// (one region lookup instead of sixteen). Missing words read as zero,
-// matching per-word SavedReg calls.
-func (h *Hypervisor) SavedRegs(vcpu int) [16]uint64 {
-	var regs [16]uint64
+// SavedRegs reads a VCPU's whole saved-register file into regs in one
+// ranged read (one region lookup instead of sixteen). Missing words read
+// as zero, matching per-word SavedReg calls. regs is the caller's, so the
+// 128-byte file is not copied out again.
+func (h *Hypervisor) SavedRegs(vcpu int, regs *[16]uint64) {
 	if err := h.Mem.PeekRange(VCPUAddr(vcpu)+VCPUSavedRegs, regs[:]); err != nil {
 		for i := range regs {
 			regs[i] = h.SavedReg(vcpu, i)
 		}
 	}
-	return regs
 }
 
 // ReadGuestWords reads consecutive words from a domain's guest buffer in

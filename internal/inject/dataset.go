@@ -86,11 +86,12 @@ func CollectDataset(cfg DatasetConfig) (ml.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The checkpoint pool builds on its own goroutine while this one
-		// runs the extra fault-free runs, instead of after them on the
-		// first claim-loop worker while the others wait.
+		// The checkpoint pool, sized by the plans, builds on its own
+		// goroutine while this one runs the extra fault-free runs, instead
+		// of after them on the first claim-loop worker while the others
+		// wait.
 		pool := make(chan error, 1)
-		go func() { pool <- runner.EnsureCheckpoints() }()
+		go func() { pool <- runner.ensurePool(plans) }()
 		// Correct samples from fault-free runs.
 		for run := 0; run < cfg.FaultFreeRuns; run++ {
 			acts := runner.Golden

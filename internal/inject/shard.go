@@ -50,30 +50,21 @@ func (cfg CampaignConfig) BenchmarkSim(bi int) sim.Config {
 	}
 }
 
-// PrepareBenchmark computes the golden run, builds the checkpoint pool, and
-// generates the benchmark's full plan list from the campaign seed. It is
-// the expensive, deterministic setup step every executor of any shard of
-// the benchmark performs identically.
+// PrepareBenchmark computes the golden run, generates the benchmark's full
+// plan list from the campaign seed, and builds the checkpoint pool for
+// that list: slot 0 and the slots its plans restore. It is the expensive,
+// deterministic setup step every executor of any shard of the benchmark
+// performs identically.
 func PrepareBenchmark(cfg CampaignConfig, bi int) (*BenchmarkRun, error) {
 	cfg = cfg.Normalized()
-	if bi < 0 || bi >= len(cfg.Benchmarks) {
-		return nil, fmt.Errorf("inject: benchmark index %d out of range [0,%d)", bi, len(cfg.Benchmarks))
-	}
-	bench := cfg.Benchmarks[bi]
-	if err := ValidateTargets(cfg.Targets, cfg.VCPUs); err != nil {
+	runner, plans, err := cfg.prepare(bi)
+	if err != nil {
 		return nil, err
 	}
-	runner, err := NewRunner(cfg.BenchmarkSim(bi), cfg.Activations, cfg.Model)
-	if err != nil {
-		return nil, fmt.Errorf("inject: golden run for %s: %w", bench, err)
-	}
+	bench := cfg.Benchmarks[bi]
 	runner.Recover = cfg.Recover
 	runner.CheckpointEvery = cfg.CheckpointEvery
 	runner.DisablePrune = cfg.DisablePrune
-	// Targets shape both the plan stream and the pruning gate; they must
-	// be in place before the checkpoint pool (which records pruning data
-	// only when pruning is live) and before the first RandomPlan draw.
-	runner.Targets = cfg.Targets
 	engine, err := recovery.EngineFor(cfg.Recovery)
 	if err != nil {
 		return nil, err
@@ -82,13 +73,8 @@ func PrepareBenchmark(cfg CampaignConfig, bi int) (*BenchmarkRun, error) {
 		return nil, fmt.Errorf("inject: Recover (Section VI study) and Recovery=%q are mutually exclusive", cfg.Recovery)
 	}
 	runner.Recovery = engine
-	if err := runner.EnsureCheckpoints(); err != nil {
+	if err := runner.ensurePool(plans); err != nil {
 		return nil, fmt.Errorf("inject: checkpoint pool for %s: %w", bench, err)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(bi+1)*104729))
-	plans := make([]Plan, cfg.InjectionsPerBenchmark)
-	for i := range plans {
-		plans[i] = runner.RandomPlan(rng)
 	}
 	return &BenchmarkRun{Bench: bench, Index: bi, Runner: runner, Plans: plans}, nil
 }
@@ -102,26 +88,36 @@ func PrepareBenchmark(cfg CampaignConfig, bi int) (*BenchmarkRun, error) {
 // exact plan list its remote workers will execute, at a fraction of
 // PrepareBenchmark's cost.
 func PreparePlans(cfg CampaignConfig, bi int) ([]Plan, error) {
-	cfg = cfg.Normalized()
+	_, plans, err := cfg.Normalized().prepare(bi)
+	return plans, err
+}
+
+// prepare computes benchmark bi's golden run and draws its plan list from
+// the campaign seed: the one plan draw PrepareBenchmark and PreparePlans
+// share. cfg must be normalized. The runner carries the model and the
+// target classes (plan identity includes them) but nothing else of cfg;
+// its pool is not built.
+func (cfg CampaignConfig) prepare(bi int) (*Runner, []Plan, error) {
 	if bi < 0 || bi >= len(cfg.Benchmarks) {
-		return nil, fmt.Errorf("inject: benchmark index %d out of range [0,%d)", bi, len(cfg.Benchmarks))
+		return nil, nil, fmt.Errorf("inject: benchmark index %d out of range [0,%d)", bi, len(cfg.Benchmarks))
 	}
 	if err := ValidateTargets(cfg.Targets, cfg.VCPUs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	runner, err := NewRunner(cfg.BenchmarkSim(bi), cfg.Activations, nil)
+	runner, err := NewRunner(cfg.BenchmarkSim(bi), cfg.Activations, cfg.Model)
 	if err != nil {
-		return nil, fmt.Errorf("inject: golden run for %s: %w", cfg.Benchmarks[bi], err)
+		return nil, nil, fmt.Errorf("inject: golden run for %s: %w", cfg.Benchmarks[bi], err)
 	}
-	// Plan identity includes the target classes: a coordinator must derive
-	// the same plans its workers will execute.
+	// Targets shape both the plan stream and the pruning gate; they must
+	// be in place before the first RandomPlan draw and before the pool
+	// (which records pruning data only when pruning is live) is built.
 	runner.Targets = cfg.Targets
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(bi+1)*104729))
 	plans := make([]Plan, cfg.InjectionsPerBenchmark)
 	for i := range plans {
 		plans[i] = runner.RandomPlan(rng)
 	}
-	return plans, nil
+	return runner, plans, nil
 }
 
 // ActivationOrder returns the plan indices sorted by activation, equal

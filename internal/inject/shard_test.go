@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -37,6 +38,48 @@ func TestPrepareBenchmarkDeterministic(t *testing.T) {
 	}
 	if _, err := PrepareBenchmark(cfg, 5); err == nil {
 		t.Error("out-of-range benchmark index must fail")
+	}
+}
+
+// TestPreparePlansMatchesPrepareBenchmark: the fleet coordinator carves
+// leases from PreparePlans and its workers run PrepareBenchmark's list by
+// index, so the two lists must be one. Checked for the legacy register
+// space and for every target the machine takes (apic needs two vCPUs, and
+// both refuse it on one) at 1 and 4 vCPUs.
+func TestPreparePlansMatchesPrepareBenchmark(t *testing.T) {
+	for _, vcpus := range []int{1, 4} {
+		all := TargetNames()
+		if vcpus == 1 {
+			all = slices.DeleteFunc(all, func(t string) bool { return t == "apic" })
+		}
+		for name, targets := range map[string][]string{"gpr": nil, "all": all} {
+			cfg := DefaultCampaign(60, 23)
+			cfg.Benchmarks = []string{"bzip2", "postmark"}
+			cfg.Activations = 50
+			cfg.VCPUs = vcpus
+			cfg.Targets = targets
+			for bi := range cfg.Benchmarks {
+				plans, err := PreparePlans(cfg, bi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				br, err := PrepareBenchmark(cfg, bi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plans, br.Plans) {
+					t.Errorf("vcpus=%d %s benchmark %d: PreparePlans and PrepareBenchmark draw different plans", vcpus, name, bi)
+				}
+			}
+		}
+	}
+	cfg := DefaultCampaign(4, 23)
+	cfg.Targets = []string{"apic"}
+	if _, err := PreparePlans(cfg, 0); err == nil {
+		t.Error("PreparePlans drew apic plans for a 1-vCPU machine")
+	}
+	if _, err := PrepareBenchmark(cfg, 0); err == nil {
+		t.Error("PrepareBenchmark drew apic plans for a 1-vCPU machine")
 	}
 }
 

@@ -8,7 +8,10 @@
 # every WORKLOAD once per side. A WORKLOAD is go-bench (the default) or
 # an xbench workload:
 #   go-bench  the engine benches listed in run below, -count 1, in each
-#             tree (listed here because a base tree's own scripts differ)
+#             tree (listed here because a base tree's own scripts differ),
+#             and the preparation benches (PrepareBenchmark and
+#             CheckpointPool) at -benchtime 100x for their B/op, allocs/op
+#             and pool-B, which repeat exactly from run to run
 #   NAME      bash xbench/run.sh --workload NAME --seconds S --trace 0 at
 #             xbench's default seed, S being BENCHMARK.json's run_seconds
 # It prints each (workload, metric)'s median [q1–q3] per side and the
@@ -17,7 +20,8 @@
 # class present on both sides loses more than 50% of its median inj/s,
 # CPURunHot/fast gains more than 20% of its median ns/instr, FleetIngest
 # loses more than 20% or falls below 500k inj/s, or K=1, K=1+recover,
-# gpr, fast or FleetIngest is missing. xbench metrics are reported only.
+# gpr, fast or FleetIngest is missing. The preparation benches and xbench
+# metrics are reported only.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,6 +52,7 @@ run() (
 	if [ "$3" = go-bench ]; then
 		{
 			go test -run '^$' -bench 'BenchmarkCampaignThroughput|BenchmarkSiteThroughput' -count 1 .
+			go test -run '^$' -bench 'BenchmarkPrepareBenchmark|BenchmarkCheckpointPool' -benchtime 100x -count 1 .
 			go test -run '^$' -bench BenchmarkCPURunHot -count 1 ./internal/cpu/
 			go test -run '^$' -bench BenchmarkFleetIngest -count 1 ./internal/server/
 		} | awk -v s="$1" -v p="$2" '/^Benchmark/ {
