@@ -61,9 +61,10 @@ func main() {
 			"recovery engine; study reruns the campaign with Section VI restore-and-reexecute "+
 			"recovery and prints the paired study (local-only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
-		"golden-checkpoint interval K: every Kth activation is checkpointed and each run "+
-			"replays up to K-1 fault-free activations (0 = default K=1, no replay; a larger K "+
-			"shrinks the pool on long -activations runs; negative replays from reset)")
+		"golden-checkpoint interval K: the pool has a slot every K activations, built where "+
+			"a plan restores one, and each run replays up to K-1 fault-free activations "+
+			"(0 = default K=1, no replay; a larger K shrinks the pool on long -activations runs; "+
+			"negative replays from reset)")
 	prune := flag.String("prune", "on",
 		"convergence pruning: on (default) or off (every run executes its full "+
 			"activation budget — the differential baseline; outcomes are bit-identical either way)")
