@@ -40,9 +40,6 @@ type Spec struct {
 	// CheckpointEvery is the campaign engine's golden-checkpoint interval
 	// K (0 = default, negative disables).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Recover arms the Section VI restore-and-reexecute recovery on every
-	// run. Mutually exclusive with Recovery.
-	Recover bool `json:"recover,omitempty"`
 	// TrainInjections > 0 trains the VM-transition model first
 	// (TrainScale); 0 runs without one. At most 1,000,000, where training
 	// peaks near 140 MB.
@@ -131,10 +128,8 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("prune must be \"on\" or \"off\", got %q", sp.Prune)
 	}
-	if engine, err := recovery.EngineFor(sp.Recovery); err != nil {
+	if _, err := recovery.EngineFor(sp.Recovery); err != nil {
 		return err
-	} else if engine != nil && sp.Recover {
-		return fmt.Errorf("recover and recovery=%q are mutually exclusive", sp.Recovery)
 	}
 	switch sp.Execution {
 	case "", "pool", "fleet":
@@ -166,7 +161,6 @@ func (sp Spec) CampaignConfig() (inject.CampaignConfig, error) {
 		Activations:            sp.Activations,
 		Seed:                   sp.Seed,
 		Detection:              core.FullDetection(),
-		Recover:                sp.Recover,
 		Recovery:               sp.Recovery,
 		CheckpointEvery:        sp.CheckpointEvery,
 		Detectors:              detectors,

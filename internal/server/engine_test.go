@@ -27,7 +27,7 @@ func testStore(t *testing.T, cfg inject.CampaignConfig, id string) *store.Store 
 		Injections:  cfg.InjectionsPerBenchmark,
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
-	}, store.Options{MaxSegmentBytes: 4096})
+	}, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEngineResumeAfterInterrupt(t *testing.T) {
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
 	}
-	s1, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s1, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEngineResumeAfterInterrupt(t *testing.T) {
 	}
 	s1.Close()
 
-	s2, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s2, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEngineMultiBenchmarkMatchesRunCampaign(t *testing.T) {
 // WAL by a fresh engine, and must end bit-identical to an uninterrupted
 // run —
 // including the Pruned provenance counts, which therefore have to survive
-// the WAL record round-trip and the snapshot/merge path.
+// the WAL record round-trip, the replay and the merge.
 func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
 	cfg := testCampaignConfig()
 	want, err := inject.RunCampaign(cfg)
@@ -145,7 +145,7 @@ func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
 	}
-	s1, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s1, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEngineResumePrunedCampaignMidShard(t *testing.T) {
 	}
 	s1.Close()
 
-	s2, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s2, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func testFleetKillAndResume(t *testing.T, shardSize int) {
 		Seed:        cfg.Seed,
 	}
 	openStore := func() *store.Store {
-		st, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 4096})
+		st, err := store.Open(dir, meta, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -920,10 +920,11 @@ func TestFleetIngestAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// No pass rotates the segment or syncs it, as in BenchmarkFleetIngest:
-	// both are per segment or per SyncEveryBytes, not per batch.
+	// The passes write far less than the 1 MiB segment the store seals
+	// with an fsync, so none syncs or rotates: that cost is per segment,
+	// not per batch, and BenchmarkFleetIngest pays it.
 	st, err := store.Open(t.TempDir(), store.Meta{CampaignID: "ingest-alloc", Benchmarks: cfg.Benchmarks,
-		Injections: cfg.InjectionsPerBenchmark}, store.Options{MaxSegmentBytes: 1 << 30, SyncEveryBytes: 1 << 30})
+		Injections: cfg.InjectionsPerBenchmark}, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1112,7 +1113,8 @@ func benchFleetWorker(b *testing.B, addr, campaign string, pre []benchShard) err
 // BenchmarkFleetIngest measures coordinator ingest throughput end to end:
 // 10 workers over TCP loopback stream pre-encoded batches through the full
 // verify → decode → group-commit → lease-accounting → cross-check path
-// into a real WAL store. Reported as inj/s.
+// into a real WAL store, which seals a segment with an fsync at each MiB
+// as in production. Reported as inj/s.
 func BenchmarkFleetIngest(b *testing.B) {
 	const (
 		workers      = 10
@@ -1137,7 +1139,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 		b.StopTimer()
 		st, err := store.Open(b.TempDir(), store.Meta{
 			CampaignID: "bench-fleet", Benchmarks: cfg.Benchmarks, Injections: total,
-		}, store.Options{MaxSegmentBytes: 1 << 30, SyncEveryBytes: 1 << 20})
+		}, store.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

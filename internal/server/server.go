@@ -79,15 +79,11 @@ type Server struct {
 	workerDeaths     atomic.Int64
 	campaignsDone    atomic.Int64
 	campaignsFailed  atomic.Int64
-	// prunedDead/prunedConverged count outcome events by run provenance,
-	// exposed as xentry_pruned_total{reason="..."} so operators can see
-	// the convergence-pruning hit rate of a live campaign.
-	prunedDead      atomic.Int64
-	prunedConverged atomic.Int64
 
-	// pruned breaks the same counts down by (reason, fault-site class),
-	// exposed as xentry_pruned_total{reason="...",site="..."} next to the
-	// aggregate lines (kept for dashboard compatibility); guarded by
+	// pruned counts outcome events by run provenance and fault-site class,
+	// exposed as xentry_pruned_total{reason="...",site="..."} beside the
+	// per-reason sums xentry_pruned_total{reason="..."}, so operators can
+	// see the convergence-pruning hit rate of a live campaign; guarded by
 	// prunedMu like detections.
 	prunedMu sync.Mutex
 	pruned   map[[2]string]int64
@@ -172,7 +168,9 @@ var idPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields() // a misspelt field would otherwise run a different campaign
+	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -274,11 +272,7 @@ func (s *Server) startCampaign(spec CampaignSpec) (*campaign, error) {
 					s.countSite(ev.Site)
 				}
 				switch ev.Pruned {
-				case "dead":
-					s.prunedDead.Add(1)
-					s.countPruned(ev.Pruned, ev.Site)
-				case "converged":
-					s.prunedConverged.Add(1)
+				case "dead", "converged":
 					s.countPruned(ev.Pruned, ev.Site)
 				}
 				if ev.RecoveryStrategy != "" {
@@ -575,13 +569,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "xentry_worker_deaths_total %d\n", s.workerDeaths.Load())
 	fmt.Fprintf(w, "xentry_wal_records_dropped_total %d\n", dropped)
 	fmt.Fprintf(w, "xentry_sse_events_dropped_total %d\n", sseDropped)
-	fmt.Fprintf(w, "xentry_pruned_total{reason=\"dead\"} %d\n", s.prunedDead.Load())
-	fmt.Fprintf(w, "xentry_pruned_total{reason=\"converged\"} %d\n", s.prunedConverged.Load())
 	s.prunedMu.Lock()
 	pruneKeys := make([][2]string, 0, len(s.pruned))
-	for k := range s.pruned {
+	reasons := map[string]int64{}
+	for k, n := range s.pruned {
 		pruneKeys = append(pruneKeys, k)
+		reasons[k[0]] += n
 	}
+	fmt.Fprintf(w, "xentry_pruned_total{reason=\"dead\"} %d\n", reasons["dead"])
+	fmt.Fprintf(w, "xentry_pruned_total{reason=\"converged\"} %d\n", reasons["converged"])
 	sort.Slice(pruneKeys, func(i, j int) bool {
 		if pruneKeys[i][0] != pruneKeys[j][0] {
 			return pruneKeys[i][0] < pruneKeys[j][0]

@@ -187,7 +187,8 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{"detector-unknown", `{"injections_per_benchmark":4,"detectors":["no-such"]}`, []string{"unknown detector"}},
 		{"prune", `{"injections_per_benchmark":4,"prune":"maybe"}`, []string{"prune"}},
 		{"recovery-unknown", `{"injections_per_benchmark":4,"recovery":"reboot-harder"}`, []string{"microreboot"}},
-		{"recover-and-recovery", `{"injections_per_benchmark":4,"recover":true,"recovery":"microreboot"}`, []string{"mutually exclusive"}},
+		{"recover-and-recovery", `{"injections_per_benchmark":4,"recover":true,"recovery":"microreboot"}`, []string{"unknown field", "recover"}},
+		{"field-misspelt", `{"id":"typo","benchmarks":["mcf"],"injections_per_benchmark":2,"activations":20,"vcpu":4}`, []string{"unknown field", "vcpu"}},
 		{"execution-unknown", `{"injections_per_benchmark":4,"execution":"cloud"}`, []string{"execution"}},
 		{"execution-fleet-unlistened", `{"injections_per_benchmark":4,"execution":"fleet"}`, []string{"fleet listener"}},
 		{"vcpus-negative", `{"injections_per_benchmark":4,"vcpus":-1}`, []string{"vcpus"}},

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // TestServerSitePruneMetrics drives an SMP multi-site campaign through the
 // HTTP coordinator: the per-site prune provenance must match a local run
 // bit-exactly, and /metrics must expose xentry_pruned_total broken down by
-// {reason,site}, not just the aggregate reason counters.
+// {reason,site}, beside aggregate reason counters that sum to the report.
 func TestServerSitePruneMetrics(t *testing.T) {
 	cfg := testCampaignConfig()
 	cfg.VCPUs = 2
@@ -58,9 +59,15 @@ func TestServerSitePruneMetrics(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	siteRows := map[string]bool{}
+	reasons := map[string]string{}
 	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
 		line := sc.Text()
-		if !strings.HasPrefix(line, `xentry_pruned_total{`) || !strings.Contains(line, `site="`) {
+		if !strings.HasPrefix(line, `xentry_pruned_total{`) {
+			continue
+		}
+		if !strings.Contains(line, `site="`) {
+			key, value, _ := strings.Cut(line, " ")
+			reasons[key] = value
 			continue
 		}
 		_, rest, _ := strings.Cut(line, `site="`)
@@ -70,6 +77,15 @@ func TestServerSitePruneMetrics(t *testing.T) {
 	if len(siteRows) < prunedSites {
 		t.Errorf("metrics page exposes per-site pruned rows for %d sites %v, want >= %d",
 			len(siteRows), siteRows, prunedSites)
+	}
+	// The per-reason aggregates are the report's prune counts.
+	for key, want := range map[string]int{
+		`xentry_pruned_total{reason="dead"}`:      rep.Result.Total.Prune.Dead,
+		`xentry_pruned_total{reason="converged"}`: rep.Result.Total.Prune.Converged,
+	} {
+		if got := reasons[key]; got != strconv.Itoa(want) {
+			t.Errorf("%s = %q, want %d", key, got, want)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func TestAppendBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := store.Open(dirBatch, meta, store.Options{SyncEveryBytes: 512})
+	batch, err := store.Open(dirBatch, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,79 +269,56 @@ func TestAppendBatchTruncationRecovery(t *testing.T) {
 	}
 }
 
-// TestBinaryAndJSONRecordsInterleave: a segment written by an earlier
-// release holds both encodings (JSON records from Record, binary frames
-// from fleet batches); replay folds every record.
-func TestBinaryAndJSONRecordsInterleave(t *testing.T) {
-	meta := store.Meta{CampaignID: "mix", Benchmarks: []string{"mcf"}, Injections: 32}
+// TestAppendBatchRotation: batches that carry the active segment past
+// 1 MiB seal it and continue in the next, and a reopen replays every
+// segment to the live result.
+func TestAppendBatchRotation(t *testing.T) {
+	const n = 100_000
+	meta := store.Meta{CampaignID: "rot", Benchmarks: []string{"mcf"}, Injections: n}
 	dir := t.TempDir()
 	s, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	want := inject.NewTally()
-	var seg []byte
-	for i := 0; i < 20; i++ {
-		o := genOutcome(i)
-		want.Add(o)
-		if i%2 == 0 {
-			seg = append(seg, encodeFrame(t, "mcf", i, o)...)
-		} else {
-			seg = append(seg, wireEntry("mcf", i, o).Frame...)
+	entries := make([]store.BatchEntry, 0, 256)
+	for lo := 0; lo < n; lo += cap(entries) {
+		entries = entries[:0]
+		for i := lo; i < min(lo+cap(entries), n); i++ {
+			entries = append(entries, wireEntry("mcf", i, genOutcome(i)))
 		}
-	}
-	appendFrame(t, filepath.Join(dir, "wal-000001.log"), seg)
-	re, err := store.Open(dir, store.Meta{}, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", re.Dropped())
-	}
-	res, err := re.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.Normalize()
-	if !reflect.DeepEqual(res.PerBenchmark["mcf"], want) {
-		t.Fatal("mixed-encoding WAL replay differs from direct fold")
-	}
-}
-
-// TestAppendBatchRotation: a batch that pushes the segment past the limit
-// rotates and snapshots; resume then folds the snapshot plus tail.
-func TestAppendBatchRotation(t *testing.T) {
-	meta := store.Meta{CampaignID: "rot", Benchmarks: []string{"mcf"}, Injections: 512}
-	dir := t.TempDir()
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 900})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []store.BatchEntry
-	for i := 0; i < 200; i++ {
-		entries = append(entries, wireEntry("mcf", i, genOutcome(i)))
-	}
-	for off := 0; off < len(entries); off += 16 {
-		end := off + 16
-		if end > len(entries) {
-			end = len(entries)
-		}
-		if _, err := s.AppendBatch(entries[off:end]); err != nil {
+		if _, err := s.AppendBatch(entries); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
-	if _, err := os.Stat(filepath.Join(dir, "snap.bin")); err != nil {
-		t.Fatalf("no snapshot after rotation: %v", err)
+	want, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
 	}
-	re, err := store.Open(dir, store.Meta{}, store.Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("%d segments after %d records, want several", len(segs), n)
+	}
+	for _, seg := range segs[:len(segs)-1] {
+		if fi, err := os.Stat(seg); err != nil || fi.Size() < 1<<20 {
+			t.Fatalf("%s sealed below 1 MiB (stat %v, err %v)", seg, fi, err)
+		}
+	}
+	re, err := store.Open(dir, store.Meta{}, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Count("mcf"); got != 200 {
-		t.Fatalf("count after rotation resume = %d", got)
+	got, err := re.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || re.Dropped() != 0 {
+		t.Fatalf("replay of %d segments differs from the live result (dropped %d)", len(segs), re.Dropped())
 	}
 }

@@ -1,46 +1,41 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"xentry/internal/inject"
 	"xentry/internal/store"
 	"xentry/internal/wire"
 )
 
-// encodeFrame builds one WAL frame with the JSON record payload earlier
-// releases wrote (Store.Record writes binary records): uint32 payload
-// length, uint32 CRC32-IEEE, JSON payload — all little-endian.
-func encodeFrame(tb testing.TB, bench string, index int, o inject.Outcome) []byte {
-	tb.Helper()
-	payload, err := json.Marshal(struct {
-		Bench   string         `json:"b"`
-		Index   int            `json:"i"`
-		Outcome inject.Outcome `json:"o"`
-	}{bench, index, o})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	buf := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
 // FuzzWALReplay feeds arbitrary bytes in as a WAL segment tail behind two
 // intact records and resumes the store over it. Replay must never panic,
 // never error (damage is dropped, not fatal), never lose the intact
-// prefix, and always leave the store able to assemble a result. The seed
-// corpus covers the replay loop's damage classes — payload corruption,
-// torn tails, absurd length fields, out-of-range indices — so a plain
-// `go test` run exercises them deterministically.
+// prefix, fold exactly what Result counts, and always leave the store able
+// to assemble a result. The seed corpus covers the replay loop's damage
+// classes — payload corruption, torn tails, absurd length fields,
+// out-of-range indices, a benchmark the campaign never named, a CRC-valid
+// payload that is no binary record — so a plain `go test` run exercises
+// them deterministically.
 func FuzzWALReplay(f *testing.F) {
-	intact := append(encodeFrame(f, "mcf", 0, genOutcome(2)), encodeFrame(f, "mcf", 1, genOutcome(1))...)
+	intact := append(wireEntry("mcf", 0, genOutcome(2)).Frame, wireEntry("mcf", 1, genOutcome(1)).Frame...)
+	jsonPayload, err := json.Marshal(map[string]any{"b": "mcf", "i": 4, "o": genOutcome(4)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// CRC-valid frames that replay must count as one dropped record each:
+	// a JSON record (replay reads binary records only), an index past the
+	// plan range (which the decoder accepts) and a benchmark the meta
+	// never named.
+	foreign := [][]byte{
+		wire.AppendFrame(nil, jsonPayload),
+		wireEntry("mcf", 1<<20, genOutcome(2)).Frame,
+		wireEntry("zzz", 2, genOutcome(5)).Frame,
+	}
 
 	f.Add([]byte{})
 	f.Add(append([]byte{}, intact...)) // two more valid (duplicate) records
@@ -52,12 +47,11 @@ func FuzzWALReplay(f *testing.F) {
 	absurd := make([]byte, 8)
 	binary.LittleEndian.PutUint32(absurd, 1<<30) // length beyond any record
 	f.Add(absurd)
-	f.Add(encodeFrame(f, "mcf", 1<<40, genOutcome(2))) // index outside the plan range
-	f.Add(encodeFrame(f, "mcf", -7, genOutcome(2)))
-	f.Add(encodeFrame(f, "zzz", 2, genOutcome(5))) // benchmark the meta never named
-	o := genOutcome(3)
-	binFrame, _ := wire.AppendRecordFrame(nil, nil, "x264", 3, &o)
-	f.Add(binFrame) // a binary record, as Record and the fleet write them
+	f.Add(foreign[1]) // index outside the plan range
+	f.Add(wireEntry("mcf", -7, genOutcome(2)).Frame)
+	f.Add(foreign[2]) // benchmark the meta never named
+	f.Add(wireEntry("x264", 3, genOutcome(3)).Frame)
+	f.Add(foreign[0]) // JSON record
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
@@ -89,12 +83,20 @@ func FuzzWALReplay(f *testing.F) {
 		if s2.Dropped() < 0 {
 			t.Fatalf("negative drop count %d", s2.Dropped())
 		}
+		for _, fr := range foreign {
+			if bytes.Equal(tail, fr) && s2.Dropped() != 1 {
+				t.Fatalf("record outside the campaign: dropped=%d, want 1", s2.Dropped())
+			}
+		}
 		res, err := s2.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Total.Injections < 2 {
 			t.Fatalf("result lost the intact prefix: %+v", res.Total)
+		}
+		if got := s2.TotalCount(); got != res.Total.Injections {
+			t.Fatalf("TotalCount %d, but Result folds %d injections", got, res.Total.Injections)
 		}
 	})
 }

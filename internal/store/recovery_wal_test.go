@@ -2,97 +2,13 @@ package store_test
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"hash/crc32"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"xentry/internal/inject"
 	"xentry/internal/store"
 )
-
-// TestWALForwardCompatNoRecoveryFields: a store written before the recovery
-// engine existed carries WAL records with no Recovery field at all. They
-// must replay cleanly into the current Tally — decoding to the zero
-// recovery record ("no attempt") — and produce aggregates identical to
-// folding the same outcomes directly.
-func TestWALForwardCompatNoRecoveryFields(t *testing.T) {
-	meta := testMeta()
-	dir := t.TempDir()
-
-	// Write meta.json by opening (and immediately closing) a store, then
-	// hand-author a WAL segment whose records predate the Recovery field.
-	s, err := store.Open(dir, meta, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	recs := map[string][]int{}
-	for i := 0; i < 20; i++ {
-		appendFrame(t, filepath.Join(dir, "wal-000001.log"), legacyFrame(t, "mcf", i))
-		recs["mcf"] = append(recs["mcf"], i)
-	}
-
-	r, err := store.Open(dir, meta, store.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatalf("resume over pre-recovery WAL must not fail: %v", err)
-	}
-	if got := r.Dropped(); got != 0 {
-		t.Fatalf("dropped = %d, want 0 (legacy records are valid)", got)
-	}
-	got, err := r.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := expectResult(meta, recs)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("legacy WAL result differs from direct fold:\ngot:  %+v\nwant: %+v",
-			got.Total, want.Total)
-	}
-	if got.Total.Recovery.Attempts != 0 {
-		t.Errorf("legacy records folded %d recovery attempts, want 0",
-			got.Total.Recovery.Attempts)
-	}
-}
-
-// legacyFrame encodes one WAL record the way a pre-recovery release did:
-// the same framing and payload shape, with the Recovery key stripped from
-// the outcome object.
-func legacyFrame(t *testing.T, bench string, index int) []byte {
-	t.Helper()
-	data, err := json.Marshal(genOutcome(index))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(data, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields["Recovery"]; !ok {
-		t.Fatal("outcome JSON does not carry a Recovery key to strip")
-	}
-	delete(fields, "Recovery")
-	stripped, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := json.Marshal(struct {
-		Bench   string          `json:"b"`
-		Index   int             `json:"i"`
-		Outcome json.RawMessage `json:"o"`
-	}{bench, index, stripped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8, 8+len(rec))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(rec))
-	return append(buf, rec...)
-}
 
 // TestResumeRecoveryCampaignFromWALBitIdentical: kill/resume over the WAL
 // with the recovery engine armed. The recovery records and their aggregates
@@ -120,7 +36,7 @@ func TestResumeRecoveryCampaignFromWALBitIdentical(t *testing.T) {
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
 	}
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +46,7 @@ func TestResumeRecoveryCampaignFromWALBitIdentical(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s2, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestResumeSMPMultiSiteCampaignBitIdentical(t *testing.T) {
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
 	}
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestResumeSMPMultiSiteCampaignBitIdentical(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s2, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

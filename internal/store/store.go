@@ -1,12 +1,12 @@
 // Package store is the durable, resumable result store of the campaign
-// service: an append-only write-ahead log of per-injection outcomes keyed
-// by (campaign ID, benchmark, plan index), CRC-checksummed per record,
-// split into rotating segments, with a compact snapshot of the folded
-// Tally state taken at each rotation so recovery replays only the WAL
-// tail. Opening an existing directory resumes it crash-safely: every
-// intact record is recovered, corrupt or truncated records are counted and
-// dropped (never fatal), and duplicate records — the normal byproduct of a
-// reassigned shard re-executing runs — fold only once.
+// service: one append-only log of per-injection outcomes keyed by
+// (campaign ID, benchmark, plan index). Every record is a CRC-framed binary
+// wire record (wire.AppendRecordFrame), appended to wal-NNNNNN.log
+// segments; a segment is sealed with an fsync once it reaches 1 MiB.
+// Opening an existing directory replays every segment crash-safely: every
+// intact record is folded, damaged, truncated or foreign records are
+// counted and dropped (never fatal), and duplicate records — the normal
+// byproduct of a reassigned shard re-executing runs — fold only once.
 //
 // Store implements inject.ResultSink, so inject.ResumeCampaign and the
 // distributed coordinator in internal/server persist through the same
@@ -15,13 +15,12 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,46 +46,15 @@ type Meta struct {
 
 // Options tune the store.
 type Options struct {
-	// MaxSegmentBytes rotates the active WAL segment (and snapshots the
-	// folded state) once it grows past this size. 0 means 1 MiB.
-	MaxSegmentBytes int64
 	// ReadOnly opens the store for folding only: no segment is created and
-	// Record fails. Used to render figures from a finished campaign.
+	// appends fail. Used to render figures from a finished campaign.
 	ReadOnly bool
-	// SyncEveryBytes fsyncs the active segment once at least this many
-	// bytes have been appended since the last sync — the group-commit knob
-	// for the batched ingest path, bounding how much acknowledged data a
-	// host crash can lose without paying an fsync per record or per batch.
-	// 0 keeps the historical behaviour: sync only at rotation and Close.
-	SyncEveryBytes int64
 }
 
-const (
-	frameHeader = 8 // uint32 length + uint32 CRC32 (IEEE), little-endian
-	// maxRecordBytes bounds a frame's claimed length; anything larger means
-	// the framing itself is corrupt and the rest of the segment is
-	// unrecoverable.
-	maxRecordBytes = 1 << 24
-)
-
-// walRecord is the JSON record payload earlier releases wrote. The store
-// writes binary records (wire.AppendRecordFrame) and only decodes these.
-type walRecord struct {
-	Bench   string         `json:"b"`
-	Index   int            `json:"i"`
-	Outcome inject.Outcome `json:"o"`
-}
-
-// snapshot is the JSON payload of the snapshot file: the folded tallies
-// plus the per-benchmark bitmap of stored indices and the first WAL
-// segment not covered, so Resume replays only the tail.
-type snapshot struct {
-	CoveredSegments int                      `json:"covered_segments"`
-	Dropped         int                      `json:"dropped"`
-	Counts          map[string]int           `json:"counts"`
-	Have            map[string][]uint64      `json:"have"`
-	Tallies         map[string]*inject.Tally `json:"tallies"`
-}
+// segmentBytes is the size at which the active segment is sealed: synced,
+// closed and followed by a fresh one. It bounds what a host crash can lose
+// of the acknowledged records without an fsync per batch.
+const segmentBytes = 1 << 20
 
 // Store implements inject.ResultSink.
 var _ inject.ResultSink = (*Store)(nil)
@@ -101,45 +69,38 @@ type Store struct {
 	mu      sync.Mutex
 	tallies map[string]*inject.Tally
 	have    map[string][]uint64
-	counts  map[string]int
 	dropped int
 	closed  bool
+	// failed is the first error writing, syncing or rotating a segment.
+	// The segment may then end in a torn frame, and replay would misread a
+	// record appended behind it, so every later append returns failed.
+	failed error
 
 	seg      *os.File
 	segIndex int
 	segBytes int64
-	unsynced int64
 
 	// batchBuf holds the frames of the append in progress, recBuf the
-	// record payload being framed, freshIdx AppendBatch's fresh entries;
-	// wdec is the lazily built binary-record decoder replay uses. All are
-	// reused under mu.
+	// record payload being framed, freshIdx AppendBatch's fresh entries.
+	// All are reused under mu.
 	batchBuf []byte
 	recBuf   []byte
 	freshIdx []int
-	wdec     *wire.Decoder
 }
 
 // Open creates a store in dir, or resumes the one already there. For a new
 // store, meta must carry the campaign identity; for an existing one, any
 // identity fields set in meta are checked against the stored ones and a
-// mismatch is an error. Resume is crash-safe: the newest valid snapshot is
-// loaded, only WAL segments past it are replayed, corrupt or truncated
-// records are dropped and counted (see Dropped), and appends continue into
-// a fresh segment so a torn tail is never appended to.
+// mismatch is an error. Resume is crash-safe: every WAL segment is
+// replayed, corrupt or truncated records are dropped and counted (see
+// Dropped), and appends continue into a fresh segment so a torn tail is
+// never appended to. A read-only Open creates nothing, not even dir.
 func Open(dir string, meta Meta, opts Options) (*Store, error) {
-	if opts.MaxSegmentBytes <= 0 {
-		opts.MaxSegmentBytes = 1 << 20
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	s := &Store{
 		dir:     dir,
 		opts:    opts,
 		tallies: map[string]*inject.Tally{},
 		have:    map[string][]uint64{},
-		counts:  map[string]int{},
 	}
 	stored, err := loadMeta(dir)
 	switch {
@@ -155,8 +116,15 @@ func Open(dir string, meta Meta, opts Options) (*Store, error) {
 		if len(meta.Benchmarks) == 0 || meta.Injections <= 0 {
 			return nil, fmt.Errorf("store: new store needs benchmarks and an injection count")
 		}
+		data, err := json.Marshal(meta)
+		if err != nil {
+			return nil, fmt.Errorf("store: meta: %w", err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 		s.meta = meta
-		if err := writeFileAtomic(filepath.Join(dir, "meta.json"), mustJSON(meta)); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, "meta.json"), data); err != nil {
 			return nil, err
 		}
 	default:
@@ -213,47 +181,15 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// resume loads the snapshot (if any), replays the WAL tail, and positions
-// the store for appending.
+// resume replays every WAL segment and positions the store for appending.
 func (s *Store) resume() error {
-	from := 0
-	if snap, ok := s.loadSnapshot(); ok {
-		from = snap.CoveredSegments
-		s.dropped = snap.Dropped
-		s.counts = snap.Counts
-		s.have = snap.Have
-		s.tallies = snap.Tallies
-		for _, t := range s.tallies {
-			// A tally decoded from JSON may have nil maps for empty fields;
-			// Merge/Add need them initialised, which Merge into a fresh
-			// tally guarantees.
-			fresh := inject.NewTally()
-			fresh.Merge(t)
-			*t = *fresh
-		}
-		if s.counts == nil {
-			s.counts = map[string]int{}
-		}
-		if s.have == nil {
-			s.have = map[string][]uint64{}
-		}
-		if s.tallies == nil {
-			s.tallies = map[string]*inject.Tally{}
-		}
-	}
 	segs, err := s.segments()
 	if err != nil {
 		return err
 	}
-	maxSeg := -1
+	dec := wire.NewDecoder()
 	for _, seg := range segs {
-		if seg > maxSeg {
-			maxSeg = seg
-		}
-		if seg < from {
-			continue
-		}
-		if err := s.replaySegment(seg); err != nil {
+		if err := s.replaySegment(dec, seg); err != nil {
 			return err
 		}
 	}
@@ -261,7 +197,9 @@ func (s *Store) resume() error {
 		return nil
 	}
 	// Never append to a possibly-torn tail: start a fresh segment.
-	s.segIndex = maxSeg + 1
+	if len(segs) > 0 {
+		s.segIndex = segs[len(segs)-1] + 1
+	}
 	return s.openSegment()
 }
 
@@ -296,94 +234,48 @@ func (s *Store) openSegment() error {
 }
 
 // replaySegment folds every intact record of one segment, skipping
-// duplicates and counting drops. A bad CRC with intact framing skips just
+// duplicates and counting drops. A bad CRC with intact framing, a payload
+// that is no binary record, and a record outside the campaign each cost
 // that record; a truncated tail or corrupt length field ends the segment
 // (framing is gone, nothing past it can be trusted).
-func (s *Store) replaySegment(n int) error {
+func (s *Store) replaySegment(dec *wire.Decoder, n int) error {
 	data, err := os.ReadFile(s.segPath(n))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	for off := 0; off < len(data); {
-		if len(data)-off < frameHeader {
-			s.dropped++ // torn header at the tail
-			break
-		}
-		length := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxRecordBytes {
-			s.dropped++ // framing corrupt; cannot resync
-			break
-		}
-		end := off + frameHeader + int(length)
-		if end > len(data) {
-			s.dropped++ // truncated tail record
-			break
-		}
-		payload := data[off+frameHeader : end]
-		off = end
-		if crc32.ChecksumIEEE(payload) != sum {
-			s.dropped++ // payload corrupt, framing intact: skip one record
-			continue
-		}
-		bench, index, o, err := s.decodeRecord(payload)
+	for len(data) > 0 {
+		payload, rest, err := wire.SplitFrame(data)
+		data = rest // nil after framing damage
 		if err != nil {
 			s.dropped++
 			continue
 		}
-		if index < 0 || (s.meta.Injections > 0 && index >= s.meta.Injections) {
-			// An index outside the campaign's plan range is damage even when
-			// the CRC holds (and folding it would grow the dedup bitmap to
-			// the claimed index).
+		bench, index, o, err := dec.DecodeRecord(payload)
+		// A record outside the campaign's benchmarks or plan range is
+		// damage even when the CRC holds: no result would count it, and
+		// folding it would grow the dedup bitmap to the claimed index.
+		if err != nil || index >= s.meta.Injections || !slices.Contains(s.meta.Benchmarks, bench) {
 			s.dropped++
 			continue
 		}
-		s.fold(bench, index, o)
+		if s.markLocked(bench, index) {
+			s.tallyLocked(bench, o)
+		}
 	}
 	return nil
 }
 
-// decodeRecord decodes one intact record payload. The store writes binary
-// records (wire.RecFormat leading byte); segments written by earlier
-// releases also hold JSON records (payloads start with '{'). A one-byte
-// sniff tells them apart.
-func (s *Store) decodeRecord(payload []byte) (bench string, index int, o inject.Outcome, err error) {
-	if len(payload) > 0 && payload[0] == wire.RecFormat {
-		if s.wdec == nil {
-			s.wdec = wire.NewDecoder()
-		}
-		return s.wdec.DecodeRecord(payload)
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return "", 0, inject.Outcome{}, err
-	}
-	return rec.Bench, rec.Index, rec.Outcome, nil
-}
-
-// fold merges one outcome into the in-memory state, deduplicating by
-// (benchmark, index). It reports whether the outcome was new.
-func (s *Store) fold(bench string, index int, o inject.Outcome) bool {
-	if !s.markLocked(bench, index) {
-		return false
-	}
-	s.tallyLocked(bench, o)
-	return true
-}
-
 // markLocked claims (bench, index) in the dedup bitmap, reporting whether
-// it was fresh. AppendBatch claims entries before the group write and
-// tallies them after it succeeds, so a failed write can roll the claims
-// back (unmarkLocked) without having touched the tallies.
+// it was fresh.
 func (s *Store) markLocked(bench string, index int) bool {
 	if index < 0 {
 		return false
 	}
 	bits := s.have[bench]
 	if need := index/64 + 1; len(bits) < need {
-		grown := make([]uint64, need)
-		copy(grown, bits)
-		bits = grown
+		// append grows the capacity geometrically: replaying records in
+		// index order would otherwise copy the bitmap once per 64 records.
+		bits = append(bits, make([]uint64, need-len(bits))...)
 	}
 	if bits[index/64]&(1<<(index%64)) != 0 {
 		return false
@@ -393,21 +285,22 @@ func (s *Store) markLocked(bench string, index int) bool {
 	return true
 }
 
-func (s *Store) unmarkLocked(bench string, index int) {
-	if bits := s.have[bench]; index >= 0 && index/64 < len(bits) {
-		bits[index/64] &^= 1 << (index % 64)
-	}
-}
-
-// tallyLocked folds a freshly marked outcome into the counts and tallies.
+// tallyLocked folds a freshly marked outcome into its benchmark's tally.
 func (s *Store) tallyLocked(bench string, o inject.Outcome) {
-	s.counts[bench]++
 	t := s.tallies[bench]
 	if t == nil {
 		t = inject.NewTally()
 		s.tallies[bench] = t
 	}
 	t.Add(o)
+}
+
+// countLocked is how many outcomes are folded for one benchmark.
+func (s *Store) countLocked(bench string) int {
+	if t := s.tallies[bench]; t != nil {
+		return t.Injections
+	}
+	return 0
 }
 
 // Has reports whether an outcome for (bench, index) is stored. It is part
@@ -419,45 +312,11 @@ func (s *Store) Has(bench string, index int) bool {
 	return index >= 0 && index/64 < len(bits) && bits[index/64]&(1<<(index%64)) != 0
 }
 
-// Record appends one outcome to the WAL and folds it. Duplicate indices
-// are ignored (first record wins — outcomes are deterministic, so any
-// duplicate from a reassigned shard carries identical bits anyway).
+// Record appends one outcome to the WAL and folds it: a one-entry
+// AppendBatch.
 func (s *Store) Record(bench string, index int, o inject.Outcome) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if s.opts.ReadOnly {
-		return fmt.Errorf("store: read-only")
-	}
-	bits := s.have[bench]
-	if index >= 0 && index/64 < len(bits) && bits[index/64]&(1<<(index%64)) != 0 {
-		return nil
-	}
-	s.batchBuf, s.recBuf = wire.AppendRecordFrame(s.batchBuf[:0], s.recBuf, bench, index, &o)
-	if _, err := s.seg.Write(s.batchBuf); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	s.segBytes += int64(len(s.batchBuf))
-	s.unsynced += int64(len(s.batchBuf))
-	s.fold(bench, index, o)
-	return s.commitLocked()
-}
-
-// commitLocked finishes an append: rotate past full segments, group-sync
-// past the unsynced-bytes threshold.
-func (s *Store) commitLocked() error {
-	if s.segBytes >= s.opts.MaxSegmentBytes {
-		return s.rotateLocked()
-	}
-	if s.opts.SyncEveryBytes > 0 && s.unsynced >= s.opts.SyncEveryBytes {
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		s.unsynced = 0
-	}
-	return nil
+	_, err := s.AppendBatch([]BatchEntry{{Bench: bench, Index: index, Outcome: o}})
+	return err
 }
 
 // BatchEntry is one record of an AppendBatch call.
@@ -470,8 +329,7 @@ type BatchEntry struct {
 	// (Bench, Index, Outcome) with a valid CRC — the fleet ingest path
 	// satisfies this by construction, having decoded Outcome from the
 	// frame after verifying it — and is appended to the WAL verbatim, so
-	// the hot path never re-encodes. A nil Frame is encoded as Record
-	// encodes it.
+	// the hot path never re-encodes. A nil Frame is encoded here.
 	Frame []byte
 	// Fresh is an out-field: AppendBatch sets it to whether this entry was
 	// newly folded (not a duplicate of the store or of an earlier entry in
@@ -481,30 +339,37 @@ type BatchEntry struct {
 }
 
 // AppendBatch group-commits a batch of records: one lock acquisition, one
-// dedup pass, one contiguous segment write, one rotation/sync decision.
-// Duplicates — against the store and within the batch — are skipped
-// exactly as Record skips them. It returns how many entries were fresh.
-// Replaying a WAL written by AppendBatch is indistinguishable from one
-// written record-by-record: the bytes are the same frames in the same
-// order.
+// dedup pass, one contiguous segment write, one rotation decision.
+// Duplicates — against the store and within the batch — are skipped; the
+// first record wins, and outcomes are deterministic, so a duplicate from a
+// reassigned shard carries identical bits anyway. It returns how many
+// entries were fresh. Replaying a WAL written in batches is
+// indistinguishable from one written record by record: the bytes are the
+// same frames in the same order.
+//
+// After the first failed segment write, sync or rotation, the store
+// refuses every further append with that error. Its in-memory state may
+// then claim records that never reached the disk; a reopen replays
+// exactly those that did.
 func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch {
+	case s.closed:
 		return 0, fmt.Errorf("store: closed")
-	}
-	if s.opts.ReadOnly {
+	case s.opts.ReadOnly:
 		return 0, fmt.Errorf("store: read-only")
+	case s.failed != nil:
+		return 0, s.failed
 	}
 	buf := s.batchBuf[:0]
 	fresh := s.freshIdx[:0]
 	for i := range entries {
 		e := &entries[i]
-		e.Fresh = false
-		if !s.markLocked(e.Bench, e.Index) {
+		e.Fresh = s.markLocked(e.Bench, e.Index)
+		if !e.Fresh {
 			continue
 		}
-		e.Fresh = true
 		fresh = append(fresh, i)
 		if e.Frame != nil {
 			buf = append(buf, e.Frame...)
@@ -517,90 +382,29 @@ func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 		return 0, nil
 	}
 	if _, err := s.seg.Write(buf); err != nil {
-		// The claims roll back so the batch can be retried; the segment
-		// tail may hold a torn prefix of the batch, which replay drops.
-		for _, j := range fresh {
-			s.unmarkLocked(entries[j].Bench, entries[j].Index)
-			entries[j].Fresh = false
-		}
-		return 0, fmt.Errorf("store: append: %w", err)
+		s.failed = fmt.Errorf("store: append: %w", err)
+		return 0, s.failed
 	}
 	s.segBytes += int64(len(buf))
-	s.unsynced += int64(len(buf))
 	for _, j := range fresh {
 		s.tallyLocked(entries[j].Bench, entries[j].Outcome)
 	}
-	return len(fresh), s.commitLocked()
+	if s.segBytes >= segmentBytes {
+		s.failed = s.rotateLocked()
+	}
+	return len(fresh), s.failed
 }
 
-// rotateLocked seals the active segment, snapshots the folded state
-// covering every sealed segment, and opens the next segment.
+// rotateLocked seals the active segment and opens the next one.
 func (s *Store) rotateLocked() error {
 	if err := s.seg.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.unsynced = 0
 	if err := s.seg.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.segIndex++
-	if err := s.writeSnapshotLocked(); err != nil {
-		return err
-	}
 	return s.openSegment()
-}
-
-// Snapshot forces a snapshot of the folded state covering every sealed
-// segment plus the active one, which is sealed first. Open folds the
-// snapshot and replays only segments after it.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.opts.ReadOnly {
-		return fmt.Errorf("store: snapshot needs an open writable store")
-	}
-	return s.rotateLocked()
-}
-
-// writeSnapshotLocked persists the folded state as one CRC-framed JSON
-// blob covering segments [0, s.segIndex).
-func (s *Store) writeSnapshotLocked() error {
-	payload := mustJSON(snapshot{
-		CoveredSegments: s.segIndex,
-		Dropped:         s.dropped,
-		Counts:          s.counts,
-		Have:            s.have,
-		Tallies:         s.tallies,
-	})
-	buf := make([]byte, frameHeader, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	return writeFileAtomic(filepath.Join(s.dir, "snap.bin"), append(buf, payload...))
-}
-
-// loadSnapshot reads and validates the snapshot file. Any damage —
-// missing, torn, bad CRC — just means "no snapshot": resume falls back to
-// replaying every segment, which is always safe because segments are never
-// deleted.
-func (s *Store) loadSnapshot() (snapshot, bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, "snap.bin"))
-	if err != nil || len(data) < frameHeader {
-		return snapshot{}, false
-	}
-	length := binary.LittleEndian.Uint32(data[0:])
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if int(length) != len(data)-frameHeader {
-		return snapshot{}, false
-	}
-	payload := data[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return snapshot{}, false
-	}
-	var snap snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return snapshot{}, false
-	}
-	return snap, true
 }
 
 // Result assembles the normalized campaign aggregates from everything
@@ -636,7 +440,7 @@ func (s *Store) Meta() Meta { return s.meta }
 func (s *Store) Count(bench string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counts[bench]
+	return s.countLocked(bench)
 }
 
 // TotalCount returns how many outcomes are stored across all benchmarks.
@@ -644,8 +448,8 @@ func (s *Store) TotalCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, c := range s.counts {
-		n += c
+	for _, bench := range s.meta.Benchmarks {
+		n += s.countLocked(bench)
 	}
 	return n
 }
@@ -655,15 +459,15 @@ func (s *Store) Complete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, bench := range s.meta.Benchmarks {
-		if s.counts[bench] < s.meta.Injections {
+		if s.countLocked(bench) < s.meta.Injections {
 			return false
 		}
 	}
 	return true
 }
 
-// Dropped returns how many corrupt or truncated WAL records have been
-// dropped across all resumes of this directory.
+// Dropped returns how many corrupt, truncated or foreign WAL records the
+// replay at Open dropped.
 func (s *Store) Dropped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -671,7 +475,7 @@ func (s *Store) Dropped() int {
 }
 
 // Close seals the store. The active segment is synced; a reopened store
-// resumes from the snapshot plus the WAL tail.
+// replays every segment.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -720,14 +524,4 @@ func writeFileAtomic(path string, data []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Everything serialized here is plain structs of ints, strings,
-		// slices, and integer-keyed maps; failure is a programming error.
-		panic(err)
-	}
-	return data
 }

@@ -2,10 +2,7 @@ package store_test
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -133,7 +130,7 @@ func TestStoreDuplicatesFoldOnce(t *testing.T) {
 
 	// A reassigned shard on another worker appends straight to its own WAL:
 	// craft a duplicate frame on disk and make sure replay folds it once.
-	appendFrame(t, filepath.Join(dir, "wal-000001.log"), frame(t, "mcf", 5))
+	appendFrame(t, filepath.Join(dir, "wal-000001.log"), wireEntry("mcf", 5, genOutcome(5)).Frame)
 	r, err := store.Open(dir, meta, store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -148,94 +145,6 @@ func TestStoreDuplicatesFoldOnce(t *testing.T) {
 	if res.Total.Injections != 1 {
 		t.Fatalf("folded injections = %d, want 1", res.Total.Injections)
 	}
-}
-
-func TestStoreSegmentRotationAndSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	meta := testMeta()
-	// Tiny segments: every few records rotate and snapshot.
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := map[string][]int{}
-	for i := 0; i < 50; i++ {
-		if err := s.Record("mcf", i, genOutcome(i)); err != nil {
-			t.Fatal(err)
-		}
-		recs["mcf"] = append(recs["mcf"], i)
-	}
-	s.Close()
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(segs) < 3 {
-		t.Fatalf("expected several rotated segments, got %v", segs)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snap.bin")); err != nil {
-		t.Fatalf("no snapshot written: %v", err)
-	}
-	r, err := store.Open(dir, meta, store.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := expectResult(meta, recs); !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot+tail result differs from full fold")
-	}
-}
-
-func TestStoreCorruptSnapshotFallsBackToFullReplay(t *testing.T) {
-	dir := t.TempDir()
-	meta := testMeta()
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := s.Record("x264", i, genOutcome(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	// Flip a byte inside the snapshot payload.
-	snap := filepath.Join(dir, "snap.bin")
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := store.Open(dir, meta, store.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Count("x264"); got != 50 {
-		t.Fatalf("count after snapshot corruption = %d, want 50 (full replay)", got)
-	}
-}
-
-// frame encodes one WAL record with the JSON payload earlier releases
-// wrote, which replay still decodes.
-func frame(t *testing.T, bench string, index int) []byte {
-	t.Helper()
-	payload := []byte(`{"b":"` + bench + `","i":` + itoa(index) + `,"o":` + outcomeJSON(t, index) + `}`)
-	buf := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-func outcomeJSON(t *testing.T, index int) string {
-	t.Helper()
-	data, err := json.Marshal(genOutcome(index))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 func appendFrame(t *testing.T, path string, data []byte) {
@@ -353,6 +262,18 @@ func TestStoreMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestReadOnlyOpenCreatesNothing: a read-only Open of a directory that
+// holds no store fails and leaves the path absent.
+func TestReadOnlyOpenCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "absent")
+	if _, err := store.Open(dir, testMeta(), store.Options{ReadOnly: true}); err == nil {
+		t.Fatal("read-only open of a missing store succeeded")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read-only open left %s behind (stat: %v)", dir, err)
+	}
+}
+
 // interruptSink kills the campaign (by failing Record) after limit
 // outcomes have been persisted, simulating a crash mid-campaign.
 type interruptSink struct {
@@ -393,7 +314,7 @@ func TestResumeCampaignFromWALBitIdentical(t *testing.T) {
 		Activations: cfg.Activations,
 		Seed:        cfg.Seed,
 	}
-	s, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +324,7 @@ func TestResumeCampaignFromWALBitIdentical(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := store.Open(dir, meta, store.Options{MaxSegmentBytes: 2048})
+	s2, err := store.Open(dir, meta, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,18 +344,4 @@ func TestResumeCampaignFromWALBitIdentical(t *testing.T) {
 			got.Total, want.Total)
 	}
 	s2.Close()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -87,6 +87,11 @@ go test -run '^$' -fuzz FuzzWireDecode -fuzztime 15s -fuzzminimizetime 1s ./inte
 # out-of-range or truncated blocks without panicking.
 focused FuzzSiteCodec ./internal/wire/
 go test -run '^$' -fuzz FuzzSiteCodec -fuzztime 15s -fuzzminimizetime 1s ./internal/wire/
+# WAL replay fuzzing: replay is the result store's only read path, so
+# arbitrary bytes behind an intact prefix must never panic, error or
+# lose the prefix, and every record it folds must count in the result.
+focused FuzzWALReplay ./internal/store/
+go test -run '^$' -fuzz FuzzWALReplay -fuzztime 15s -fuzzminimizetime 1s ./internal/store/
 # Undo-epoch fuzzing: random interleavings of writes, TLB tag flips,
 # checkpoints, restores, Mark and Rollback must match the flat
 # Snapshot/Restore oracle and leave every checkpoint untouched, because
